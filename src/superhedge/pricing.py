@@ -273,7 +273,9 @@ class StrategyFn:
             a, b = kd * s, ku * s
             ia = np.searchsorted(g._bps_f, a, side="left")
             ib = np.searchsorted(g._bps_f, b, side="left")
-            chord = (g(b) - g(a)) / ((ku - kd) * s)
+            g_a = g._slopes_f[ia] * a + g._icepts_f[ia]
+            g_b = g._slopes_f[ib] * b + g._icepts_f[ib]
+            chord = (g_b - g_a) / ((ku - kd) * s)
             return np.where(ia == ib, g._slopes_f[ia], chord)
         sf = float(s)
         if sf <= 0.0:
@@ -506,11 +508,18 @@ def asian_tree_price(
 
 
 def asian_call_payoff(strike: float) -> Callable[[Sequence[float]], float]:
-    """(mean of the executed path - strike)^+ ."""
+    """(mean of the executed path - strike)^+ .
+
+    Takes a path of floats (returns a float) or a tuple of equal-length
+    arrays, one lane per path (returns an array).
+    """
     if not strike > 0:
         raise ValueError("strike must be positive")
 
     def payoff(path: Sequence[float]) -> float:
-        return max(sum(path) / len(path) - strike, 0.0)
+        excess = sum(path) / len(path) - strike
+        if excess.__class__ is float:  # cheaper than isinstance on the tree walk
+            return max(excess, 0.0)
+        return np.maximum(excess, 0.0)
 
     return payoff

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .pricing import (
 from .pwl import Interval, PwlFunction
 
 BATCH_SIZE = 1 << 17
+_PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_VALUE_TOL = 1e-12
 ROOT_WIDTH_TOL = 1e-12
 
@@ -155,18 +157,17 @@ def execute_delayed_order(
     With ``sstar=None`` the order's sign is constant on the bracket and
     ``delta_sign`` decides: <= 0 bid, > 0 ask.
     """
-    if not 0.0 < bid <= ask:
-        raise ValueError(f"need 0 < bid <= ask, got ({bid}, {ask})")
-    if sstar is None:
-        return bid if delta_sign <= 0.0 else ask
-    if ask <= sstar:
-        return bid
-    if sstar <= bid:
-        return ask
-    closer_bid = abs(sstar - bid) <= abs(sstar - ask)
-    if straddle_to_ask:
-        return ask if closer_bid else bid
-    return bid if closer_bid else ask
+    bid, ask = np.array([bid], dtype=float), np.array([ask], dtype=float)
+    _check_quotes(bid, ask)
+    sstar = np.array([math.nan if sstar is None else sstar], dtype=float)
+    return float(_execute_vec(bid, ask, sstar, delta_sign, straddle_to_ask)[0])
+
+
+def _check_quotes(bid: np.ndarray, ask: np.ndarray):
+    bad = ~((0.0 < bid) & (bid <= ask))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"need 0 < bid <= ask, got ({bid[i]}, {ask[i]})")
 
 
 # ---------------------------------------------------------------------- #
@@ -320,6 +321,43 @@ class SimPath:
     eps_r: float
 
 
+def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool):
+    """The execution protocol over n paths; returns column arrays.
+
+    ``draws`` yields (m, M, k) arrays per step.  ``claim`` holds four maps of
+    the executed prefix (s_0, ..., s_t): ``value(prefix, t)``, ``theta(prefix,
+    t)``, ``sstar(prefix, t, held, s_prev)``, the order's (sstar, sign) at
+    interior step t before its execution, and ``payoff(prefix)``.
+    """
+    value, theta, sstar, payoff = claim
+    T = model.horizon
+    s_prev = np.full(n, float(model.s_init))
+    prefix: tuple[np.ndarray, ...] = ()
+    cols = {key: [] for key in _PATH_KEYS}
+    for t, (m, M, k) in enumerate(draws):
+        if t == 0 or t == T:
+            s_t = mid_execute(s_prev, m, M, k)
+            bid_t, ask_t = np.full(n, np.nan), np.full(n, np.nan)
+        else:
+            bid_t, ask_t = s_prev * m, s_prev * M
+            order = sstar(prefix, t, cols["theta"][t - 1], s_prev)
+            _check_quotes(bid_t, ask_t)
+            s_t = _execute_vec(bid_t, ask_t, *order, straddle_to_ask)
+        prefix += (s_t,)
+        if t == 0:
+            cols["v"].append(value(prefix, 0))
+        else:
+            cols["v"].append(cols["v"][t - 1] + cols["theta"][t - 1] * (s_t - s_prev))
+        if t < T:
+            cols["theta"].append(theta(prefix, t))
+        cols["s"].append(s_t)
+        cols["bid"].append(bid_t)
+        cols["ask"].append(ask_t)
+        s_prev = s_t
+    cols["eps"] = (cols["v"][T] - payoff(prefix)) / cols["s"][T]
+    return cols
+
+
 def _simulate_batch(
     model: MarketModel,
     pricing: PricingResult,
@@ -328,45 +366,15 @@ def _simulate_batch(
     crossings: dict,
     straddle_to_ask: bool = True,
 ):
-    """Vectorised protocol over n paths; returns column arrays."""
-    T = model.horizon
-    s_prev = np.full(n, float(model.s_init))
-    s_cols, bid_cols, ask_cols = [], [], []
-    theta_cols, v_cols = [], []
-
-    for t in range(T + 1):
-        step = model.steps[t]
-        m, M, k = draw_step(step, rng, size=n)
-        if t == 0 or t == T:
-            s_t = mid_execute(s_prev, m, M, k)
-            bid_t = np.full(n, np.nan)
-            ask_t = np.full(n, np.nan)
-        else:
-            bid_t = s_prev * m
-            ask_t = s_prev * M
-            sstar, sign = crossings[t].sstar(theta_cols[t - 1])
-            s_t = _execute_vec(bid_t, ask_t, sstar, sign, straddle_to_ask)
-        if t == 0:
-            v_cols.append(pricing.value_fns[0](s_t))
-        else:
-            v_cols.append(v_cols[t - 1] + theta_cols[t - 1] * (s_t - s_prev))
-        if t < T:
-            theta_cols.append(pricing.strategy(t, model)(s_t))
-        s_cols.append(s_t)
-        bid_cols.append(bid_t)
-        ask_cols.append(ask_t)
-        s_prev = s_t
-
-    payoff_vals = pricing.payoff(s_cols[T])
-    eps = (v_cols[T] - payoff_vals) / s_cols[T]
-    return {
-        "s": s_cols,
-        "bid": bid_cols,
-        "ask": ask_cols,
-        "theta": theta_cols,
-        "v": v_cols,
-        "eps": eps,
-    }
+    """Vectorised protocol over n paths of a PWL claim; returns column arrays."""
+    claim = (
+        lambda prefix, t: pricing.value_fns[0](prefix[-1]),
+        lambda prefix, t: pricing.strategy(t, model)(prefix[-1]),
+        lambda prefix, t, held, s_prev: crossings[t].sstar(held),
+        lambda prefix: pricing.payoff(prefix[-1]),
+    )
+    draws = (draw_step(step, rng, size=n) for step in model.steps)
+    return _protocol(model, n, draws, claim, straddle_to_ask)
 
 
 def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
@@ -389,22 +397,37 @@ def run_path(
     against ``pricing.payoff`` (for a strike-K call the two coincide bit for
     bit with (S_T - K)^+).
     """
+    _require_aip(model)
+    cols = _simulate_batch(
+        model, pricing, 1, rng, _build_crossings(model, pricing), straddle_to_ask
+    )
+    return _first_path(model, cols)
+
+
+def _require_aip(model: MarketModel):
     aip = check_aip(model)
     if not aip.ok:
         t = aip.first_violation
         raise AipViolationError(t, model.steps[t].k_down, model.steps[t].k_up)
-    cols = _simulate_batch(
-        model, pricing, 1, rng, _build_crossings(model, pricing), straddle_to_ask
-    )
+
+
+def _first_path(model: MarketModel, cols: dict) -> SimPath:
+    """The first path of a batch's column arrays."""
     return SimPath(
         s_prev=float(model.s_init),
-        s=np.array([c[0] for c in cols["s"]]),
-        bid=np.array([c[0] for c in cols["bid"]]),
-        ask=np.array([c[0] for c in cols["ask"]]),
-        theta=np.array([c[0] for c in cols["theta"]]),
-        v=np.array([c[0] for c in cols["v"]]),
+        **{key: np.array([c[0] for c in cols[key]]) for key in _PATH_KEYS},
         eps_r=float(cols["eps"][0]),
     )
+
+
+def _concat_batches(kept: list[dict]) -> dict:
+    """Per-path columns of several batches, joined in batch order."""
+    raw = {
+        key: [np.concatenate(col) for col in zip(*(batch[key] for batch in kept))]
+        for key in _PATH_KEYS
+    }
+    raw["eps"] = np.concatenate([batch["eps"] for batch in kept])
+    return raw
 
 
 # ---------------------------------------------------------------------- #
@@ -605,10 +628,7 @@ def simulate_one(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    aip = check_aip(model)
-    if not aip.ok:
-        t = aip.first_violation
-        raise AipViolationError(t, model.steps[t].k_down, model.steps[t].k_up)
+    _require_aip(model)
 
     crossings = _build_crossings(model, pricing)
     agg = _Aggregator(model.s_init, model.horizon)
@@ -624,18 +644,7 @@ def simulate_one(
         if collect:
             kept.append(cols)
         done += nb
-
-    raw = None
-    if collect:
-        raw = {
-            key: [
-                np.concatenate([batch[key][i] for batch in kept])
-                for i in range(len(kept[0][key]))
-            ]
-            for key in ("s", "bid", "ask", "theta", "v")
-        }
-        raw["eps"] = np.concatenate([batch["eps"] for batch in kept])
-    return agg.result(strike), raw
+    return agg.result(strike), _concat_batches(kept) if collect else None
 
 
 def simulate(
@@ -664,18 +673,37 @@ def simulate(
 
 
 # ---------------------------------------------------------------------- #
-# path-dependent claims: scalar engine
+# path-dependent claims: tree walks vectorised over paths
 # ---------------------------------------------------------------------- #
 
+FUNCTIONAL_CHUNK = 4096
 
-def _tree_value(
-    payoff: Callable[[Sequence[float]], float],
-    model: MarketModel,
-    prefix: tuple[float, ...],
-    t: int,
-) -> float:
+_PAYOFF_CONTRACT = (
+    "a path-dependent payoff gets a tuple (s_0, ..., s_T) of equal-length "
+    "float arrays, one entry per path, and returns an array of that length "
+    "or a scalar; use np.maximum, not max, on arrays"
+)
+
+
+def _payoff_values(payoff, prefix: tuple) -> np.ndarray:
+    """payoff(prefix) as a float array with one value per path."""
+    try:
+        out = np.asarray(payoff(prefix), dtype=float)
+    except ValueError as exc:  # Python max/if on arrays: ambiguous truth value
+        if "truth value" not in str(exc):
+            raise
+        raise TypeError(_PAYOFF_CONTRACT) from exc
+    if out.shape == prefix[-1].shape:
+        return out
+    if out.ndim:
+        raise TypeError(f"{_PAYOFF_CONTRACT}; got shape {out.shape}")
+    return np.broadcast_to(out, prefix[-1].shape)
+
+
+def _tree_value(payoff, model: MarketModel, prefix: tuple, t: int) -> np.ndarray:
+    """Per-path time-t value of the claim, prefix = (s_0, ..., s_t)."""
     if t == model.horizon:
-        return float(payoff(prefix))
+        return _payoff_values(payoff, prefix)
     step = model.steps[t + 1]
     s_t = prefix[-1]
     down = _tree_value(payoff, model, prefix + (step.k_down * s_t,), t + 1)
@@ -686,10 +714,8 @@ def _tree_value(
     return lam * down + (1.0 - lam) * up
 
 
-def _tree_theta(
-    payoff, model: MarketModel, prefix: tuple[float, ...], t: int
-) -> float:
-    """Holding after the time-t execution, prefix = (s_0, ..., s_t)."""
+def _tree_theta(payoff, model: MarketModel, prefix: tuple, t: int) -> np.ndarray:
+    """Per-path holding after the time-t execution, prefix = (s_0, ..., s_t)."""
     step = model.steps[t + 1]
     s_t = prefix[-1]
     if step.k_down == step.k_up:
@@ -702,146 +728,116 @@ def _tree_theta(
     return (g_up - g_dn) / ((step.k_up - step.k_down) * s_t)
 
 
-def _functional_sstar(delta_theta, s_scale: float):
-    """(sstar, sign) with the same plateau conventions as OrderSignChange."""
-    lo, hi = 1e-9 * s_scale, 1e9 * s_scale
-    f_lo, f_hi = delta_theta(lo), delta_theta(hi)
-    if f_lo > 0.0:
-        return None, 1.0
-    if f_hi < 0.0:
-        return None, -1.0
-    if f_lo == 0.0 and f_hi == 0.0:
-        return None, 0.0
+def _functional_sstar(payoff, model: MarketModel, base, t: int, held, s_prev):
+    """Per-path (sstar, sign) of z -> theta_t(base + (z,)) - held.
 
-    def bisect(pred) -> float:
-        a, b = lo, hi
-        while b - a > ROOT_WIDTH_TOL * max(1.0, 0.5 * (a + b)):
-            mid = 0.5 * (a + b)
-            if pred(mid):
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
+    Same plateau conventions as OrderSignChange; sstar is NaN where the sign
+    is constant on [1e-9, 1e9] * s_prev.  The left end of the zero set (first
+    z with delta >= 0) and the right end (first z with delta > 0) are
+    bisected together, one lane each, and a lane stops once its bracket is
+    narrower than ROOT_WIDTH_TOL relative to its midpoint.
+    """
+    n = held.size
 
-    z_left = 0.0 if f_lo == 0.0 else bisect(lambda z: delta_theta(z) < 0.0)
-    z_right = math.inf if f_hi == 0.0 else bisect(lambda z: delta_theta(z) <= 0.0)
-    if z_left == 0.0:
-        return z_right, 0.0
-    if math.isinf(z_right):
-        return z_left, 0.0
-    return 0.5 * (z_left + z_right), 0.0
+    def order(lanes):
+        pre, th = tuple(p[lanes] for p in base), held[lanes]
+        return lambda z: _tree_theta(payoff, model, pre + (z,), t) - th
+
+    lo, hi = 1e-9 * s_prev, 1e9 * s_prev
+    f = order(np.concatenate((np.arange(n), np.arange(n))))(np.concatenate((lo, hi)))
+    f_lo, f_hi = f[:n], f[n:]
+    sign = np.where(f_lo > 0.0, 1.0, np.where(f_hi < 0.0, -1.0, 0.0))
+    no_root = (f_lo > 0.0) | (f_hi < 0.0) | ((f_lo == 0.0) & (f_hi == 0.0))
+    left = np.flatnonzero(~no_root & (f_lo != 0.0))
+    right = np.flatnonzero(~no_root & (f_hi != 0.0))
+    lanes = np.concatenate((left, right))
+    strict = np.arange(lanes.size) < left.size  # z_left lanes test delta < 0
+    a, b, delta = lo[lanes], hi[lanes], order(lanes)
+    active = b - a > ROOT_WIDTH_TOL * np.maximum(1.0, 0.5 * (a + b))
+    while active.any():
+        mid = 0.5 * (a + b)
+        d = delta(mid)
+        below = np.where(strict, d < 0.0, d <= 0.0)
+        a = np.where(active & below, mid, a)
+        b = np.where(active & ~below, mid, b)
+        active = b - a > ROOT_WIDTH_TOL * np.maximum(1.0, 0.5 * (a + b))
+    z = 0.5 * (a + b)
+    z_left, z_right = np.zeros(n), np.full(n, math.inf)
+    z_left[left], z_right[right] = z[: left.size], z[left.size :]
+    inner = np.where(np.isinf(z_right), z_left, 0.5 * (z_left + z_right))
+    return np.where(no_root, np.nan, np.where(z_left == 0.0, z_right, inner)), sign
+
+
+def _functional_batch(model: MarketModel, payoff, n: int, rng, straddle_to_ask=True):
+    """Protocol for a path-dependent claim over n paths; returns column arrays.
+
+    Each path takes its 3 (T + 1) uniforms consecutively from ``rng`` in the
+    order (m, spread, k) per step, and every lane repeats the per-path
+    arithmetic, so results do not depend on how paths are batched.
+    """
+    if not all(step.has_distribution for step in model.steps):
+        raise ValueError("step has no draw distribution attached")
+    lo = np.array([(st.m_lo, st.spr_lo, 0.0) for st in model.steps], dtype=float)
+    hi = np.array([(st.m_hi, st.spr_hi, 1.0) for st in model.steps], dtype=float)
+    u = lo + (hi - lo) * rng.random((n, model.horizon + 1, 3))
+    draws = ((u[:, t, 0], u[:, t, 0] + u[:, t, 1], u[:, t, 2]) for t in range(len(lo)))
+    claim = (
+        partial(_tree_value, payoff, model),
+        partial(_tree_theta, payoff, model),
+        partial(_functional_sstar, payoff, model),
+        partial(_payoff_values, payoff),
+    )
+    return _protocol(model, n, draws, claim, straddle_to_ask)
 
 
 def run_path_functional(
     model: MarketModel,
-    payoff: Callable[[Sequence[float]], float],
+    payoff: Callable[[tuple[np.ndarray, ...]], np.ndarray],
     rng: np.random.Generator,
     straddle_to_ask: bool = True,
 ) -> SimPath:
-    """Scalar protocol for path-dependent claims (holdings from tree walks).
+    """One path of the path-dependent protocol (holdings from tree walks).
 
-    Mirrors the vectorised engine draw for draw, so on European payoffs a
-    single path from the same generator state matches bit for bit.  Cost per
-    path is O(2^horizon) payoff evaluations.
+    The n=1 case of the engine behind simulate_functional, under the same
+    payoff contract; successive calls on one generator give the paths of one
+    simulate_functional batch bit for bit.
     """
-    aip = check_aip(model)
-    if not aip.ok:
-        t = aip.first_violation
-        raise AipViolationError(t, model.steps[t].k_down, model.steps[t].k_up)
-
-    T = model.horizon
-    s_prev = float(model.s_init)
-    s, bids, asks, thetas, vs = [], [], [], [], []
-    prefix: tuple[float, ...] = ()
-    for t in range(T + 1):
-        step = model.steps[t]
-        m, M, k = draw_step(step, rng)
-        if t == 0 or t == T:
-            s_t = mid_execute(s_prev, m, M, k)
-            bid_t = ask_t = math.nan
-        else:
-            bid_t = s_prev * m
-            ask_t = s_prev * M
-            held = thetas[t - 1]
-            base = prefix
-
-            def delta(z: float, _base=base, _t=t, _held=held) -> float:
-                return _tree_theta(payoff, model, _base + (z,), _t) - _held
-
-            sstar, sign = _functional_sstar(delta, s_prev)
-            s_t = execute_delayed_order(bid_t, ask_t, sstar, sign, straddle_to_ask)
-        prefix = prefix + (s_t,)
-        if t == 0:
-            vs.append(_tree_value(payoff, model, prefix, 0))
-        else:
-            vs.append(vs[t - 1] + thetas[t - 1] * (s_t - s_prev))
-        if t < T:
-            thetas.append(_tree_theta(payoff, model, prefix, t))
-        s.append(s_t)
-        bids.append(bid_t)
-        asks.append(ask_t)
-        s_prev = s_t
-
-    eps = (vs[T] - float(payoff(prefix))) / s[T]
-    return SimPath(
-        s_prev=float(model.s_init),
-        s=np.array(s),
-        bid=np.array(bids),
-        ask=np.array(asks),
-        theta=np.array(thetas),
-        v=np.array(vs),
-        eps_r=float(eps),
-    )
+    _require_aip(model)
+    return _first_path(model, _functional_batch(model, payoff, 1, rng, straddle_to_ask))
 
 
 def simulate_functional(
     model: MarketModel,
-    payoff: Callable[[Sequence[float]], float],
+    payoff: Callable[[tuple[np.ndarray, ...]], np.ndarray],
     strike_label: float,
     n_paths: int,
     seed_seq: np.random.SeedSequence,
     straddle_to_ask: bool = True,
     collect: bool = False,
 ):
-    """Path-dependent analogue of simulate_one (scalar engine, slower)."""
+    """Path-dependent analogue of simulate_one; returns (SimStats, raw or None).
+
+    ``payoff`` receives a tuple (s_0, ..., s_T) of equal-length float arrays,
+    one lane per path (tree walks append hypothetical prices), and returns
+    an array of the same length; a scalar return is broadcast to every
+    path.  A payoff written for floats only fails with a TypeError stating
+    this contract.  One generator spawned from ``seed_seq`` feeds chunks of
+    FUNCTIONAL_CHUNK paths, each run as one vector batch and aggregated as
+    one batch.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    _require_aip(model)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    T = model.horizon
-    agg = _Aggregator(model.s_init, T)
-    paths = []
-    chunk = 4096
-    done = 0
-    while done < n_paths:
-        nb = min(chunk, n_paths - done)
-        batch = [
-            run_path_functional(model, payoff, rng, straddle_to_ask)
-            for _ in range(nb)
-        ]
-        cols = {
-            "s": [np.array([p.s[t] for p in batch]) for t in range(T + 1)],
-            "bid": [np.array([p.bid[t] for p in batch]) for t in range(T + 1)],
-            "ask": [np.array([p.ask[t] for p in batch]) for t in range(T + 1)],
-            "theta": [np.array([p.theta[t] for p in batch]) for t in range(T)],
-            "v": [np.array([p.v[t] for p in batch]) for t in range(T + 1)],
-            "eps": np.array([p.eps_r for p in batch]),
-        }
+    agg = _Aggregator(model.s_init, model.horizon)
+    kept: list[dict] = []
+    for done in range(0, n_paths, FUNCTIONAL_CHUNK):
+        nb = min(FUNCTIONAL_CHUNK, n_paths - done)
+        cols = _functional_batch(model, payoff, nb, rng, straddle_to_ask)
         agg.add(cols)
         if collect:
-            paths.append(cols)
-        done += nb
-
-    raw = None
-    if collect:
-        raw = {
-            key: [
-                np.concatenate([b[key][i] for b in paths])
-                for i in range(len(paths[0][key]))
-            ]
-            for key in ("s", "bid", "ask", "theta", "v")
-        }
-        raw["eps"] = np.concatenate([b["eps"] for b in paths])
-    return agg.result(strike_label), raw
+            kept.append(cols)
+    return agg.result(strike_label), _concat_batches(kept) if collect else None
 
 
 # ---------------------------------------------------------------------- #

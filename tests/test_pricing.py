@@ -394,3 +394,12 @@ class TestAsianTree:
         # averaging dampens the tails: cheaper than the terminal-price call
         res = backward_induce(call_payoff(100), model)
         assert v100 <= res.value_fns[0](100.0) + 1e-12
+
+    def test_asian_payoff_floats_and_arrays(self):
+        payoff = asian_call_payoff(100)
+        assert type(payoff((90.0, 120.0, 120.0))) is float
+        assert payoff((90.0, 120.0, 120.0)) == (90.0 + 120.0 + 120.0) / 3 - 100
+        lanes = tuple(np.array(x) for x in ([90.0, 90.0], [120.0, 60.0], [120.0, 80.0]))
+        got = payoff(lanes)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [payoff((90.0, 120.0, 120.0)), 0.0]

@@ -361,6 +361,87 @@ class TestFunctionalEngine:
         )
         assert a == b
 
+    # Pinned bit for bit: any change to the protocol arithmetic shows here.
+    GOLDEN_T3 = (
+        100.0, 95.82238183423664, 82.2190233856448, 70.64172636413117,
+        11.935161956364361, 31.37698079893129, 0.11935161956364361,
+        0.11885270437378385, 0.03728854296690936, 0.24829307752006458,
+        0.06311388209849275, 0.03205055798209797, 0.0011263303890197455,
+        0.13427517866456798, 3.219105863706836, 1.292095804250946,
+    )
+    GOLDEN_DEGENERATE = (
+        100.0, 95.82238183423664, 83.47731529980823, 83.47731529980823,
+        10.767752328888571, 29.210625196984296, 0.10767752328888572,
+        0.10609962605419719, 0.011574257252623633, 0.23115022037720745,
+        0.05389989724507293, 0.03423901560188227, 0.0006696525862505091,
+        0.12962049823504612, 3.3285486848883616, 1.012100913834989,
+    )
+
+    def test_golden_asian_t3(self):
+        stats, _ = simulate_functional(
+            uniform_bid_ask_model(horizon=3),
+            asian_call_payoff(100.0),
+            100.0,
+            300,
+            np.random.SeedSequence(41),
+        )
+        assert stats.n_paths == 300
+        assert stats.row_values() == self.GOLDEN_T3
+
+    def test_golden_degenerate_interior_step(self):
+        # k_down == k_up == 1 at step 2: theta_1 takes the finite-difference branch
+        reg = StepSpec.from_uniform(0.7, 1.0, 0.0, 0.4)
+        deg = StepSpec.from_uniform(1.0, 1.0, 0.0, 0.0)
+        model = MarketModel(s_init=100.0, horizon=3, steps=(reg, reg, deg, reg))
+        stats, _ = simulate_functional(
+            model, asian_call_payoff(100.0), 100.0, 300, np.random.SeedSequence(41)
+        )
+        assert stats.row_values() == self.GOLDEN_DEGENERATE
+
+    def test_batch_equals_successive_single_paths(self):
+        model = uniform_bid_ask_model(horizon=3)
+        payoff = asian_call_payoff(95.0)
+        _, raw = simulate_functional(
+            model, payoff, 95.0, 50, np.random.SeedSequence(53), collect=True
+        )
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(53)))
+        for i in range(50):
+            path = run_path_functional(model, payoff, rng)
+            for key in ("s", "bid", "ask", "theta", "v"):
+                column = np.array([c[i] for c in raw[key]])
+                assert np.array_equal(getattr(path, key), column, equal_nan=True)
+            assert path.eps_r == raw["eps"][i]
+
+    def test_chunk_boundary(self):
+        stats, _ = simulate_functional(
+            REF_MODEL,
+            asian_call_payoff(100.0),
+            100.0,
+            4100,
+            np.random.SeedSequence(59),
+        )
+        assert stats.n_paths == 4100
+        assert stats.min_eps >= 0.0
+
+    def test_scalar_payoff_broadcast(self):
+        stats, raw = simulate_functional(
+            REF_MODEL, lambda path: 0.0, 0.0, 20, np.random.SeedSequence(61),
+            collect=True,
+        )
+        assert raw["eps"].shape == (20,)
+        assert np.all(raw["v"][0] == 0.0) and stats.max_eps == 0.0
+
+    @pytest.mark.parametrize(
+        "payoff",
+        [
+            lambda path: max(path[-1] - 100.0, 0.0),  # written for floats only
+            lambda path: path[-1][:3],  # wrong length
+        ],
+    )
+    def test_payoff_breaking_contract_names_it(self, payoff):
+        with pytest.raises(TypeError, match="tuple .* of equal-length float arrays"):
+            simulate_functional(REF_MODEL, payoff, 100.0, 20, np.random.SeedSequence(67))
+
 
 class TestRunningMoments:
     def test_merge_matches_direct(self):
