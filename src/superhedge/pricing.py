@@ -177,6 +177,14 @@ def check_aip(model: MarketModel) -> AipResult:
     return AipResult(ok=all(verdicts), step_ok=verdicts)
 
 
+def require_aip(model: MarketModel):
+    """Raise AipViolationError at the first step where check_aip fails."""
+    aip = check_aip(model)
+    if not aip.ok:
+        t = aip.first_violation
+        raise AipViolationError(t, model.steps[t].k_down, model.steps[t].k_up)
+
+
 # ---------------------------------------------------------------------- #
 # one-step valuation
 # ---------------------------------------------------------------------- #
@@ -315,11 +323,7 @@ def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
             "payoff must be convex for the chord recursion; "
             "use one_step_price (envelope) or asian_tree_price for other claims"
         )
-    aip = check_aip(model)
-    if not aip.ok:
-        t = aip.first_violation
-        bad = model.steps[t]
-        raise AipViolationError(t, bad.k_down, bad.k_up)
+    require_aip(model)
 
     T = model.horizon
     fns: list[Optional[PwlFunction]] = [None] * (T + 1)
@@ -484,11 +488,7 @@ def asian_tree_price(
             f"horizon {T} exceeds the tree depth cap {max_depth} "
             f"(2^{T} leaves); raise max_depth explicitly if intended"
         )
-    aip = check_aip(model)
-    if not aip.ok:
-        t = aip.first_violation
-        bad = model.steps[t]
-        raise AipViolationError(t, bad.k_down, bad.k_up)
+    require_aip(model)
 
     lams = [_chord_weight(st) for st in model.steps]
 

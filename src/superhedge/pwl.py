@@ -16,6 +16,7 @@ searchsorted plus one fused multiply-add.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -24,8 +25,6 @@ import numpy as np
 
 Scalar = Union[int, float, Fraction]
 
-# Breakpoints closer than this (relative) are collapsed before hull building.
-MERGE_REL_TOL = 1e-12
 # Default absolute tolerance for affine-domination tests.
 DOMINATION_TOL = 1e-12
 
@@ -126,6 +125,8 @@ class PwlFunction:
         "values",
         "left_slope",
         "right_slope",
+        "_slopes",
+        "_icepts",
         "_bps_f",
         "_slopes_f",
         "_icepts_f",
@@ -138,8 +139,32 @@ class PwlFunction:
         left_slope: Scalar = 0,
         right_slope: Scalar = 0,
     ):
-        bps = tuple(_frac(b) for b in breakpoints)
-        vals = tuple(_frac(v) for v in values)
+        self._init(
+            tuple(_frac(b) for b in breakpoints),
+            tuple(_frac(v) for v in values),
+            _frac(left_slope),
+            _frac(right_slope),
+        )
+
+    @classmethod
+    def _from_pieces(
+        cls,
+        bps: tuple[Fraction, ...],
+        vals: tuple[Fraction, ...],
+        slopes: tuple[Fraction, ...],
+        icepts: tuple[Fraction, ...],
+    ) -> "PwlFunction":
+        """Build from exact coordinates plus the exact slope and intercept of
+        every piece, which the caller already knows; nothing is divided."""
+        f = cls.__new__(cls)
+        f._init(bps, vals, slopes[0], slopes[-1], slopes, icepts)
+        return f
+
+    # ------------------------------------------------------------------ #
+    # construction helpers
+    # ------------------------------------------------------------------ #
+
+    def _init(self, bps, vals, left, right, slopes=None, icepts=None):
         if len(bps) == 0:
             raise ValueError("need at least one breakpoint")
         if len(bps) != len(vals):
@@ -151,26 +176,30 @@ class PwlFunction:
                 raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = bps
         self.values = vals
-        self.left_slope = _frac(left_slope)
-        self.right_slope = _frac(right_slope)
-        self._build_float_cache()
+        self.left_slope = left
+        self.right_slope = right
+        self._build_float_cache(slopes, icepts)
 
-    # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
+    def _build_float_cache(self, slopes=None, icepts=None):
+        """Exact per-piece slopes and intercepts, and their float images.
 
-    def _build_float_cache(self):
+        Piece 0 is the left extension, piece i (0 < i < n) spans
+        [bps[i-1], bps[i]] and piece n is the right extension, so
+        ``bisect_left(bps, x)`` is the piece holding x.
+        """
         bps, vals = self.breakpoints, self.values
         n = len(bps)
-        seg = [
-            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(n - 1)
-        ]
-        slopes = [self.left_slope] + seg + [self.right_slope]
-        # Piece i is anchored at a breakpoint lying inside its closure, so the
-        # float intercept is the correctly rounded image of the exact one.
-        anchors = [(bps[0], vals[0])] + [(bps[i], vals[i]) for i in range(1, n)]
-        anchors.append((bps[n - 1], vals[n - 1]))
-        icepts = [v - s * b for s, (b, v) in zip(slopes, anchors)]
+        if slopes is None:
+            seg = [
+                (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+                for i in range(n - 1)
+            ]
+            slopes = (self.left_slope, *seg, self.right_slope)
+            # Piece i is anchored at a breakpoint lying inside its closure.
+            anchors = (*range(n), n - 1)
+            icepts = tuple(vals[a] - s * bps[a] for s, a in zip(slopes, anchors))
+        self._slopes = slopes
+        self._icepts = icepts
         self._bps_f = np.array([float(b) for b in bps])
         self._slopes_f = np.array([float(s) for s in slopes])
         self._icepts_f = np.array([float(c) for c in icepts])
@@ -197,18 +226,8 @@ class PwlFunction:
         xq = _frac(x)
         if xq < 0:
             raise ValueError("evaluation point must be nonnegative")
-        bps, vals = self.breakpoints, self.values
-        if xq <= bps[0]:
-            return vals[0] + self.left_slope * (xq - bps[0])
-        if xq >= bps[-1]:
-            return vals[-1] + self.right_slope * (xq - bps[-1])
-        i = 0
-        for j in range(1, len(bps)):
-            if xq <= bps[j]:
-                i = j
-                break
-        s = (vals[i] - vals[i - 1]) / (bps[i] - bps[i - 1])
-        return vals[i] + s * (xq - bps[i])
+        i = bisect_left(self.breakpoints, xq)
+        return self._slopes[i] * xq + self._icepts[i]
 
     # ------------------------------------------------------------------ #
     # structure queries
@@ -216,20 +235,15 @@ class PwlFunction:
 
     def piece_slopes(self) -> tuple[Fraction, ...]:
         """All slopes left to right, extensions included."""
-        bps, vals = self.breakpoints, self.values
-        seg = tuple(
-            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-            for i in range(len(bps) - 1)
-        )
-        return (self.left_slope,) + seg + (self.right_slope,)
+        return self._slopes
 
     def is_convex(self) -> bool:
         """Exact check: slopes nondecreasing left to right."""
-        slopes = self.piece_slopes()
+        slopes = self._slopes
         return all(a <= b for a, b in zip(slopes, slopes[1:]))
 
     def is_concave(self) -> bool:
-        slopes = self.piece_slopes()
+        slopes = self._slopes
         return all(a >= b for a, b in zip(slopes, slopes[1:]))
 
     def slopes_at(self, x: float) -> tuple[float, float]:
@@ -327,67 +341,75 @@ def from_points(
 
 
 def scale_compose(f: PwlFunction, k: Scalar) -> PwlFunction:
-    """Return x -> f(k*x) for k > 0 (breakpoints divide by k, slopes scale)."""
+    """Return x -> f(k*x) for k > 0 (breakpoints divide by k, slopes scale).
+
+    Each piece s*y + c of f becomes (s*k)*x + c, so the exact piece data
+    carries over without a division.
+    """
     kq = _frac(k)
     if kq <= 0:
         raise ValueError(f"scale factor must be positive, got {k}")
-    return PwlFunction(
-        [b / kq for b in f.breakpoints],
+    return PwlFunction._from_pieces(
+        tuple(b / kq for b in f.breakpoints),
         f.values,
-        left_slope=f.left_slope * kq,
-        right_slope=f.right_slope * kq,
+        tuple(s * kq for s in f._slopes),
+        f._icepts,
     )
 
 
-def _drop_collinear(
-    xs: list[Fraction], ys: list[Fraction], left: Fraction, right: Fraction
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Remove breakpoints where the slope does not actually change (exact)."""
-    if len(xs) <= 1:
-        return xs, ys
-    slopes = [left]
-    slopes += [
-        (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
-    ]
-    slopes.append(right)
-    kept_x, kept_y = [], []
-    for i in range(len(xs)):
-        if slopes[i] != slopes[i + 1]:
-            kept_x.append(xs[i])
-            kept_y.append(ys[i])
-    if not kept_x:  # globally affine: keep one anchor
-        return [xs[0]], [ys[0]]
-    return kept_x, kept_y
+def _drop_collinear(xs, ys, slopes, icepts):
+    """Remove breakpoints where the slope does not actually change (exact).
+
+    ``slopes`` and ``icepts`` hold one entry per piece, len(xs) + 1 each; a
+    dropped breakpoint joins two pieces on one line, so the left one stays.
+    """
+    keep = [k for k in range(len(xs)) if slopes[k] != slopes[k + 1]]
+    if not keep:  # globally affine: keep one anchor
+        keep = [0]
+    pieces = [0] + [k + 1 for k in keep]
+    return (
+        tuple(xs[k] for k in keep),
+        tuple(ys[k] for k in keep),
+        tuple(slopes[p] for p in pieces),
+        tuple(icepts[p] for p in pieces),
+    )
+
+
+def merge_pieces(xa: Sequence[Fraction], xb: Sequence[Fraction]):
+    """Merge two strictly increasing sequences in one pass.
+
+    Returns (xs, pieces): xs is the sorted union, and pieces[k] = (i, j) says
+    that the k-th gap of xs (from xs[k-1] to xs[k], open-ended at both ends)
+    lies in gap i of xa and gap j of xb.
+    """
+    xs, pieces = [], [(0, 0)]
+    i = j = 0
+    na, nb = len(xa), len(xb)
+    while i < na or j < nb:
+        x = xa[i] if j == nb else xb[j] if i == na else min(xa[i], xb[j])
+        xs.append(x)
+        i += i < na and xa[i] == x
+        j += j < nb and xb[j] == x
+        pieces.append((i, j))
+    return xs, pieces
 
 
 def convex_combine(f: PwlFunction, g: PwlFunction, lam: Scalar) -> PwlFunction:
-    """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1]."""
+    """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1].
+
+    Each merged piece lies in one piece of f and one of g, so its slope and
+    intercept are the weighted piece data, and the value at a breakpoint is
+    the piece ending there evaluated at it.
+    """
     lq = _frac(lam)
     if not 0 <= lq <= 1:
         raise ValueError(f"weight must lie in [0, 1], got {lam}")
-    merged = sorted(set(f.breakpoints) | set(g.breakpoints))
-    vals = [lq * f.eval_exact(b) + (1 - lq) * g.eval_exact(b) for b in merged]
-    left = lq * f.left_slope + (1 - lq) * g.left_slope
-    right = lq * f.right_slope + (1 - lq) * g.right_slope
-    xs, ys = _drop_collinear(merged, vals, left, right)
-    return PwlFunction(xs, ys, left_slope=left, right_slope=right)
-
-
-def _dedup_for_hull(
-    pts: list[tuple[Fraction, Fraction]]
-) -> list[tuple[Fraction, Fraction]]:
-    """Collapse near-coincident x's (1e-12 relative), keeping the max value."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for x, y in pts:
-        if out:
-            x0, y0 = out[-1]
-            gap = Fraction(MERGE_REL_TOL) * max(Fraction(1), abs(x))
-            if x - x0 <= gap:
-                if y > y0:
-                    out[-1] = (x0, y)
-                continue
-        out.append((x, y))
-    return out
+    mq = 1 - lq
+    xs, pieces = merge_pieces(f.breakpoints, g.breakpoints)
+    slopes = [lq * f._slopes[i] + mq * g._slopes[j] for i, j in pieces]
+    icepts = [lq * f._icepts[i] + mq * g._icepts[j] for i, j in pieces]
+    ys = [s * x + c for s, c, x in zip(slopes, icepts, xs)]
+    return PwlFunction._from_pieces(*_drop_collinear(xs, ys, slopes, icepts))
 
 
 def upper_concave_envelope(f: PwlFunction, dom: Interval) -> PwlFunction:
@@ -407,7 +429,6 @@ def upper_concave_envelope(f: PwlFunction, dom: Interval) -> PwlFunction:
     pts = [(lo, f.eval_exact(lo))]
     pts += [(b, v) for b, v in zip(f.breakpoints, f.values) if lo < b < hi]
     pts.append((hi, f.eval_exact(hi)))
-    pts = _dedup_for_hull(pts)
 
     # Andrew's monotone chain, upper hull only: drop a middle point whenever
     # it does not lie strictly above the chord of its neighbours.

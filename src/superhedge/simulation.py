@@ -30,14 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .pricing import (
-    AipViolationError,
-    MarketModel,
-    PricingResult,
-    StepSpec,
-    check_aip,
-)
-from .pwl import Interval, PwlFunction
+from .pricing import MarketModel, PricingResult, StepSpec, require_aip
+from .pwl import Interval, PwlFunction, merge_pieces
 
 BATCH_SIZE = 1 << 17
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
@@ -193,37 +187,20 @@ class OrderSignChange:
         if self.degenerate:
             return
         c = ku - kd
-        cuts = sorted(
-            {b / ku for b in g_next.breakpoints if b > 0}
-            | {b / kd for b in g_next.breakpoints if b > 0}
+        # theta = (g(k_up z) - g(k_down z)) / (c z) is b/c + a/(c z) between
+        # cuts, the z where k_up z or k_down z meets a positive breakpoint of
+        # g; a and b come from the pieces of g holding k_up z and k_down z.
+        bps = g_next.breakpoints
+        first = 1 if bps[0] == 0 else 0  # z > 0 lies past a breakpoint at 0
+        cuts, pieces = merge_pieces(
+            [b / ku for b in bps[first:]], [b / kd for b in bps[first:]]
         )
+        slopes, icepts = g_next._slopes[first:], g_next._icepts[first:]
+        b_q = [slopes[i] * ku - slopes[j] * kd for i, j in pieces]
+        a_q = [icepts[i] - icepts[j] for i, j in pieces]
         m = len(cuts)
 
-        def coeffs(z1: Fraction, z2: Fraction):
-            n1 = g_next.eval_exact(ku * z1) - g_next.eval_exact(kd * z1)
-            n2 = g_next.eval_exact(ku * z2) - g_next.eval_exact(kd * z2)
-            b = (n2 - n1) / (z2 - z1)
-            return n1 - b * z1, b
-
-        pieces = []
-        for j in range(m + 1):
-            if m == 0:
-                z1, z2 = Fraction(1), Fraction(2)
-            elif j == 0:
-                z1, z2 = cuts[0] / 3, cuts[0] * 2 / 3
-            elif j == m:
-                z1, z2 = cuts[-1] * 2, cuts[-1] * 3
-            else:
-                w = cuts[j] - cuts[j - 1]
-                z1, z2 = cuts[j - 1] + w / 3, cuts[j - 1] + 2 * w / 3
-            pieces.append(coeffs(z1, z2))
-        a_q = [ab[0] for ab in pieces]
-        b_q = [ab[1] for ab in pieces]
-
-        theta_cuts = [
-            (g_next.eval_exact(ku * z) - g_next.eval_exact(kd * z)) / (c * z)
-            for z in cuts
-        ]
+        theta_cuts = [(b_q[j] * z + a_q[j]) / (c * z) for j, z in enumerate(cuts)]
         for u, v in zip(theta_cuts, theta_cuts[1:]):
             if u > v:
                 raise ValueError("order mapping is not monotone; payoff not convex?")
@@ -397,18 +374,11 @@ def run_path(
     against ``pricing.payoff`` (for a strike-K call the two coincide bit for
     bit with (S_T - K)^+).
     """
-    _require_aip(model)
+    require_aip(model)
     cols = _simulate_batch(
         model, pricing, 1, rng, _build_crossings(model, pricing), straddle_to_ask
     )
     return _first_path(model, cols)
-
-
-def _require_aip(model: MarketModel):
-    aip = check_aip(model)
-    if not aip.ok:
-        t = aip.first_violation
-        raise AipViolationError(t, model.steps[t].k_down, model.steps[t].k_up)
 
 
 def _first_path(model: MarketModel, cols: dict) -> SimPath:
@@ -628,7 +598,7 @@ def simulate_one(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    _require_aip(model)
+    require_aip(model)
 
     crossings = _build_crossings(model, pricing)
     agg = _Aggregator(model.s_init, model.horizon)
@@ -802,7 +772,7 @@ def run_path_functional(
     payoff contract; successive calls on one generator give the paths of one
     simulate_functional batch bit for bit.
     """
-    _require_aip(model)
+    require_aip(model)
     return _first_path(model, _functional_batch(model, payoff, 1, rng, straddle_to_ask))
 
 
@@ -827,7 +797,7 @@ def simulate_functional(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    _require_aip(model)
+    require_aip(model)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     agg = _Aggregator(model.s_init, model.horizon)
     kept: list[dict] = []

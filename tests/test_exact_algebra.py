@@ -1,0 +1,167 @@
+"""Exact PWL recursion and crossing tables against plain-scan oracles.
+
+The oracles rebuild every rational the slow, obvious way: evaluation by a
+linear scan over the breakpoints, slopes by dividing value differences, and
+the crossing-table coefficients from two sample points per z-interval.
+Rationals are canonical, so the library must agree with them under ``==``
+and, after rounding, byte for byte.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from superhedge.cli import parse_config, run_experiment
+from superhedge.pricing import MarketModel, StepSpec, backward_induce
+from superhedge.pwl import PwlFunction, call_payoff
+from superhedge.simulation import OrderSignChange
+
+
+def scan_eval(f: PwlFunction, x: Fraction) -> Fraction:
+    """f(x) exactly, by a linear scan and a fresh slope per piece."""
+    bps, vals = f.breakpoints, f.values
+    if x <= bps[0]:
+        return vals[0] + f.left_slope * (x - bps[0])
+    for i in range(1, len(bps)):
+        if x <= bps[i]:
+            s = (vals[i] - vals[i - 1]) / (bps[i] - bps[i - 1])
+            return vals[i] + s * (x - bps[i])
+    return vals[-1] + f.right_slope * (x - bps[-1])
+
+
+def reference_step(g: PwlFunction, step: StepSpec) -> PwlFunction:
+    """x -> lam g(k_down x) + (1 - lam) g(k_up x), kinks only."""
+    kd, ku = Fraction(step.k_down), Fraction(step.k_up)
+    lam = (ku - 1) / (ku - kd) if kd != ku else Fraction(1)
+    xs = sorted({b / kd for b in g.breakpoints} | {b / ku for b in g.breakpoints})
+    ys = [lam * scan_eval(g, kd * x) + (1 - lam) * scan_eval(g, ku * x) for x in xs]
+    left = lam * kd * g.left_slope + (1 - lam) * ku * g.left_slope
+    right = lam * kd * g.right_slope + (1 - lam) * ku * g.right_slope
+    slopes = [left]
+    slopes += [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    slopes.append(right)
+    keep = [i for i in range(len(xs)) if slopes[i] != slopes[i + 1]] or [0]
+    return PwlFunction([xs[i] for i in keep], [ys[i] for i in keep], left, right)
+
+
+def reference_crossings(g: PwlFunction, step: StepSpec) -> dict:
+    """The crossing arrays of OrderSignChange, from two samples per z-interval."""
+    kd, ku = Fraction(step.k_down), Fraction(step.k_up)
+    c = ku - kd
+    cuts = sorted(
+        {b / ku for b in g.breakpoints if b > 0} | {b / kd for b in g.breakpoints if b > 0}
+    )
+    m = len(cuts)
+
+    def num(z):
+        return scan_eval(g, ku * z) - scan_eval(g, kd * z)
+
+    a_q, b_q = [], []
+    for j in range(m + 1):
+        if m == 0:
+            z1, z2 = Fraction(1), Fraction(2)
+        elif j == 0:
+            z1, z2 = cuts[0] / 3, cuts[0] * 2 / 3
+        elif j == m:
+            z1, z2 = cuts[-1] * 2, cuts[-1] * 3
+        else:
+            w = cuts[j] - cuts[j - 1]
+            z1, z2 = cuts[j - 1] + w / 3, cuts[j - 1] + 2 * w / 3
+        b = (num(z2) - num(z1)) / (z2 - z1)
+        a_q.append(num(z1) - b * z1)
+        b_q.append(b)
+    theta_cuts = [num(z) / (c * z) for z in cuts]
+    return {
+        "cuts": np.array([float(z) for z in cuts]),
+        "t_vals": np.array([float(t) for t in theta_cuts]),
+        "a": np.array([float(x) for x in a_q]),
+        "b": np.array([float(x) for x in b_q]),
+        "theta_lo": float(b_q[0] / c),
+        "theta_hi": float(b_q[-1] / c),
+        "t_last": float(theta_cuts[-1]) if m else float(b_q[0] / c),
+    }
+
+
+@st.composite
+def convex_payoffs(draw):
+    """Convex PWL payoffs, a kink at every breakpoint, on decimal grids."""
+    ticks = sorted(draw(st.sets(st.integers(0, 4000), min_size=1, max_size=4)))
+    xs = [Fraction(k, 20) for k in ticks]
+    n_slopes = len(xs) + 1
+    slopes = sorted(
+        Fraction(k, 4)
+        for k in draw(st.sets(st.integers(-8, 8), min_size=n_slopes, max_size=n_slopes))
+    )
+    ys = [Fraction(draw(st.integers(-400, 400)), 10)]
+    for i in range(len(xs) - 1):
+        ys.append(ys[-1] + slopes[i + 1] * (xs[i + 1] - xs[i]))
+    return PwlFunction(xs, ys, slopes[0], slopes[-1])
+
+
+# Some steps are degenerate: k_down == k_up == 1, a known next price.
+steps = st.one_of(
+    st.just(StepSpec(1.0, 1.0)),
+    st.builds(
+        StepSpec,
+        st.integers(50, 100).map(lambda k: k / 100),
+        st.integers(100, 160).map(lambda k: k / 100),
+    ),
+)
+
+
+@st.composite
+def models(draw):
+    horizon = draw(st.integers(1, 6))
+    return MarketModel(100.0, horizon, tuple(draw(steps) for _ in range(horizon + 1)))
+
+
+HETEROGENEOUS = MarketModel(
+    100.0, 3, (StepSpec(0.7, 1.4), StepSpec(0.75, 1.3), StepSpec(1.0, 1.0), StepSpec(0.9, 1.1))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payoff=convex_payoffs(), model=models())
+@example(payoff=call_payoff(100), model=HETEROGENEOUS)
+def test_value_functions_equal_plain_scan_recursion(payoff, model):
+    fns = backward_induce(payoff, model).value_fns
+    g = payoff
+    for t in range(model.horizon, 0, -1):
+        g = reference_step(g, model.steps[t])
+        assert fns[t - 1] == g
+        assert fns[t - 1]._slopes_f.tobytes() == g._slopes_f.tobytes()
+        assert fns[t - 1]._icepts_f.tobytes() == g._icepts_f.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(payoff=convex_payoffs(), model=models())
+@example(payoff=call_payoff(100), model=HETEROGENEOUS)
+def test_crossing_tables_equal_two_sample_construction(payoff, model):
+    fns = backward_induce(payoff, model).value_fns
+    for t in range(model.horizon):
+        step = model.steps[t + 1]
+        got = OrderSignChange(fns[t + 1], step)
+        if step.k_down == step.k_up:
+            assert got.degenerate
+            continue
+        want = reference_crossings(fns[t + 1], step)
+        for key in ("cuts", "t_vals", "a", "b"):
+            assert getattr(got, key).tobytes() == want[key].tobytes(), key
+        for key in ("theta_lo", "theta_hi", "t_last"):
+            assert getattr(got, key) == want[key], key
+
+
+def test_long_horizon_bytes_pinned(tmp_path):
+    # T=40 is where the exact algebra does its work: g_0 has 41 breakpoints
+    # with 2060-bit denominators, and a change to any rational of the
+    # recursion or of a crossing table moves the stats.csv digest.
+    cfg = parse_config("horizon = 40\nstrikes = 100\nn_paths = 2000\nseed = 7\n")
+    assert run_experiment(cfg, tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "stats.csv").read_bytes()).hexdigest()
+    assert digest == "91c7cd73bf9a41ed870992230d697e3119a0e28dcbcb7af0cb69244065be378e"
+    g0 = backward_induce(call_payoff(100), cfg.build_model()).value_fns[0]
+    assert len(g0.breakpoints) == 41
+    assert max(x.denominator.bit_length() for x in g0.breakpoints + g0.values) == 2060

@@ -1,5 +1,7 @@
 """Piecewise-linear kernel: evaluation, algebra, envelopes, domination."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,15 @@ class TestEnvelope:
         env = upper_concave_envelope(f, dom)
         assert env(120.0) == pytest.approx(20.0, abs=1e-12)
         assert env(300.0) == pytest.approx(20.0, abs=1e-12)
+
+    def test_close_breakpoints_keep_exact_hull(self):
+        # A ramp 1e-11 wide: both of its ends are hull points, so the hull at
+        # 100 is the exact chord value 5 * 50 / (50 + 1e-11), not 5.
+        x1 = Fraction(100 + 1e-11)
+        env = upper_concave_envelope(PwlFunction([100, x1], [0, 5]), Interval(50, 150))
+        chord = 5 / (x1 - 50)
+        assert env == PwlFunction([50, x1, 150], [0, 5, 5], chord, 0)
+        assert env.eval_exact(100) == 50 * chord < 5
 
     def test_random_against_brute_oracle(self):
         rng = np.random.default_rng(5)

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from superhedge.pricing import (
+    AipViolationError,
     MarketModel,
     StepSpec,
     StrategyFn,
     asian_call_payoff,
+    asian_tree_price,
     backward_induce,
     uniform_bid_ask_model,
 )
-from superhedge.pwl import Interval, call_payoff, constant_function
+from superhedge.pwl import Interval, PwlFunction, call_payoff, constant_function
 from superhedge.simulation import (
     OrderSignChange,
     RngConfig,
@@ -156,6 +158,11 @@ class TestOrderSignChange:
             got = find_sstar(lambda z: theta_fn(z) - theta0, bracket)
             assert got == pytest.approx(sstar_exact[0], rel=1e-9)
 
+    def test_nonconvex_claim_rejected(self):
+        tent = PwlFunction([80, 100, 120], [0, 10, 0])
+        with pytest.raises(ValueError, match="not monotone"):
+            OrderSignChange(tent, StepSpec(0.7, 1.4))
+
 
 class TestExecuteDelayedOrder:
     def test_both_below_sign_change(self):
@@ -225,6 +232,44 @@ class TestRunPath:
         assert math.isnan(p.bid[0]) and math.isnan(p.bid[2])
         assert p.bid[1] <= p.s[1] <= p.ask[1]
         assert p.s[1] in (p.bid[1], p.ask[1])
+
+
+# Step 1 moves the price up by at least 5%: an immediate profit.
+AIP_BAD = MarketModel(
+    s_init=100.0,
+    horizon=2,
+    steps=(
+        StepSpec.from_uniform(0.7, 1.0, 0.0, 0.4),
+        StepSpec.from_uniform(1.05, 1.1, 0.0, 0.3),
+        StepSpec.from_uniform(0.7, 1.0, 0.0, 0.4),
+    ),
+)
+ASIAN = asian_call_payoff(100.0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda m: backward_induce(call_payoff(100), m),
+        lambda m: asian_tree_price(ASIAN, m, 100.0),
+        lambda m: run_path(m, _pricing(), 100.0, _gen(0)),
+        lambda m: simulate_one(m, _pricing(), 100.0, 10, np.random.SeedSequence(0)),
+        lambda m: run_path_functional(m, ASIAN, _gen(0)),
+        lambda m: simulate_functional(m, ASIAN, 100.0, 10, np.random.SeedSequence(0)),
+    ],
+    ids=[
+        "backward_induce",
+        "asian_tree_price",
+        "run_path",
+        "simulate_one",
+        "run_path_functional",
+        "simulate_functional",
+    ],
+)
+def test_aip_gate_names_first_bad_step(entry):
+    with pytest.raises(AipViolationError, match="fails at step 1") as err:
+        entry(AIP_BAD)
+    assert (err.value.step, err.value.k_down) == (1, 1.05)
 
 
 class TestSimulate:
