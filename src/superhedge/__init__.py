@@ -15,7 +15,6 @@ from .pwl import (
     constant_function,
     convex_combine,
     dominates,
-    from_points,
     put_payoff,
     scale_compose,
     superdifferential,
@@ -45,7 +44,6 @@ from .simulation import (
     SimStats,
     draw_step,
     execute_delayed_order,
-    find_sstar,
     mid_execute,
     run_path,
     run_path_functional,
@@ -82,8 +80,6 @@ __all__ = [
     "dominates",
     "draw_step",
     "execute_delayed_order",
-    "find_sstar",
-    "from_points",
     "initial_premium",
     "mid_execute",
     "one_step_price",

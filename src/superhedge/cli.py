@@ -98,6 +98,10 @@ class ExperimentConfig:
                 )
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be at least 1")
+        try:
+            RngConfig(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def build_model(self) -> MarketModel:
         step = StepSpec.from_uniform(self.m_lo, self.m_hi, self.spr_lo, self.spr_hi)

@@ -271,32 +271,21 @@ class StrategyFn:
         self.k_up = float(k_up)
 
     def __call__(self, s):
+        if not isinstance(s, np.ndarray):  # a scalar is the array rule at n=1
+            return float(self(np.array([s], dtype=float))[0])
+        if s.size and s.min() <= 0.0:
+            raise ValueError(f"price must be positive, got {s.min()}")
         g, kd, ku = self.g_next, self.k_down, self.k_up
-        if isinstance(s, np.ndarray):
-            if s.size and s.min() <= 0.0:
-                raise ValueError("price must be positive")
-            if kd == ku:
-                idx_l, idx_r = _kink_slope_indices(g, kd * s)
-                return 0.5 * (g._slopes_f[idx_l] + g._slopes_f[idx_r]) * kd
-            a, b = kd * s, ku * s
-            ia = np.searchsorted(g._bps_f, a, side="left")
-            ib = np.searchsorted(g._bps_f, b, side="left")
-            g_a = g._slopes_f[ia] * a + g._icepts_f[ia]
-            g_b = g._slopes_f[ib] * b + g._icepts_f[ib]
-            chord = (g_b - g_a) / ((ku - kd) * s)
-            return np.where(ia == ib, g._slopes_f[ia], chord)
-        sf = float(s)
-        if sf <= 0.0:
-            raise ValueError(f"price must be positive, got {s}")
         if kd == ku:
-            left, right = g.slopes_at(kd * sf)
-            return 0.5 * (left + right) * kd
-        a, b = kd * sf, ku * sf
-        ia = int(np.searchsorted(g._bps_f, a, side="left"))
-        ib = int(np.searchsorted(g._bps_f, b, side="left"))
-        if ia == ib:
-            return float(g._slopes_f[ia])
-        return (g(b) - g(a)) / ((ku - kd) * sf)
+            idx_l, idx_r = _kink_slope_indices(g, kd * s)
+            return 0.5 * (g._slopes_f[idx_l] + g._slopes_f[idx_r]) * kd
+        a, b = kd * s, ku * s
+        ia = np.searchsorted(g._bps_f, a, side="left")
+        ib = np.searchsorted(g._bps_f, b, side="left")
+        g_a = g._slopes_f[ia] * a + g._icepts_f[ia]
+        g_b = g._slopes_f[ib] * b + g._icepts_f[ib]
+        chord = (g_b - g_a) / ((ku - kd) * s)
+        return np.where(ia == ib, g._slopes_f[ia], chord)
 
 
 def _kink_slope_indices(g: PwlFunction, x: np.ndarray):
@@ -474,10 +463,11 @@ def asian_tree_price(
 ) -> float:
     """Minimal super-hedging value of a path-dependent claim, by tree walk.
 
-    `payoff` maps a full executed-price path (s_0, ..., s_T) to the claim;
-    it must be convex in its last argument for every fixed prefix.  The
-    chord recursion is applied path-wise over the (k_down, k_up) multiplier
-    tree rooted at the executed first price s0, giving the time-0 value.
+    `payoff` maps a full executed-price path (s_0, ..., s_T) of floats to a
+    float; it must be convex in its last argument for every fixed prefix.
+    The chord recursion is applied path-wise over the (k_down, k_up)
+    multiplier tree rooted at the executed first price s0, giving the time-0
+    value; the simulation engine for path-dependent claims runs the same walk.
     The tree has 2^horizon leaves; horizons above `max_depth` are refused.
     """
     if not s0 > 0:
@@ -489,22 +479,26 @@ def asian_tree_price(
             f"(2^{T} leaves); raise max_depth explicitly if intended"
         )
     require_aip(model)
+    return float(_tree_value(payoff, model, (float(s0),), 0))
 
-    lams = [_chord_weight(st) for st in model.steps]
 
-    def rec(prefix: tuple[float, ...], t: int) -> float:
-        if t == T:
-            return float(payoff(prefix))
-        step = model.steps[t + 1]
-        s_t = prefix[-1]
-        down = rec(prefix + (step.k_down * s_t,), t + 1)
-        if step.k_down == step.k_up:
-            return down
-        up = rec(prefix + (step.k_up * s_t,), t + 1)
-        lam = lams[t + 1]
-        return lam * down + (1.0 - lam) * up
+def _tree_value(leaf, model: MarketModel, prefix: tuple, t: int):
+    """Time-t value of a path-dependent claim, prefix = (s_0, ..., s_t).
 
-    return rec((float(s0),), 0)
+    The chord recursion over the (k_down, k_up) multiplier tree below the
+    prefix; ``leaf`` values a full path (s_0, ..., s_T).  The prefix holds
+    floats, or equal-length arrays with one lane per path.
+    """
+    if t == model.horizon:
+        return leaf(prefix)
+    step = model.steps[t + 1]
+    s_t = prefix[-1]
+    down = _tree_value(leaf, model, prefix + (step.k_down * s_t,), t + 1)
+    if step.k_down == step.k_up:
+        return down
+    up = _tree_value(leaf, model, prefix + (step.k_up * s_t,), t + 1)
+    lam = (step.k_up - 1.0) / (step.k_up - step.k_down)
+    return lam * down + (1.0 - lam) * up
 
 
 def asian_call_payoff(strike: float) -> Callable[[Sequence[float]], float]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -256,21 +256,6 @@ class PwlFunction:
             return float(self._slopes_f[i]), float(self._slopes_f[i + 1])
         return float(self._slopes_f[i]), float(self._slopes_f[i])
 
-    def chord_slope(self, a: float, b: float) -> float:
-        """Slope of the chord from (a, f(a)) to (b, f(b)), a < b.
-
-        When both ends fall inside the same linear piece the stored slope is
-        returned verbatim, so flat or unit-slope regions give exact 0.0 / 1.0.
-        """
-        af, bf = float(a), float(b)
-        if not af < bf:
-            raise ValueError("chord requires a < b")
-        ia = int(np.searchsorted(self._bps_f, af, side="left"))
-        ib = int(np.searchsorted(self._bps_f, bf, side="left"))
-        if ia == ib:
-            return float(self._slopes_f[ia])
-        return (self(bf) - self(af)) / (bf - af)
-
     # ------------------------------------------------------------------ #
     # dunder plumbing
     # ------------------------------------------------------------------ #
@@ -324,15 +309,6 @@ def put_payoff(strike: Scalar) -> PwlFunction:
 
 def constant_function(c: Scalar = 0) -> PwlFunction:
     return PwlFunction([0], [c], left_slope=0, right_slope=0)
-
-
-def from_points(
-    xs: Iterable[Scalar],
-    ys: Iterable[Scalar],
-    left_slope: Scalar = 0,
-    right_slope: Scalar = 0,
-) -> PwlFunction:
-    return PwlFunction(list(xs), list(ys), left_slope, right_slope)
 
 
 # ---------------------------------------------------------------------- #

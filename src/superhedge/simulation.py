@@ -15,9 +15,11 @@ The relative hedging error ``eps_r = (V_T - payoff(S_T)) / S_T`` must come
 out nonnegative on every path; aggregated statistics per strike reproduce
 the reference result table.
 
-Everything is vectorised over paths in fixed-size batches with per-batch
-seeds derived from one root seed, so results are reproducible bit for bit
-and batches can be aggregated in any order (Chan et al. moment merging).
+Everything is vectorised over paths and reproducible bit for bit from one
+root seed.  European (PWL) claims run in fixed-size batches, each with its
+own seed spawned from the root, so batches could be drawn and aggregated in
+any order (Chan et al. moment merging).  Path-dependent claims run in
+chunks that share one generator, so their chunks must be drawn in order.
 """
 
 from __future__ import annotations
@@ -30,18 +32,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .pricing import MarketModel, PricingResult, StepSpec, require_aip
-from .pwl import Interval, PwlFunction, merge_pieces
+from .pricing import MarketModel, PricingResult, StepSpec, _tree_value, require_aip
+from .pwl import PwlFunction, merge_pieces
 
 BATCH_SIZE = 1 << 17
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
-ROOT_VALUE_TOL = 1e-12
 ROOT_WIDTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class RngConfig:
-    """Seed plus the generator label it is tied to.
+    """Root seed of a run, a 64-bit unsigned integer.
 
     The stream is PCG64 as shipped by numpy; per-strike and per-batch
     substreams are spawned from ``SeedSequence(seed)``, so a given seed
@@ -49,19 +50,13 @@ class RngConfig:
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported generator {self.algorithm!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
     def root_sequence(self) -> np.random.SeedSequence:
         return np.random.SeedSequence(int(self.seed))
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.root_sequence()))
 
 
 # ---------------------------------------------------------------------- #
@@ -91,48 +86,6 @@ def mid_execute(s_prev, m, M, k):
         raise ValueError("s_prev must be positive")
     out = s * (m + k * (M - m))
     return float(out) if out.ndim == 0 else out
-
-
-def find_sstar(
-    delta_theta: Callable[[float], float],
-    bracket: Interval,
-    value_tol: float = ROOT_VALUE_TOL,
-    width_tol: float = ROOT_WIDTH_TOL,
-) -> Optional[float]:
-    """Root of a nondecreasing order mapping on a bracket, or None.
-
-    Returns a point where ``delta_theta`` vanishes if its sign changes over
-    the bracket (bisection to |value| <= value_tol or relative width <=
-    width_tol); the bracket's lower end when the mapping vanishes there; and
-    None when the sign is constant on the whole bracket.  A sampled
-    monotonicity check rejects decreasing inputs.
-    """
-    lo, hi = bracket.lo, bracket.hi
-    probes = np.linspace(lo, hi, 9)
-    vals = [float(delta_theta(float(x))) for x in probes]
-    scale = max(1.0, max(abs(v) for v in vals))
-    for a, b in zip(vals, vals[1:]):
-        if b < a - 1e-9 * scale:
-            raise ValueError("delta_theta is not nondecreasing on the bracket")
-    f_lo, f_hi = vals[0], vals[-1]
-    if abs(f_lo) <= value_tol:
-        return lo
-    if f_lo > 0.0:
-        return None
-    if abs(f_hi) <= value_tol:
-        return hi
-    if f_hi < 0.0:
-        return None
-    while hi - lo > width_tol * max(1.0, 0.5 * (lo + hi)):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(delta_theta(mid))
-        if abs(f_mid) <= value_tol:
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def execute_delayed_order(
@@ -579,6 +532,25 @@ class _Aggregator:
         )
 
 
+def _fold(model: MarketModel, label: float, n_paths: int, batches, collect: bool):
+    """Check the run, then fold each batch of path columns into SimStats.
+
+    ``batches`` is a generator, so none of its set-up runs before the checks.
+    Returns (SimStats, the batches' columns joined in order when ``collect``
+    is set, else None).
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    require_aip(model)
+    agg = _Aggregator(model.s_init, model.horizon)
+    kept: list[dict] = []
+    for cols in batches:
+        agg.add(cols)
+        if collect:
+            kept.append(cols)
+    return agg.result(label), _concat_batches(kept) if collect else None
+
+
 def simulate_one(
     model: MarketModel,
     pricing: PricingResult,
@@ -596,25 +568,16 @@ def simulate_one(
     gives bit-identical results.  ``collect=True`` additionally returns the
     concatenated per-path columns (memory: ~(3T+5) * 8 bytes per path).
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    require_aip(model)
 
-    crossings = _build_crossings(model, pricing)
-    agg = _Aggregator(model.s_init, model.horizon)
-    n_batches = (n_paths + batch_size - 1) // batch_size
-    children = seed_seq.spawn(n_batches)
-    kept: list[dict] = []
-    done = 0
-    for b in range(n_batches):
-        nb = min(batch_size, n_paths - done)
-        rng = np.random.Generator(np.random.PCG64(children[b]))
-        cols = _simulate_batch(model, pricing, nb, rng, crossings, straddle_to_ask)
-        agg.add(cols)
-        if collect:
-            kept.append(cols)
-        done += nb
-    return agg.result(strike), _concat_batches(kept) if collect else None
+    def batches():
+        crossings = _build_crossings(model, pricing)
+        children = seed_seq.spawn((n_paths + batch_size - 1) // batch_size)
+        for b, child in enumerate(children):
+            nb = min(batch_size, n_paths - b * batch_size)
+            rng = np.random.Generator(np.random.PCG64(child))
+            yield _simulate_batch(model, pricing, nb, rng, crossings, straddle_to_ask)
+
+    return _fold(model, strike, n_paths, batches(), collect)
 
 
 def simulate(
@@ -670,35 +633,21 @@ def _payoff_values(payoff, prefix: tuple) -> np.ndarray:
     return np.broadcast_to(out, prefix[-1].shape)
 
 
-def _tree_value(payoff, model: MarketModel, prefix: tuple, t: int) -> np.ndarray:
-    """Per-path time-t value of the claim, prefix = (s_0, ..., s_t)."""
-    if t == model.horizon:
-        return _payoff_values(payoff, prefix)
-    step = model.steps[t + 1]
-    s_t = prefix[-1]
-    down = _tree_value(payoff, model, prefix + (step.k_down * s_t,), t + 1)
-    if step.k_down == step.k_up:
-        return down
-    up = _tree_value(payoff, model, prefix + (step.k_up * s_t,), t + 1)
-    lam = (step.k_up - 1.0) / (step.k_up - step.k_down)
-    return lam * down + (1.0 - lam) * up
-
-
-def _tree_theta(payoff, model: MarketModel, prefix: tuple, t: int) -> np.ndarray:
+def _tree_theta(leaf, model: MarketModel, prefix: tuple, t: int) -> np.ndarray:
     """Per-path holding after the time-t execution, prefix = (s_0, ..., s_t)."""
     step = model.steps[t + 1]
     s_t = prefix[-1]
     if step.k_down == step.k_up:
         h = 1e-6 * s_t
-        lo = _tree_value(payoff, model, prefix + (step.k_down * (s_t - h),), t + 1)
-        hi = _tree_value(payoff, model, prefix + (step.k_down * (s_t + h),), t + 1)
+        lo = _tree_value(leaf, model, prefix + (step.k_down * (s_t - h),), t + 1)
+        hi = _tree_value(leaf, model, prefix + (step.k_down * (s_t + h),), t + 1)
         return (hi - lo) / (2 * h) * step.k_down
-    g_up = _tree_value(payoff, model, prefix + (step.k_up * s_t,), t + 1)
-    g_dn = _tree_value(payoff, model, prefix + (step.k_down * s_t,), t + 1)
+    g_up = _tree_value(leaf, model, prefix + (step.k_up * s_t,), t + 1)
+    g_dn = _tree_value(leaf, model, prefix + (step.k_down * s_t,), t + 1)
     return (g_up - g_dn) / ((step.k_up - step.k_down) * s_t)
 
 
-def _functional_sstar(payoff, model: MarketModel, base, t: int, held, s_prev):
+def _functional_sstar(leaf, model: MarketModel, base, t: int, held, s_prev):
     """Per-path (sstar, sign) of z -> theta_t(base + (z,)) - held.
 
     Same plateau conventions as OrderSignChange; sstar is NaN where the sign
@@ -711,7 +660,7 @@ def _functional_sstar(payoff, model: MarketModel, base, t: int, held, s_prev):
 
     def order(lanes):
         pre, th = tuple(p[lanes] for p in base), held[lanes]
-        return lambda z: _tree_theta(payoff, model, pre + (z,), t) - th
+        return lambda z: _tree_theta(leaf, model, pre + (z,), t) - th
 
     lo, hi = 1e-9 * s_prev, 1e9 * s_prev
     f = order(np.concatenate((np.arange(n), np.arange(n))))(np.concatenate((lo, hi)))
@@ -751,11 +700,12 @@ def _functional_batch(model: MarketModel, payoff, n: int, rng, straddle_to_ask=T
     hi = np.array([(st.m_hi, st.spr_hi, 1.0) for st in model.steps], dtype=float)
     u = lo + (hi - lo) * rng.random((n, model.horizon + 1, 3))
     draws = ((u[:, t, 0], u[:, t, 0] + u[:, t, 1], u[:, t, 2]) for t in range(len(lo)))
+    leaf = partial(_payoff_values, payoff)
     claim = (
-        partial(_tree_value, payoff, model),
-        partial(_tree_theta, payoff, model),
-        partial(_functional_sstar, payoff, model),
-        partial(_payoff_values, payoff),
+        partial(_tree_value, leaf, model),
+        partial(_tree_theta, leaf, model),
+        partial(_functional_sstar, leaf, model),
+        leaf,
     )
     return _protocol(model, n, draws, claim, straddle_to_ask)
 
@@ -791,23 +741,18 @@ def simulate_functional(
     one lane per path (tree walks append hypothetical prices), and returns
     an array of the same length; a scalar return is broadcast to every
     path.  A payoff written for floats only fails with a TypeError stating
-    this contract.  One generator spawned from ``seed_seq`` feeds chunks of
-    FUNCTIONAL_CHUNK paths, each run as one vector batch and aggregated as
-    one batch.
+    this contract.  Unlike simulate_one, all chunks share one generator made
+    from ``seed_seq``: it feeds chunks of FUNCTIONAL_CHUNK paths in turn,
+    each run as one vector batch and aggregated as one batch.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    require_aip(model)
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    agg = _Aggregator(model.s_init, model.horizon)
-    kept: list[dict] = []
-    for done in range(0, n_paths, FUNCTIONAL_CHUNK):
-        nb = min(FUNCTIONAL_CHUNK, n_paths - done)
-        cols = _functional_batch(model, payoff, nb, rng, straddle_to_ask)
-        agg.add(cols)
-        if collect:
-            kept.append(cols)
-    return agg.result(strike_label), _concat_batches(kept) if collect else None
+
+    def batches():
+        rng = np.random.Generator(np.random.PCG64(seed_seq))
+        for done in range(0, n_paths, FUNCTIONAL_CHUNK):
+            nb = min(FUNCTIONAL_CHUNK, n_paths - done)
+            yield _functional_batch(model, payoff, nb, rng, straddle_to_ask)
+
+    return _fold(model, strike_label, n_paths, batches(), collect)
 
 
 # ---------------------------------------------------------------------- #

@@ -55,6 +55,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_paths"):
             parse_config("n_paths = 0\n")
 
+    def test_seed_out_of_range_rejected(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                parse_config(f"seed = {seed}\n")
+
     def test_empty_strikes_rejected(self):
         with pytest.raises(ConfigError, match="strikes"):
             parse_config("strikes =\n")
@@ -248,6 +253,14 @@ class TestMain:
     def test_missing_config_file(self, tmp_path):
         code = main(["--config", str(tmp_path / "nope.txt")])
         assert code == EXIT_ERROR
+
+    def test_seed_out_of_range_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["--seed", "-1", "--paths", "10", "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+        assert not out.exists()
 
     def test_bad_config_content(self, tmp_path):
         f = tmp_path / "cfg.txt"

@@ -284,6 +284,21 @@ class TestStrategy:
         assert vec == pytest.approx(
             [strategy_at(res, 1, float(x), model) for x in s], abs=0.0
         )
+        # k_down == k_up == 1 at step 2: theta_1 is the slope of g_2 at s,
+        # the mean of both one-sided slopes on a kink
+        reg = StepSpec.from_uniform(0.7, 1.0, 0.0, 0.4)
+        deg = StepSpec.from_uniform(1.0, 1.0, 0.0, 0.0)
+        model = MarketModel(s_init=100.0, horizon=3, steps=(reg, reg, deg, reg))
+        res = backward_induce(call_payoff(100), model)
+        g2 = res.value_fns[2]
+        kinks = [float(b) for b in g2.breakpoints]
+        s = np.concatenate((np.linspace(5, 300, 57), kinks))
+        vec = strategy_at(res, 1, s, model)
+        assert vec.tolist() == [strategy_at(res, 1, float(x), model) for x in s]
+        for x in kinks:
+            left, right = g2.slopes_at(x)
+            assert left != right
+            assert strategy_at(res, 1, x, model) == 0.5 * (left + right)
 
     def test_nonpositive_price_rejected(self):
         model = uniform_bid_ask_model()
@@ -394,6 +409,14 @@ class TestAsianTree:
         # averaging dampens the tails: cheaper than the terminal-price call
         res = backward_induce(call_payoff(100), model)
         assert v100 <= res.value_fns[0](100.0) + 1e-12
+
+    def test_asian_call_values_pinned(self):
+        # recorded from the float recursion; any change to the walk shows here
+        model = uniform_bid_ask_model(horizon=3)
+        got = [
+            asian_tree_price(asian_call_payoff(k), model, 100.0) for k in (90, 100, 110)
+        ]
+        assert got == [18.328862973760945, 12.993586005830915, 9.739941690962109]
 
     def test_asian_payoff_floats_and_arrays(self):
         payoff = asian_call_payoff(100)
