@@ -26,8 +26,8 @@ from .pricing import (
     asian_call_payoff,
     asian_tree_price,
     backward_induce,
-    check_aip,
     initial_premium,
+    require_aip,
 )
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
@@ -75,6 +75,12 @@ class ExperimentConfig:
     clamp_infinite_price: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, (float, tuple)):
+                value = getattr(self, f.name)
+                values = value if isinstance(f.default, tuple) else (value,)
+                if not all(math.isfinite(x) for x in values):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not self.s_prev > 0:
             raise ConfigError("s_prev must be positive")
         if self.horizon < 1:
@@ -96,6 +102,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     "payoff_breakpoints and payoff_values must have equal length"
                 )
+        if self.export_strategy and self.payoff == "asian-call":
+            raise ConfigError(
+                "export_strategy needs a piecewise-linear payoff; "
+                "asian-call has no strategy tables"
+            )
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be at least 1")
         try:
@@ -116,52 +127,34 @@ class ExperimentConfig:
 # config text format
 # ---------------------------------------------------------------------- #
 
-_FLOAT_LIST_KEYS = {"strikes", "payoff_breakpoints", "payoff_values"}
-_INT_KEYS = {"horizon", "n_paths", "seed", "hist_bins"}
-_BOOL_KEYS = {
-    "write_stats",
-    "dump_paths",
-    "histograms",
-    "export_strategy",
-    "straddle_to_ask",
-    "clamp_infinite_price",
-}
-_STR_KEYS = {"payoff"}
-_FLOAT_KEYS = {
-    "s_prev",
-    "m_lo",
-    "m_hi",
-    "spr_lo",
-    "spr_hi",
-    "payoff_left_slope",
-    "payoff_right_slope",
-}
 # pseudo-keys: explicit essential bounds, normalised into the draw ranges
 _BOUND_KEYS = {"k_down", "k_up"}
-_ALL_KEYS = _FLOAT_LIST_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | _FLOAT_KEYS | _BOUND_KEYS
+_KEY_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
+_KEY_TYPES.update(dict.fromkeys(_BOUND_KEYS, float))
 
 
-def _parse_value(key: str, value: str, lineno: int):
+def _parse_value(key: str, value: str, where: str):
+    """Parse a config or flag value by the type of its key; ``where`` (a
+    config line or a flag) leads the error message."""
+    kind = _KEY_TYPES[key]
     try:
-        if key in _FLOAT_LIST_KEYS:
+        if kind is tuple:
             value = value.strip()
             if not value:
                 return ()
             return tuple(float(v.strip()) for v in value.split(","))
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = value.strip().lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        if key in _STR_KEYS:
+        if kind is str:
             return value.strip()
-        return float(value)
+        return kind(value)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -184,9 +177,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parsed = _parse_value(key, value, lineno)
+        parsed = _parse_value(key, value, f"line {lineno}")
         if key in _BOUND_KEYS:
             bounds[key] = parsed
             continue
@@ -217,9 +210,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 spr_hi=cfg.spr_hi,
             )
         return cfg
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included: same type, same text
         raise ConfigError(str(exc)) from None
 
 
@@ -227,13 +218,15 @@ def render_config(cfg: ExperimentConfig) -> str:
     """Config text that parses back to an equal ExperimentConfig."""
     lines = []
     for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name in _FLOAT_LIST_KEYS:
+        v, kind = getattr(cfg, f.name), _KEY_TYPES[f.name]
+        if kind is tuple:
             rendered = ", ".join(repr(x) for x in v)
-        elif f.name in _BOOL_KEYS:
+        elif kind is bool:
             rendered = "true" if v else "false"
+        elif kind is str:
+            rendered = v
         else:
-            rendered = repr(v) if not isinstance(v, str) else v
+            rendered = repr(v)
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"
 
@@ -243,23 +236,29 @@ def render_config(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------- #
 
 
+def _stats_rows(stats: list[SimStats]) -> list[tuple[str, list[float]]]:
+    """Each row of the table: its label and its value in every column."""
+    table = [st.row_values() for st in stats]
+    return [
+        (label, [vals[i] for vals in table])
+        for i, label in enumerate(SimStats.ROW_LABELS)
+    ]
+
+
 def format_stats_text(stats: list[SimStats]) -> str:
     width = max(len(lbl) for lbl in SimStats.ROW_LABELS) + 2
-    colw = 14
-    rows = []
-    table = [st.row_values() for st in stats]
-    for i, label in enumerate(SimStats.ROW_LABELS):
-        cells = "".join(f"{vals[i]:>{colw}.6g}" for vals in table)
-        rows.append(f"{label:<{width}}{cells}")
+    rows = [
+        f"{label:<{width}}" + "".join(f"{v:>14.6g}" for v in vals)
+        for label, vals in _stats_rows(stats)
+    ]
     return "\n".join(rows) + "\n"
 
 
 def format_stats_csv(stats: list[SimStats]) -> str:
-    lines = []
-    table = [st.row_values() for st in stats]
-    for i, label in enumerate(SimStats.ROW_LABELS):
-        cells = ",".join(repr(vals[i]) for vals in table)
-        lines.append(f"{label},{cells}")
+    lines = [
+        f"{label}," + ",".join(repr(v) for v in vals)
+        for label, vals in _stats_rows(stats)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -306,27 +305,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Run pricing + simulation per strike, write artifacts, return exit code."""
     try:
         model = cfg.build_model()
+        require_aip(model)
+    except AipViolationError as exc:
+        # clamping cannot make an arbitrageable model's price finite
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFINITE_PRICE if cfg.clamp_infinite_price else EXIT_NO_ARBITRAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    aip = check_aip(model)
-    if not aip.ok:
-        t = aip.first_violation
-        step = model.steps[t]
-        condition = (
-            f"k_down <= 1 <= k_up fails at step {t}: "
-            f"1 not in [{step.k_down}, {step.k_up}]"
-        )
-        if cfg.clamp_infinite_price:
-            print(
-                "error: clamp_infinite_price is set, but the super-hedging "
-                f"price is infinite because {condition}; aborting",
-                file=sys.stderr,
-            )
-            return EXIT_INFINITE_PRICE
-        print(f"error: no-arbitrage check failed: {condition}", file=sys.stderr)
-        return EXIT_NO_ARBITRAGE
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -393,17 +379,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 ) as fh:
                     write_path_dump(fh, raw, model.horizon)
             if cfg.histograms:
-                hist_series = {"S_0": raw["s"][0]}
-                if model.horizon >= 1:
-                    hist_series["S_1"] = raw["s"][1]
-                if model.horizon >= 2:
-                    hist_series["S_2"] = raw["s"][2]
+                hist_series = {
+                    f"S_{t}": raw["s"][t] for t in range(min(model.horizon, 2) + 1)
+                }
                 hist_series["eps_R"] = raw["eps"]
                 for name, data in hist_series.items():
                     _write_histogram(
                         out_dir / f"hist_{label}_{name}.csv", data, cfg.hist_bins
                     )
-    except (AipViolationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -422,8 +406,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------- #
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR: argparse's usual 2 is EXIT_NO_ARBITRAGE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="superhedge",
         description=(
             "Price claims under interval execution uncertainty and verify "
@@ -431,9 +423,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--config", type=Path, help="experiment config file")
-    p.add_argument("--seed", type=int, help="override the RNG seed")
-    p.add_argument("--paths", type=int, help="override the scenario count")
-    p.add_argument("--strikes", type=str, help="override strikes, comma separated")
+    p.add_argument("--seed", help="override the RNG seed")
+    p.add_argument("--paths", help="override the scenario count")
+    p.add_argument("--strikes", help="override strikes, comma separated")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     p.add_argument("--dump-paths", action="store_true", help="write per-path records")
     p.add_argument("--histograms", action="store_true", help="write histogram files")
@@ -451,23 +443,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
         cfg = parse_config(text)
         overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.paths is not None:
-            overrides["n_paths"] = args.paths
-        if args.strikes is not None:
-            overrides["strikes"] = tuple(
-                float(v.strip()) for v in args.strikes.split(",")
-            )
-        if args.dump_paths:
-            overrides["dump_paths"] = True
-        if args.histograms:
-            overrides["histograms"] = True
-        if args.export_strategy:
-            overrides["export_strategy"] = True
+        flag_keys = {"seed": "seed", "paths": "n_paths", "strikes": "strikes"}
+        for flag, key in flag_keys.items():
+            value = getattr(args, flag)
+            if value is not None:
+                overrides[key] = _parse_value(key, value, f"--{flag}")
+        for key in ("dump_paths", "histograms", "export_strategy"):
+            if getattr(args, key):
+                overrides[key] = True
         if overrides:
             cfg = replace(cfg, **overrides)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return run_experiment(cfg, args.out)

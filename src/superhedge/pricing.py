@@ -46,8 +46,8 @@ class AipViolationError(ValueError):
         self.k_down = k_down
         self.k_up = k_up
         super().__init__(
-            f"no-arbitrage condition fails at step {step}: "
-            f"1 not in [k_down, k_up] = [{k_down}, {k_up}]"
+            f"no-arbitrage condition k_down <= 1 <= k_up fails at step {step}: "
+            f"1 not in [{k_down}, {k_up}]"
         )
 
 

@@ -25,7 +25,8 @@ chunks that share one generator, so their chunks must be drawn in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -360,15 +361,14 @@ def _concat_batches(kept: list[dict]) -> dict:
 
 @dataclass
 class RunningMoments:
-    """Streaming count/mean/M2 with order-robust pairwise batch merging."""
+    """Streaming count/mean/M2 with order-robust pairwise batch merging; the
+    mean and variance of no values are NaN."""
 
     count: int = 0
-    mean: float = 0.0
+    mean: float = math.nan
     m2: float = 0.0
 
     def merge(self, n: int, mean: float, m2: float):
-        if n == 0:
-            return
         if self.count == 0:
             self.count, self.mean, self.m2 = n, mean, m2
             return
@@ -388,26 +388,15 @@ class RunningMoments:
 
     @property
     def std(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else math.nan
-
-
-@dataclass
-class RunningExtrema:
-    lo: float = math.inf
-    hi: float = -math.inf
-
-    def add_batch(self, x: np.ndarray):
-        if x.size:
-            self.lo = min(self.lo, float(np.min(x)))
-            self.hi = max(self.hi, float(np.max(x)))
+        return math.sqrt(self.variance)
 
 
 @dataclass(frozen=True)
 class SimStats:
     """Aggregate per-strike statistics (the rows of the result table).
 
-    The position-fraction means E(theta_t S_t / V_t) run over paths with
+    Every field but ``n_paths`` is one row, in ROW_LABELS order.  The
+    position-fraction means E(theta_t S_t / V_t) run over paths with
     V_t != 0; on paths where the portfolio is worth exactly zero the holding
     is zero too and the fraction is undefined.
     """
@@ -450,85 +439,70 @@ class SimStats:
     )
 
     def row_values(self) -> tuple[float, ...]:
-        return (
-            self.strike,
-            self.mean_s0,
-            self.mean_s1,
-            self.mean_s2,
-            self.mean_v0,
-            self.max_v0,
-            self.mean_v0_over_sprev,
-            self.mean_v0_over_s0,
-            self.min_v0_over_s0,
-            self.max_v0_over_s0,
-            self.mean_eps,
-            self.std_eps,
-            self.min_eps,
-            self.max_eps,
-            self.mean_theta0_frac,
-            self.mean_theta1_frac,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "n_paths")
+
+
+def _theta_frac(theta: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """theta * s / v on the paths with v != 0."""
+    nonzero = v != 0.0
+    return (theta[nonzero] * s[nonzero]) / v[nonzero]
 
 
 class _Aggregator:
-    """Fold batches of path columns into SimStats."""
+    """Fold batches of path columns into SimStats.
 
-    def __init__(self, s_prev: float, horizon: int):
+    One RunningMoments per named per-batch series, merged in batch order; the
+    series in EXTREMA also keep their running min and max.  A series that saw
+    no path (S2 and theta1 at T=1, a theta fraction where every V_t is 0) has
+    a NaN mean.
+    """
+
+    EXTREMA = ("v0", "v0/s0", "eps")
+
+    def __init__(self, s_prev: float):
         self.s_prev = s_prev
-        self.T = horizon
-        self.n = 0
-        self.s0 = RunningMoments()
-        self.s1 = RunningMoments()
-        self.s2 = RunningMoments()
-        self.v0 = RunningMoments()
-        self.v0_rel0 = RunningMoments()
-        self.eps = RunningMoments()
-        self.th0 = RunningMoments()
-        self.th1 = RunningMoments()
-        self.v0_ext = RunningExtrema()
-        self.v0_rel0_ext = RunningExtrema()
-        self.eps_ext = RunningExtrema()
+        self.moments = defaultdict(RunningMoments)
+        self.lo = dict.fromkeys(self.EXTREMA, math.inf)
+        self.hi = dict.fromkeys(self.EXTREMA, -math.inf)
 
     def add(self, cols: dict):
-        s, v, theta, eps = cols["s"], cols["v"], cols["theta"], cols["eps"]
-        self.n += s[0].size
-        self.s0.add_batch(s[0])
-        if self.T >= 1:
-            self.s1.add_batch(s[1])
-        if self.T >= 2:
-            self.s2.add_batch(s[2])
-        self.v0.add_batch(v[0])
-        self.v0_ext.add_batch(v[0])
-        rel0 = v[0] / s[0]
-        self.v0_rel0.add_batch(rel0)
-        self.v0_rel0_ext.add_batch(rel0)
-        self.eps.add_batch(eps)
-        self.eps_ext.add_batch(eps)
-        mask0 = v[0] != 0.0
-        self.th0.add_batch((theta[0][mask0] * s[0][mask0]) / v[0][mask0])
-        if self.T >= 2:
-            mask1 = v[1] != 0.0
-            self.th1.add_batch((theta[1][mask1] * s[1][mask1]) / v[1][mask1])
+        s, v, theta = cols["s"], cols["v"], cols["theta"]
+        series = {
+            "s0": s[0],
+            "s1": s[1],
+            "v0": v[0],
+            "v0/s0": v[0] / s[0],
+            "eps": cols["eps"],
+            "th0": _theta_frac(theta[0], s[0], v[0]),
+        }
+        if len(s) > 2:
+            series.update(s2=s[2], th1=_theta_frac(theta[1], s[1], v[1]))
+        for key, x in series.items():
+            self.moments[key].add_batch(x)
+        for key in self.EXTREMA:
+            self.lo[key] = min(self.lo[key], float(np.min(series[key])))
+            self.hi[key] = max(self.hi[key], float(np.max(series[key])))
 
     def result(self, strike: float) -> SimStats:
+        m, lo, hi = self.moments, self.lo, self.hi
         return SimStats(
             strike=strike,
-            n_paths=self.n,
-            mean_s0=self.s0.mean,
-            mean_s1=self.s1.mean if self.s1.count else math.nan,
-            mean_s2=self.s2.mean if self.s2.count else math.nan,
-            mean_v0=self.v0.mean,
-            max_v0=self.v0_ext.hi,
-            mean_v0_over_sprev=self.v0.mean / self.s_prev,
-            mean_v0_over_s0=self.v0_rel0.mean,
-            min_v0_over_s0=self.v0_rel0_ext.lo,
-            max_v0_over_s0=self.v0_rel0_ext.hi,
-            mean_eps=self.eps.mean,
-            std_eps=self.eps.std,
-            min_eps=self.eps_ext.lo,
-            max_eps=self.eps_ext.hi,
-            mean_theta0_frac=self.th0.mean if self.th0.count else math.nan,
-            mean_theta1_frac=self.th1.mean if self.th1.count else math.nan,
+            n_paths=m["s0"].count,
+            mean_s0=m["s0"].mean,
+            mean_s1=m["s1"].mean,
+            mean_s2=m["s2"].mean,
+            mean_v0=m["v0"].mean,
+            max_v0=hi["v0"],
+            mean_v0_over_sprev=m["v0"].mean / self.s_prev,
+            mean_v0_over_s0=m["v0/s0"].mean,
+            min_v0_over_s0=lo["v0/s0"],
+            max_v0_over_s0=hi["v0/s0"],
+            mean_eps=m["eps"].mean,
+            std_eps=m["eps"].std,
+            min_eps=lo["eps"],
+            max_eps=hi["eps"],
+            mean_theta0_frac=m["th0"].mean,
+            mean_theta1_frac=m["th1"].mean,
         )
 
 
@@ -542,7 +516,7 @@ def _fold(model: MarketModel, label: float, n_paths: int, batches, collect: bool
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     require_aip(model)
-    agg = _Aggregator(model.s_init, model.horizon)
+    agg = _Aggregator(model.s_init)
     kept: list[dict] = []
     for cols in batches:
         agg.add(cols)
@@ -760,28 +734,27 @@ def simulate_functional(
 # ---------------------------------------------------------------------- #
 
 
+def _dump_columns(horizon: int) -> list[tuple[str, str, Optional[int]]]:
+    """(name, raw key, step) of each dump column after path_id; step None
+    marks a column with one value per path."""
+    cols = [(f"S_{t}", "s", t) for t in range(horizon + 1)]
+    cols += [(f"bid_{t}", "bid", t) for t in range(1, horizon)]
+    cols += [(f"ask_{t}", "ask", t) for t in range(1, horizon)]
+    cols += [(f"theta_{t}", "theta", t) for t in range(horizon)]
+    cols += [(f"V_{t}", "v", t) for t in range(horizon + 1)]
+    return cols + [("eps_r", "eps", None)]
+
+
 def path_dump_header(horizon: int) -> str:
-    cols = ["path_id"]
-    cols += [f"S_{t}" for t in range(horizon + 1)]
-    cols += [f"bid_{t}" for t in range(1, horizon)]
-    cols += [f"ask_{t}" for t in range(1, horizon)]
-    cols += [f"theta_{t}" for t in range(horizon)]
-    cols += [f"V_{t}" for t in range(horizon + 1)]
-    cols.append("eps_r")
-    return ",".join(cols)
+    return ",".join(["path_id"] + [name for name, _, _ in _dump_columns(horizon)])
 
 
 def write_path_dump(fh, raw: dict, horizon: int):
     """Write one delimited record per path (header row included)."""
-    n = raw["eps"].size
-    columns = [np.arange(n, dtype=float)]
-    columns += [raw["s"][t] for t in range(horizon + 1)]
-    columns += [raw["bid"][t] for t in range(1, horizon)]
-    columns += [raw["ask"][t] for t in range(1, horizon)]
-    columns += [raw["theta"][t] for t in range(horizon)]
-    columns += [raw["v"][t] for t in range(horizon + 1)]
-    columns.append(raw["eps"])
-    table = np.column_stack(columns)
+    cols = _dump_columns(horizon)
+    table = np.column_stack(
+        [np.arange(raw["eps"].size, dtype=float)]
+        + [raw[key] if t is None else raw[key][t] for _, key, t in cols]
+    )
     fh.write(path_dump_header(horizon) + "\n")
-    fmt = ["%d"] + ["%.17g"] * (table.shape[1] - 1)
-    np.savetxt(fh, table, fmt=fmt, delimiter=",")
+    np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * len(cols), delimiter=",")

@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, artifact schemas, exit codes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -108,6 +109,47 @@ class TestParseConfig:
         )
         assert parse_config(render_config(cfg)) == cfg
 
+    def test_render_pinned_text(self):
+        cfg = ExperimentConfig(
+            s_prev=85.5,
+            horizon=3,
+            strikes=(42.0, 66.6),
+            payoff="custom-pwl",
+            payoff_breakpoints=(50.0, 100.0),
+            payoff_values=(0.0, 10.0),
+            payoff_left_slope=-0.5,
+            dump_paths=True,
+            hist_bins=17,
+            straddle_to_ask=False,
+        )
+        assert render_config(cfg) == (
+            "s_prev = 85.5\nhorizon = 3\nm_lo = 0.7\nm_hi = 1.0\nspr_lo = 0.0\n"
+            "spr_hi = 0.4\nstrikes = 42.0, 66.6\nn_paths = 1000000\nseed = 42\n"
+            "payoff = custom-pwl\npayoff_breakpoints = 50.0, 100.0\n"
+            "payoff_values = 0.0, 10.0\npayoff_left_slope = -0.5\n"
+            "payoff_right_slope = 0.0\nwrite_stats = true\ndump_paths = true\n"
+            "histograms = false\nexport_strategy = false\nhist_bins = 17\n"
+            "straddle_to_ask = false\nclamp_infinite_price = false\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "strikes = 100, nan\n",
+            "strikes = inf\npayoff = asian-call\n",
+            "s_prev = inf\n",
+            "payoff_right_slope = -inf\n",
+            "k_down = nan\nk_up = 1.4\n",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(text)
+
+    def test_export_strategy_needs_pwl_payoff(self):
+        with pytest.raises(ConfigError, match="export_strategy"):
+            parse_config("payoff = asian-call\nexport_strategy = true\n")
+
     def test_custom_payoff_needs_breakpoints(self):
         with pytest.raises(ConfigError, match="payoff_breakpoints"):
             parse_config("payoff = custom-pwl\n")
@@ -179,6 +221,21 @@ class TestRunExperiment:
         assert len(lines) == 2001
         eps = np.array([float(line.split(",")[-1]) for line in lines[1:]])
         assert eps.min() >= -1e-9
+
+    def test_dump_bytes_pinned_three_steps(self, tmp_path):
+        # pinned bytes of a dump with two bid/ask columns per row
+        cfg = parse_config(
+            "n_paths = 50\nstrikes = 100\nseed = 11\nhorizon = 3\ndump_paths = true\n"
+        )
+        assert run_experiment(cfg, tmp_path) == EXIT_OK
+        data = (tmp_path / "paths_K100.csv").read_bytes()
+        assert data.splitlines()[0] == (
+            b"path_id,S_0,S_1,S_2,S_3,bid_1,bid_2,ask_1,ask_2,"
+            b"theta_0,theta_1,theta_2,V_0,V_1,V_2,V_3,eps_r"
+        )
+        assert hashlib.sha256(data).hexdigest() == (
+            "ade2109509879791a83b04ba3d57a1ad32a1cd0a36c852150ce3d9afec4626f1"
+        )
 
     def test_export_strategy(self, tmp_path):
         cfg = parse_config(SMALL + "export_strategy = true\n")
@@ -260,6 +317,26 @@ class TestMain:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "abc"], ["--paths", "x"], ["--bogus"], ["--strikes", "inf"]]
+    )
+    def test_usage_errors_exit_one(self, tmp_path, argv):
+        out = tmp_path / "out"
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        assert code == EXIT_ERROR
+        assert not out.exists()
+
+    def test_non_finite_strike_in_config_writes_nothing(self, tmp_path, capsys):
+        f = tmp_path / "cfg.txt"
+        f.write_text("payoff = asian-call\nstrikes = inf\nn_paths = 10\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(f), "--out", str(out)]) == EXIT_ERROR
+        assert "strikes must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_content(self, tmp_path):

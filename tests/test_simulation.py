@@ -242,6 +242,25 @@ def test_aip_gate_names_first_bad_step(entry):
 
 
 class TestSimulate:
+    def test_row_values_pinned_horizon_one(self):
+        # pinned floats: any change to the merge order or arithmetic of the
+        # aggregation shows here; at T=1 no path feeds E(S2) or
+        # E(theta1*S1/V1), so both read NaN
+        model = uniform_bid_ask_model(horizon=1)
+        stats, _ = simulate_one(
+            model, _pricing(90.0, model), 90.0, 500, np.random.SeedSequence(5)
+        )
+        nan = math.nan
+        expected = (
+            90.0, 95.07983381421488, 90.53904084244444, nan, 18.494688119108766,
+            43.80359584392528, 0.18494688119108765, 0.18765952111514844,
+            0.05442846018145513, 0.3273723368019184, 0.09865575901386243,
+            0.04276443998796462, 0.0, 0.17032340276919908, 3.330834788844849, nan,
+        )
+        values = stats.row_values()
+        assert len(values) == len(stats.ROW_LABELS)
+        np.testing.assert_array_equal(values, expected)
+
     def test_single_path_equals_stats(self):
         pricing = _pricing()
         stats, _ = simulate_one(
