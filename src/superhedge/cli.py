@@ -28,6 +28,7 @@ from .pricing import (
     backward_induce,
     initial_premium,
     require_aip,
+    require_convex,
 )
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
@@ -102,6 +103,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     "payoff_breakpoints and payoff_values must have equal length"
                 )
+            try:
+                require_convex(self.custom_payoff())
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.export_strategy and self.payoff == "asian-call":
             raise ConfigError(
                 "export_strategy needs a piecewise-linear payoff; "
@@ -113,6 +118,15 @@ class ExperimentConfig:
             RngConfig(self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def custom_payoff(self) -> PwlFunction:
+        """The ``custom-pwl`` payoff from the payoff_* keys."""
+        return PwlFunction(
+            self.payoff_breakpoints,
+            self.payoff_values,
+            self.payoff_left_slope,
+            self.payoff_right_slope,
+        )
 
     def build_model(self) -> MarketModel:
         step = StepSpec.from_uniform(self.m_lo, self.m_hi, self.spr_lo, self.spr_hi)
@@ -351,12 +365,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 elif cfg.payoff == "put":
                     payoff = put_payoff(strike)
                 else:
-                    payoff = PwlFunction(
-                        cfg.payoff_breakpoints,
-                        cfg.payoff_values,
-                        cfg.payoff_left_slope,
-                        cfg.payoff_right_slope,
-                    )
+                    payoff = cfg.custom_payoff()
                 pricing = backward_induce(payoff, model)
                 premium = initial_premium(pricing, model)
                 print(f"{label}: initial premium P0 = {premium:.6g}")

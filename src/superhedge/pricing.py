@@ -30,6 +30,7 @@ from .pwl import (
     Interval,
     PwlFunction,
     convex_combine,
+    piece_index,
     scale_compose,
     superdifferential,
     upper_concave_envelope,
@@ -273,26 +274,38 @@ class StrategyFn:
     def __call__(self, s):
         if not isinstance(s, np.ndarray):  # a scalar is the array rule at n=1
             return float(self(np.array([s], dtype=float))[0])
-        if s.size and s.min() <= 0.0:
-            raise ValueError(f"price must be positive, got {s.min()}")
+        # NaN fails every comparison, so the chain refuses it too.
+        if s.size and not 0.0 < s.min() <= s.max() < math.inf:
+            bad = s[~((0.0 < s) & (s < math.inf))][0]
+            raise ValueError(f"price must be positive and finite, got {bad}")
         g, kd, ku = self.g_next, self.k_down, self.k_up
         if kd == ku:
             idx_l, idx_r = _kink_slope_indices(g, kd * s)
             return 0.5 * (g._slopes_f[idx_l] + g._slopes_f[idx_r]) * kd
         a, b = kd * s, ku * s
-        ia = np.searchsorted(g._bps_f, a, side="left")
-        ib = np.searchsorted(g._bps_f, b, side="left")
-        g_a = g._slopes_f[ia] * a + g._icepts_f[ia]
+        ia = piece_index(g._bps_f, a)
+        ib = piece_index(g._bps_f, b)
+        slope_a = g._slopes_f[ia]
+        g_a = slope_a * a + g._icepts_f[ia]
         g_b = g._slopes_f[ib] * b + g._icepts_f[ib]
         chord = (g_b - g_a) / ((ku - kd) * s)
-        return np.where(ia == ib, g._slopes_f[ia], chord)
+        return np.where(ia == ib, slope_a, chord)
 
 
 def _kink_slope_indices(g: PwlFunction, x: np.ndarray):
-    idx = np.searchsorted(g._bps_f, x, side="left")
+    idx = piece_index(g._bps_f, x)
     on_kink = (idx < len(g._bps_f)) & (x == g._bps_f[np.minimum(idx, len(g._bps_f) - 1)])
     idx_r = np.where(on_kink, idx + 1, idx)
     return idx, idx_r
+
+
+def require_convex(payoff: PwlFunction):
+    """Refuse a payoff the chord recursion cannot price (ValueError)."""
+    if not payoff.is_convex():
+        raise ValueError(
+            "payoff must be convex for the chord recursion; "
+            "use one_step_price (envelope) or asian_tree_price for other claims"
+        )
 
 
 def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
@@ -307,11 +320,7 @@ def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
     initial portfolio value; the constant premium to quote before execution
     is its supremum over the step-0 support, see `initial_premium`.
     """
-    if not payoff.is_convex():
-        raise ValueError(
-            "payoff must be convex for the chord recursion; "
-            "use one_step_price (envelope) or asian_tree_price for other claims"
-        )
+    require_convex(payoff)
     require_aip(model)
 
     T = model.horizon

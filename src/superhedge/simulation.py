@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .pricing import MarketModel, PricingResult, StepSpec, _tree_value, require_aip
-from .pwl import PwlFunction, merge_pieces
+from .pwl import PwlFunction, merge_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
@@ -161,6 +161,9 @@ class OrderSignChange:
 
         self.c = float(step.k_up - step.k_down)
         self.cuts = np.array([float(z) for z in cuts])
+        # Piece j of theta spans [cut_lo[j], cut_hi[j]].
+        self.cut_lo = np.concatenate(([0.0], self.cuts))
+        self.cut_hi = np.concatenate((self.cuts, [np.inf]))
         self.t_vals = np.array([float(t) for t in theta_cuts])
         self.a = np.array([float(x) for x in a_q])
         self.b = np.array([float(x) for x in b_q])
@@ -172,11 +175,10 @@ class OrderSignChange:
         """Per-path (sstar, sign): sstar is NaN where the sign is constant."""
         th = np.asarray(theta_prev, dtype=float)
         n = th.shape[0]
-        out = np.full(n, np.nan)
         if self.degenerate:
-            return out, np.zeros(n)
+            return np.full(n, np.nan), np.zeros(n)
         if self.theta_lo == self.theta_hi or self.cuts.size == 0:
-            return out, self.theta_lo - th
+            return np.full(n, np.nan), self.theta_lo - th
 
         sign = np.zeros(n)
         all_buy = th < self.theta_lo
@@ -186,36 +188,40 @@ class OrderSignChange:
         sign[all_buy] = 1.0
         sign[all_sell] = -1.0
         root = ~(all_buy | all_sell)
-        if not root.any():
-            return out, sign
+        if root.all():
+            return self._zero_set_point(th), sign
+        out = np.full(n, np.nan)
+        if root.any():
+            out[root] = self._zero_set_point(th[root])
+        return out, sign
 
-        th_r = th[root]
+    def _zero_set_point(self, th: np.ndarray) -> np.ndarray:
+        """S* on lanes where the order changes sign (neither all-buy nor all-sell)."""
         m = self.cuts.size
-        jl = np.searchsorted(self.t_vals, th_r, side="left")
-        jr = np.searchsorted(self.t_vals, th_r, side="right")
+        jl = piece_index(self.t_vals, th, side="left")
+        jr = piece_index(self.t_vals, th, side="right")
 
         def piece_root(j, theta):
             denom = theta * self.c - self.b[j]
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = self.a[j] / denom
-            lo = np.where(j >= 1, self.cuts[np.maximum(j - 1, 0)], 0.0)
-            hi = np.where(j <= m - 1, self.cuts[np.minimum(j, m - 1)], np.inf)
-            return np.clip(z, lo, hi)
+            return np.clip(z, self.cut_lo[j], self.cut_hi[j])
 
-        # zero-set endpoints; +/- sentinels mark plateaus reaching 0 / infinity
-        z_left = np.where(jl == 0, 0.0, piece_root(np.maximum(jl, 1), th_r))
-        at_top = (jr == m) & (th_r == self.theta_hi)
-        z_right = np.where(
-            at_top, np.inf, piece_root(np.minimum(np.maximum(jr, 1), m), th_r)
-        )
+        # zero-set endpoints; +/- sentinels mark plateaus reaching 0 / infinity.
+        # The two ends solve the same piece unless th equals a t_vals entry.
+        z = piece_root(np.maximum(jl, 1), th)
+        z_left = np.where(jl == 0, 0.0, z)
+        split = np.flatnonzero(jl != jr)
+        if split.size:
+            z[split] = piece_root(np.maximum(jr[split], 1), th[split])
+        at_top = (jr == m) & (th == self.theta_hi)
+        z_right = np.where(at_top, np.inf, z)
 
-        sstar = np.where(
+        return np.where(
             z_left == 0.0,
             z_right,
             np.where(np.isinf(z_right), z_left, 0.5 * (z_left + z_right)),
         )
-        out[root] = sstar
-        return out, sign
 
 
 def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
@@ -252,13 +258,17 @@ class SimPath:
     eps_r: float
 
 
-def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool):
+def _protocol(
+    model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, collect: bool = True
+):
     """The execution protocol over n paths; returns column arrays.
 
     ``draws`` yields (m, M, k) arrays per step.  ``claim`` holds four maps of
     the executed prefix (s_0, ..., s_t): ``value(prefix, t)``, ``theta(prefix,
     t)``, ``sstar(prefix, t, held, s_prev)``, the order's (sstar, sign) at
-    interior step t before its execution, and ``payoff(prefix)``.
+    interior step t before its execution, and ``payoff(prefix)``.  Mid steps
+    quote no bid/ask: their columns are NaN when ``collect`` is set and None
+    otherwise, since only collected columns are read.
     """
     value, theta, sstar, payoff = claim
     T = model.horizon
@@ -268,7 +278,9 @@ def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool):
     for t, (m, M, k) in enumerate(draws):
         if t == 0 or t == T:
             s_t = mid_execute(s_prev, m, M, k)
-            bid_t, ask_t = np.full(n, np.nan), np.full(n, np.nan)
+            bid_t = ask_t = None
+            if collect:
+                bid_t, ask_t = np.full(n, np.nan), np.full(n, np.nan)
         else:
             bid_t, ask_t = s_prev * m, s_prev * M
             order = sstar(prefix, t, cols["theta"][t - 1], s_prev)
@@ -296,6 +308,7 @@ def _simulate_batch(
     rng: np.random.Generator,
     crossings: dict,
     straddle_to_ask: bool = True,
+    collect: bool = True,
 ):
     """Vectorised protocol over n paths of a PWL claim; returns column arrays."""
     claim = (
@@ -305,7 +318,7 @@ def _simulate_batch(
         lambda prefix: pricing.payoff(prefix[-1]),
     )
     draws = (draw_step(step, rng, size=n) for step in model.steps)
-    return _protocol(model, n, draws, claim, straddle_to_ask)
+    return _protocol(model, n, draws, claim, straddle_to_ask, collect)
 
 
 def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
@@ -549,7 +562,9 @@ def simulate_one(
         for b, child in enumerate(children):
             nb = min(batch_size, n_paths - b * batch_size)
             rng = np.random.Generator(np.random.PCG64(child))
-            yield _simulate_batch(model, pricing, nb, rng, crossings, straddle_to_ask)
+            yield _simulate_batch(
+                model, pricing, nb, rng, crossings, straddle_to_ask, collect
+            )
 
     return _fold(model, strike, n_paths, batches(), collect)
 

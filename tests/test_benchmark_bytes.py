@@ -1,0 +1,36 @@
+"""Same-bytes guard: the benchmark's workloads reproduce their reference
+``stats.csv`` digests.
+
+The configs come from ``perfbench/workloads.py`` (standard library only) and
+the digests from ``perfbench/reference_digests.json``, so a change that moves
+any seeded output byte of the paper's table, the T=40 run or the Asian
+engine fails here, not only in a benchmark run.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from superhedge.cli import parse_config, run_experiment
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 1
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["table", "long_horizon", "asian"])
+def test_stats_digest_matches_reference(tmp_path, name):
+    cfg = parse_config(_workloads().config_text(name, SEED))
+    assert run_experiment(cfg, tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "stats.csv").read_bytes()).hexdigest()
+    reference = json.loads((PERFBENCH / "reference_digests.json").read_text())
+    assert digest == reference[name][str(SEED)]

@@ -116,7 +116,7 @@ class TestParseConfig:
             strikes=(42.0, 66.6),
             payoff="custom-pwl",
             payoff_breakpoints=(50.0, 100.0),
-            payoff_values=(0.0, 10.0),
+            payoff_values=(10.0, 0.0),
             payoff_left_slope=-0.5,
             dump_paths=True,
             hist_bins=17,
@@ -126,7 +126,7 @@ class TestParseConfig:
             "s_prev = 85.5\nhorizon = 3\nm_lo = 0.7\nm_hi = 1.0\nspr_lo = 0.0\n"
             "spr_hi = 0.4\nstrikes = 42.0, 66.6\nn_paths = 1000000\nseed = 42\n"
             "payoff = custom-pwl\npayoff_breakpoints = 50.0, 100.0\n"
-            "payoff_values = 0.0, 10.0\npayoff_left_slope = -0.5\n"
+            "payoff_values = 10.0, 0.0\npayoff_left_slope = -0.5\n"
             "payoff_right_slope = 0.0\nwrite_stats = true\ndump_paths = true\n"
             "histograms = false\nexport_strategy = false\nhist_bins = 17\n"
             "straddle_to_ask = false\nclamp_infinite_price = false\n"
@@ -337,6 +337,22 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["--config", str(f), "--out", str(out)]) == EXIT_ERROR
         assert "strikes must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ("payoff_breakpoints = 80, 100, 120\npayoff_values = 0, 10, 0\n", "convex"),
+            ("payoff_breakpoints = 120, 80\npayoff_values = 0, 0\n", "strictly increasing"),
+        ],
+        ids=["nonconvex", "unsorted"],
+    )
+    def test_bad_custom_payoff_writes_nothing(self, tmp_path, capsys, shape, message):
+        f = tmp_path / "cfg.txt"
+        f.write_text("payoff = custom-pwl\nn_paths = 10\n" + shape)
+        out = tmp_path / "out"
+        assert main(["--config", str(f), "--out", str(out)]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_content(self, tmp_path):

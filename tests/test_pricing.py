@@ -306,6 +306,15 @@ class TestStrategy:
         with pytest.raises(ValueError):
             strategy_at(res, 0, 0.0, model)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_rejected(self, bad):
+        model = uniform_bid_ask_model()
+        res = backward_induce(call_payoff(100), model)
+        with pytest.raises(ValueError, match="positive and finite"):
+            strategy_at(res, 0, bad, model)
+        with pytest.raises(ValueError, match="positive and finite"):
+            strategy_at(res, 0, np.array([90.0, bad, 110.0]), model)
+
     def test_index_bounds(self):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)

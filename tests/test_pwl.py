@@ -1,10 +1,14 @@
 """Piecewise-linear kernel: evaluation, algebra, envelopes, domination."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from superhedge import pwl
 from superhedge.pwl import (
     AffineFunction,
     Interval,
@@ -13,6 +17,7 @@ from superhedge.pwl import (
     constant_function,
     convex_combine,
     dominates,
+    piece_index,
     put_payoff,
     scale_compose,
     superdifferential,
@@ -106,6 +111,46 @@ class TestEval:
                 assert float(f.eval_exact(float(x))) == pytest.approx(
                     f(float(x)), abs=1e-12
                 )
+
+
+SPECIAL_NEEDLES = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def tables_and_needles(draw):
+    """A strictly increasing table on either side of the counting cut-over,
+    and needles that hit its entries exactly, zeros, NaN and +/-inf."""
+    size = draw(st.integers(1, pwl._COUNT_MAX + 4))
+    entries = draw(
+        st.sets(st.floats(-1e6, 1e6, allow_nan=False), min_size=size, max_size=size)
+    )
+    table = np.array(sorted(entries))
+    needle = st.one_of(
+        st.sampled_from(table.tolist()),
+        st.sampled_from(SPECIAL_NEEDLES),
+        st.floats(-2e6, 2e6),
+        st.floats(),
+    )
+    return table, np.array(draw(st.lists(needle, min_size=1, max_size=40)))
+
+
+def _cut_over_case(size):
+    table = np.arange(size, dtype=float)
+    return table, np.concatenate((table, table + 0.5, SPECIAL_NEEDLES))
+
+
+class TestPieceIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tables_and_needles())
+    @example(case=_cut_over_case(pwl._COUNT_MAX))
+    @example(case=_cut_over_case(pwl._COUNT_MAX + 1))
+    def test_equals_searchsorted(self, case):
+        table, x = case
+        for side in ("left", "right"):
+            got = piece_index(table, x, side=side)
+            want = np.searchsorted(table, x, side=side)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist(), side
 
 
 class TestConstruction:

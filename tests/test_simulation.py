@@ -3,6 +3,7 @@ aggregation, reproducibility."""
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,77 @@ class TestMidExecute:
             mid_execute(0.0, 0.8, 1.0, 0.5)
 
 
+def two_root_sstar(cross: OrderSignChange, theta_prev: np.ndarray):
+    """OrderSignChange.sstar solving both zero-set ends on every root lane,
+    with np.searchsorted lookups: the oracle for the one-solve version."""
+    th = np.asarray(theta_prev, dtype=float)
+    n = th.shape[0]
+    out = np.full(n, np.nan)
+    if cross.degenerate:
+        return out, np.zeros(n)
+    if cross.theta_lo == cross.theta_hi or cross.cuts.size == 0:
+        return out, cross.theta_lo - th
+    sign = np.zeros(n)
+    all_buy = th < cross.theta_lo
+    all_sell = (th > cross.theta_hi) | (
+        (th == cross.theta_hi) & (cross.t_last < cross.theta_hi)
+    )
+    sign[all_buy] = 1.0
+    sign[all_sell] = -1.0
+    root = ~(all_buy | all_sell)
+    if not root.any():
+        return out, sign
+    th_r = th[root]
+    m = cross.cuts.size
+    jl = np.searchsorted(cross.t_vals, th_r, side="left")
+    jr = np.searchsorted(cross.t_vals, th_r, side="right")
+
+    def piece_root(j, theta):
+        denom = theta * cross.c - cross.b[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = cross.a[j] / denom
+        lo = np.where(j >= 1, cross.cuts[np.maximum(j - 1, 0)], 0.0)
+        hi = np.where(j <= m - 1, cross.cuts[np.minimum(j, m - 1)], np.inf)
+        return np.clip(z, lo, hi)
+
+    z_left = np.where(jl == 0, 0.0, piece_root(np.maximum(jl, 1), th_r))
+    at_top = (jr == m) & (th_r == cross.theta_hi)
+    z_right = np.where(
+        at_top, np.inf, piece_root(np.minimum(np.maximum(jr, 1), m), th_r)
+    )
+    out[root] = np.where(
+        z_left == 0.0,
+        z_right,
+        np.where(np.isinf(z_right), z_left, 0.5 * (z_left + z_right)),
+    )
+    return out, sign
+
+
+def _many_kinks(n):
+    """A convex payoff with n kinks, so the crossing table has ~2n cuts."""
+    xs = [Fraction(50 + 3 * i) for i in range(n)]
+    slopes = [Fraction(i, n) for i in range(n + 1)]
+    ys = [Fraction(0)]
+    for i in range(n - 1):
+        ys.append(ys[-1] + slopes[i + 1] * (xs[i + 1] - xs[i]))
+    return PwlFunction(xs, ys, slopes[0], slopes[-1])
+
+
+_HETERO = MarketModel(
+    100.0,
+    3,
+    (StepSpec(0.7, 1.4), StepSpec(0.75, 1.3), StepSpec(0.8, 1.2), StepSpec(0.9, 1.1)),
+)
+SSTAR_CASES = [
+    (call_payoff(100), StepSpec(0.7, 1.4)),
+    (PwlFunction([0, 80], [20, 0], -1, 0), StepSpec(0.7, 1.4)),  # kink at 0
+    (backward_induce(call_payoff(100), _HETERO).value_fns[1], StepSpec(0.75, 1.3)),
+    (_many_kinks(70), StepSpec(0.8, 1.25)),  # > _COUNT_MAX cuts: searchsorted
+    (PwlFunction([0], [1], 2, 2), StepSpec(0.7, 1.4)),  # affine: constant theta
+    (call_payoff(100), StepSpec(1.0, 1.0)),  # degenerate step
+]
+
+
 class TestOrderSignChange:
     def setup_method(self):
         self.strike = 100.0
@@ -131,6 +203,30 @@ class TestOrderSignChange:
         tent = PwlFunction([80, 100, 120], [0, 10, 0])
         with pytest.raises(ValueError, match="not monotone"):
             OrderSignChange(tent, StepSpec(0.7, 1.4))
+
+    @pytest.mark.parametrize("g, step", SSTAR_CASES)
+    def test_sstar_bytes_equal_two_root_oracle(self, g, step):
+        cross = OrderSignChange(g, step)
+        rng = np.random.default_rng(11)
+        if cross.degenerate:
+            marks = np.array([0.0, 0.5, 1.0])
+        else:
+            marks = np.concatenate(
+                (cross.t_vals, [cross.theta_lo, cross.theta_hi], rng.random(5))
+            )
+        near = np.concatenate((marks, np.nextafter(marks, -1), np.nextafter(marks, 2)))
+        lo, hi = near.min() - 0.1, near.max() + 0.1
+        inside = near[(near > near.min()) & (near < near.max())]
+        batches = (
+            near,  # roots and constant signs mixed: the scatter path
+            np.concatenate((near, rng.uniform(lo, hi, 500))),
+            rng.permutation(inside),  # mostly or wholly root lanes
+            np.array([0.5 * (lo + hi)]),
+        )
+        for th in batches:
+            got, want = cross.sstar(th), two_root_sstar(cross, th)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestExecuteDelayedOrder:
