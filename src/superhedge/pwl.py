@@ -17,6 +17,7 @@ on long ones) plus one multiply-add.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,15 +238,21 @@ class PwlFunction:
     # ------------------------------------------------------------------ #
 
     def __call__(self, x):
-        """Evaluate at a nonnegative float or array of floats."""
+        """Evaluate at a nonnegative finite float or array of floats."""
         if isinstance(x, np.ndarray):
-            if x.size and x.min() < 0.0:
-                raise ValueError("evaluation point must be nonnegative")
+            # NaN fails every comparison, so the chain refuses it too.
+            if x.size and not 0.0 <= x.min() <= x.max() < math.inf:
+                bad = x[~((0.0 <= x) & (x < math.inf))][0]
+                raise ValueError(
+                    f"evaluation point must be nonnegative and finite, got {bad}"
+                )
             idx = piece_index(self._bps_f, x)
             return self._slopes_f[idx] * x + self._icepts_f[idx]
         xf = float(x)
-        if xf < 0.0:
-            raise ValueError(f"evaluation point must be nonnegative, got {xf}")
+        if not 0.0 <= xf < math.inf:
+            raise ValueError(
+                f"evaluation point must be nonnegative and finite, got {xf}"
+            )
         idx = int(np.searchsorted(self._bps_f, xf, side="left"))
         return float(self._slopes_f[idx] * xf + self._icepts_f[idx])
 

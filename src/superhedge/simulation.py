@@ -37,6 +37,7 @@ from .pricing import MarketModel, PricingResult, StepSpec, _tree_value, require_
 from .pwl import PwlFunction, merge_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
+DUMP_ROWS = 2048  # path-dump rows formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
 
@@ -765,11 +766,30 @@ def path_dump_header(horizon: int) -> str:
 
 
 def write_path_dump(fh, raw: dict, horizon: int):
-    """Write one delimited record per path (header row included)."""
-    cols = _dump_columns(horizon)
-    table = np.column_stack(
-        [np.arange(raw["eps"].size, dtype=float)]
-        + [raw[key] if t is None else raw[key][t] for _, key, t in cols]
-    )
+    """Write one comma-separated record per path, header row first.
+
+    ``path_id`` is an integer and every other column is ``"%.17g" % v``,
+    which round-trips every float64.  Rows are read straight from the
+    ``raw`` columns in chunks of DUMP_ROWS, with no copy of the whole
+    table, and each chunk is written as one string.
+    """
+    # Imported here so that runs which never dump skip building its tables.
+    from .floatfmt import CELL, g17_cells
+
+    cols = [
+        raw[key] if t is None else raw[key][t] for _, key, t in _dump_columns(horizon)
+    ]
+    n, width = raw["eps"].size, 1 + len(cols)
     fh.write(path_dump_header(horizon) + "\n")
-    np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * len(cols), delimiter=",")
+    block = np.empty((min(n, DUMP_ROWS), width))
+    for lo in range(0, n, DUMP_ROWS):
+        rows = block[: min(DUMP_ROWS, n - lo)]
+        hi = lo + len(rows)
+        # Path ids are integers below 2^53, which "%.17g" prints as "%d".
+        rows[:, 0] = np.arange(lo, hi)
+        for j, col in enumerate(cols, 1):
+            rows[:, j] = col[lo:hi]
+        cells = g17_cells(rows).reshape(len(rows), width, CELL)
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        fh.write(cells[cells != 0].tobytes().decode("ascii"))

@@ -34,3 +34,15 @@ def test_stats_digest_matches_reference(tmp_path, name):
     digest = hashlib.sha256((tmp_path / "stats.csv").read_bytes()).hexdigest()
     reference = json.loads((PERFBENCH / "reference_digests.json").read_text())
     assert digest == reference[name][str(SEED)]
+
+
+def test_outputs_path_dump_pinned(tmp_path):
+    """The outputs workload's dump at seed 1 keeps the bytes np.savetxt wrote
+    with "%d" / "%.17g" before the dump writer was vectorised."""
+    cfg = parse_config(_workloads().config_text("outputs", SEED))
+    assert run_experiment(cfg, tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "paths_K100.csv").read_bytes()).hexdigest()
+    assert digest == "28edf88a42785e8036c0dce7e4cc8bb618b2f1b8fe868317b04b8a6a9b99683c"
+    stats = hashlib.sha256((tmp_path / "stats.csv").read_bytes()).hexdigest()
+    reference = json.loads((PERFBENCH / "reference_digests.json").read_text())
+    assert stats == reference["outputs"][str(SEED)]

@@ -90,6 +90,17 @@ class TestEval:
         with pytest.raises(ValueError):
             call_payoff(100)(np.array([5.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        f = call_payoff(100)
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {bad}"):
+            f(bad)
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {bad}"):
+            f(np.array([bad, 120.0]))
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {bad}"):
+            f(np.array([120.0, bad]))
+        assert f(np.array([0.0, 120.0])).tolist() == [0.0, 20.0]
+
     def test_vectorised_matches_scalar(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

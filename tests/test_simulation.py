@@ -18,8 +18,9 @@ from superhedge.pricing import (
     backward_induce,
     uniform_bid_ask_model,
 )
-from superhedge.pwl import PwlFunction, call_payoff, constant_function
+from superhedge.pwl import PwlFunction, call_payoff, constant_function, put_payoff
 from superhedge.simulation import (
+    DUMP_ROWS,
     OrderSignChange,
     RngConfig,
     RunningMoments,
@@ -590,6 +591,19 @@ class TestRunningMoments:
         assert math.isnan(rm.variance)
 
 
+def _dump_oracle_columns(raw: dict, horizon: int) -> list[np.ndarray]:
+    """The raw column behind each dump header name after path_id."""
+    keys = {"S": "s", "bid": "bid", "ask": "ask", "theta": "theta", "V": "v"}
+    cols = []
+    for name in path_dump_header(horizon).split(",")[1:]:
+        if name == "eps_r":
+            cols.append(raw["eps"])
+        else:
+            key, t = name.rsplit("_", 1)
+            cols.append(raw[keys[key]][int(t)])
+    return cols
+
+
 class TestPathDump:
     def test_header_layout_two_steps(self):
         assert path_dump_header(2) == (
@@ -604,6 +618,43 @@ class TestPathDump:
         write_path_dump(buf, raw, 2)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 51
-        cols = lines[1].split(",")
-        assert len(cols) == 12
-        assert float(cols[1]) == pytest.approx(raw["s"][0][0], rel=1e-15)
+        table = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert table.shape == (50, 12)
+        # 17 significant digits round-trip every float64: every cell is exact.
+        assert table[:, 0].tolist() == list(range(50))
+        assert np.all(table[:, 1:] == np.column_stack(_dump_oracle_columns(raw, 2)))
+
+    @pytest.mark.parametrize(
+        "claim, horizon",
+        [("call", 2), ("put", 2), ("custom-pwl", 2), ("call", 1), ("call", 3)],
+    )
+    def test_bytes_equal_savetxt_oracle(self, claim, horizon):
+        payoff = {
+            "call": call_payoff(100),
+            "put": put_payoff(100),
+            "custom-pwl": PwlFunction([80, 100, 130], [10, 0, 15], -1, 1),
+        }[claim]
+        model = uniform_bid_ask_model(horizon=horizon)
+        n = DUMP_ROWS + 3  # the last chunk is partial
+        _, raw = simulate_one(
+            model,
+            backward_induce(payoff, model),
+            100.0,
+            n,
+            np.random.SeedSequence(59),
+            collect=True,
+        )
+        buf = io.StringIO()
+        write_path_dump(buf, raw, horizon)
+        oracle = io.StringIO()
+        oracle.write(path_dump_header(horizon) + "\n")
+        cols = _dump_oracle_columns(raw, horizon)
+        np.savetxt(
+            oracle,
+            np.column_stack([np.arange(n)] + cols),
+            fmt=["%d"] + ["%.17g"] * len(cols),
+            delimiter=",",
+        )
+        assert buf.getvalue() == oracle.getvalue()
+        if claim == "put":  # negative holdings print their sign
+            assert np.any(raw["theta"][0] < 0) and ",-" in buf.getvalue()
