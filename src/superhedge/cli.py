@@ -10,10 +10,12 @@ onto a config key so runs are fully reproducible from the echoed config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -304,6 +306,52 @@ def _export_strategy_tables(out_dir, label, pricing, model, n_samples=512):
                 fh.write(f"{float(s_val)!r},{float(th)!r}\n")
 
 
+def _simulate_strike(
+    simulate, cfg: ExperimentConfig, out_dir: Path, label: str, horizon: int
+) -> SimStats:
+    """Stats of ``simulate(sink=...)`` for one strike, writing its dump and
+    histograms.
+
+    The sink appends each batch to the path dump while the simulation runs
+    and copies the histogram series (S_0..S_min(T,2) and eps_R) into arrays
+    of n_paths floats allocated up front, so memory holds one batch plus
+    those series.  The dump is written under a temporary name and renamed
+    when the strike succeeds: a failed run leaves no partial dump.  The
+    histograms are written from the full series afterwards.
+    """
+    names = [f"S_{t}" for t in range(min(horizon, 2) + 1)] + ["eps_R"]
+    series = {name: np.empty(cfg.n_paths) for name in names} if cfg.histograms else {}
+    dump = out_dir / f"paths_{label}.csv"
+    part = dump.with_name(dump.name + ".part")
+    fh = contextlib.nullcontext()
+    if cfg.dump_paths:
+        fh = part.open("w", encoding="utf-8")
+    done = 0
+
+    def sink(cols):
+        nonlocal done
+        if cfg.dump_paths:
+            write_path_dump(fh, cols, horizon, done)
+        rows = slice(done, done + cols["eps"].size)
+        picks = cols["s"][: len(names) - 1] + [cols["eps"]]
+        for data, col in zip(series.values(), picks):
+            data[rows] = col
+        done = rows.stop
+
+    try:
+        with fh:
+            stats, _ = simulate(sink=sink)
+    except BaseException:
+        if cfg.dump_paths:
+            part.unlink(missing_ok=True)
+        raise
+    if cfg.dump_paths:
+        part.replace(dump)
+    for name, data in series.items():
+        _write_histogram(out_dir / f"hist_{label}_{name}.csv", data, cfg.hist_bins)
+    return stats
+
+
 def _column_label(strike: float) -> str:
     if math.isnan(strike):
         return "custom"
@@ -339,7 +387,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         columns = [float(k) for k in cfg.strikes]
 
-    collect = cfg.dump_paths or cfg.histograms
     children = RngConfig(cfg.seed).root_sequence().spawn(len(columns))
 
     stats_list: list[SimStats] = []
@@ -350,14 +397,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 payoff_fn = asian_call_payoff(strike)
                 v0 = asian_tree_price(payoff_fn, model, model.s_init)
                 print(f"{label}: time-0 value at s0={model.s_init:g}: {v0:.6g}")
-                stats, raw = simulate_functional(
+                simulate = partial(
+                    simulate_functional,
                     model,
                     payoff_fn,
                     strike,
                     cfg.n_paths,
                     child,
                     cfg.straddle_to_ask,
-                    collect=collect,
                 )
             else:
                 if cfg.payoff == "call":
@@ -371,31 +418,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 print(f"{label}: initial premium P0 = {premium:.6g}")
                 if cfg.export_strategy:
                     _export_strategy_tables(out_dir, label, pricing, model)
-                stats, raw = simulate_one(
+                simulate = partial(
+                    simulate_one,
                     model,
                     pricing,
                     strike,
                     cfg.n_paths,
                     child,
                     cfg.straddle_to_ask,
-                    collect=collect,
                 )
-            stats_list.append(stats)
-
-            if cfg.dump_paths:
-                with (out_dir / f"paths_{label}.csv").open(
-                    "w", encoding="utf-8"
-                ) as fh:
-                    write_path_dump(fh, raw, model.horizon)
-            if cfg.histograms:
-                hist_series = {
-                    f"S_{t}": raw["s"][t] for t in range(min(model.horizon, 2) + 1)
-                }
-                hist_series["eps_R"] = raw["eps"]
-                for name, data in hist_series.items():
-                    _write_histogram(
-                        out_dir / f"hist_{label}_{name}.csv", data, cfg.hist_bins
-                    )
+            stats_list.append(
+                _simulate_strike(simulate, cfg, out_dir, label, model.horizon)
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -284,8 +284,10 @@ class PwlFunction:
     def slopes_at(self, x: float) -> tuple[float, float]:
         """(left slope, right slope) at x; they differ only at a kink."""
         xf = float(x)
-        if xf < 0.0:
-            raise ValueError("evaluation point must be nonnegative")
+        if not 0.0 <= xf < math.inf:
+            raise ValueError(
+                f"evaluation point must be nonnegative and finite, got {xf}"
+            )
         i = int(np.searchsorted(self._bps_f, xf, side="left"))
         if i < len(self._bps_f) and xf == self._bps_f[i]:
             return float(self._slopes_f[i]), float(self._slopes_f[i + 1])

@@ -520,22 +520,29 @@ class _Aggregator:
         )
 
 
-def _fold(model: MarketModel, label: float, n_paths: int, batches, collect: bool):
+def _fold(
+    model: MarketModel, label: float, n_paths: int, batches, collect: bool, sink
+):
     """Check the run, then fold each batch of path columns into SimStats.
 
     ``batches`` is a generator, so none of its set-up runs before the checks.
-    Returns (SimStats, the batches' columns joined in order when ``collect``
-    is set, else None).
+    Each batch goes, in path order, to ``sink`` once aggregated; ``collect``
+    is the sink that keeps every batch.  Returns (SimStats, the kept batches
+    joined in order when ``collect`` is set, else None).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     require_aip(model)
     agg = _Aggregator(model.s_init)
     kept: list[dict] = []
+    sinks = [agg.add]
+    if collect:
+        sinks.append(kept.append)
+    if sink is not None:
+        sinks.append(sink)
     for cols in batches:
-        agg.add(cols)
-        if collect:
-            kept.append(cols)
+        for add in sinks:
+            add(cols)
     return agg.result(label), _concat_batches(kept) if collect else None
 
 
@@ -548,13 +555,20 @@ def simulate_one(
     straddle_to_ask: bool = True,
     collect: bool = False,
     batch_size: int = BATCH_SIZE,
+    sink: Optional[Callable[[dict], None]] = None,
 ):
     """Simulate one strike; returns (SimStats, raw columns or None).
 
     Paths are generated in fixed-size batches with seeds spawned from
     ``seed_seq``; the batch layout depends only on n_paths, so a given seed
     gives bit-identical results.  ``collect=True`` additionally returns the
-    concatenated per-path columns (memory: ~(3T+5) * 8 bytes per path).
+    concatenated per-path columns: (5T+5) floats per path, since mid steps
+    keep NaN bid/ask, held twice while the batches are joined, so the peak
+    is about 2 * (5T+5) * 8 bytes per path.  ``sink``, if given, is called
+    with each batch's columns in path order once they are aggregated; a
+    caller that writes them out holds one batch of at most ``batch_size``
+    paths, whatever n_paths.  Without ``collect`` the mid-step bid/ask
+    entries it gets are None.
     """
 
     def batches():
@@ -567,7 +581,7 @@ def simulate_one(
                 model, pricing, nb, rng, crossings, straddle_to_ask, collect
             )
 
-    return _fold(model, strike, n_paths, batches(), collect)
+    return _fold(model, strike, n_paths, batches(), collect, sink)
 
 
 def simulate(
@@ -724,6 +738,7 @@ def simulate_functional(
     seed_seq: np.random.SeedSequence,
     straddle_to_ask: bool = True,
     collect: bool = False,
+    sink: Optional[Callable[[dict], None]] = None,
 ):
     """Path-dependent analogue of simulate_one; returns (SimStats, raw or None).
 
@@ -733,7 +748,8 @@ def simulate_functional(
     path.  A payoff written for floats only fails with a TypeError stating
     this contract.  Unlike simulate_one, all chunks share one generator made
     from ``seed_seq``: it feeds chunks of FUNCTIONAL_CHUNK paths in turn,
-    each run as one vector batch and aggregated as one batch.
+    each run as one vector batch and aggregated as one batch; ``sink`` gets
+    each chunk's columns as in simulate_one.
     """
 
     def batches():
@@ -742,7 +758,7 @@ def simulate_functional(
             nb = min(FUNCTIONAL_CHUNK, n_paths - done)
             yield _functional_batch(model, payoff, nb, rng, straddle_to_ask)
 
-    return _fold(model, strike_label, n_paths, batches(), collect)
+    return _fold(model, strike_label, n_paths, batches(), collect, sink)
 
 
 # ---------------------------------------------------------------------- #
@@ -765,13 +781,15 @@ def path_dump_header(horizon: int) -> str:
     return ",".join(["path_id"] + [name for name, _, _ in _dump_columns(horizon)])
 
 
-def write_path_dump(fh, raw: dict, horizon: int):
+def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
     """Write one comma-separated record per path, header row first.
 
     ``path_id`` is an integer and every other column is ``"%.17g" % v``,
     which round-trips every float64.  Rows are read straight from the
     ``raw`` columns in chunks of DUMP_ROWS, with no copy of the whole
-    table, and each chunk is written as one string.
+    table, and each chunk is written as one string.  ``raw`` may be one
+    batch of a longer run: its paths get ids from ``first_id`` on, and the
+    header is written only for the batch that starts at 0.
     """
     # Imported here so that runs which never dump skip building its tables.
     from .floatfmt import CELL, g17_cells
@@ -780,13 +798,14 @@ def write_path_dump(fh, raw: dict, horizon: int):
         raw[key] if t is None else raw[key][t] for _, key, t in _dump_columns(horizon)
     ]
     n, width = raw["eps"].size, 1 + len(cols)
-    fh.write(path_dump_header(horizon) + "\n")
+    if first_id == 0:
+        fh.write(path_dump_header(horizon) + "\n")
     block = np.empty((min(n, DUMP_ROWS), width))
     for lo in range(0, n, DUMP_ROWS):
         rows = block[: min(DUMP_ROWS, n - lo)]
         hi = lo + len(rows)
         # Path ids are integers below 2^53, which "%.17g" prints as "%d".
-        rows[:, 0] = np.arange(lo, hi)
+        rows[:, 0] = np.arange(first_id + lo, first_id + hi)
         for j, col in enumerate(cols, 1):
             rows[:, j] = col[lo:hi]
         cells = g17_cells(rows).reshape(len(rows), width, CELL)

@@ -1,11 +1,15 @@
 """Config parsing, experiment orchestration, artifact schemas, exit codes."""
 
 import hashlib
+import io
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+from superhedge import simulation
 from superhedge.cli import (
     EXIT_ERROR,
     EXIT_INFINITE_PRICE,
@@ -13,13 +17,24 @@ from superhedge.cli import (
     EXIT_OK,
     ConfigError,
     ExperimentConfig,
+    _write_histogram,
     format_stats_csv,
     main,
     parse_config,
     render_config,
     run_experiment,
 )
-from superhedge.simulation import SimStats
+from superhedge.pricing import asian_call_payoff, backward_induce
+from superhedge.pwl import call_payoff
+from superhedge.simulation import (
+    BATCH_SIZE,
+    FUNCTIONAL_CHUNK,
+    RngConfig,
+    SimStats,
+    simulate_functional,
+    simulate_one,
+    write_path_dump,
+)
 
 SMALL = "n_paths = 2000\nstrikes = 100\nseed = 11\n"
 
@@ -359,6 +374,90 @@ class TestMain:
         f = tmp_path / "cfg.txt"
         f.write_text("bogus_key = 1\n")
         assert main(["--config", str(f), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+
+
+# Runs that cross a batch boundary: the European engine's BATCH_SIZE and the
+# path-dependent engine's FUNCTIONAL_CHUNK, at T=2 with strike 100.
+# (paths, engine function that makes one batch) per payoff.
+STREAMED_RUNS = {
+    "call": (BATCH_SIZE + 3, "_simulate_batch"),
+    "asian-call": (FUNCTIONAL_CHUNK + 3, "_functional_batch"),
+}
+
+
+def _streamed_cfg(payoff, n_paths=None):
+    n_paths = n_paths or STREAMED_RUNS[payoff][0]
+    return parse_config(
+        f"payoff = {payoff}\nn_paths = {n_paths}\nstrikes = 100\nseed = 17\n"
+        "hist_bins = 30\ndump_paths = true\nhistograms = true\n"
+    )
+
+
+class TestStreamedOutputs:
+    """The dump and the histogram series are written batch by batch while the
+    simulation runs, with the bytes of the whole-run columns."""
+
+    @pytest.mark.parametrize("claim", sorted(STREAMED_RUNS))
+    def test_bytes_equal_buffered_oracle(self, tmp_path, claim):
+        cfg = _streamed_cfg(claim)
+        assert run_experiment(cfg, tmp_path / "run") == EXIT_OK
+        model = cfg.build_model()
+        child = RngConfig(cfg.seed).root_sequence().spawn(1)[0]
+        if claim == "call":
+            pricing = backward_induce(call_payoff(100.0), model)
+            simulate = partial(simulate_one, model, pricing)
+        else:
+            simulate = partial(simulate_functional, model, asian_call_payoff(100.0))
+        _, raw = simulate(100.0, cfg.n_paths, child, collect=True)
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        buf = io.StringIO()
+        write_path_dump(buf, raw, model.horizon)
+        (oracle / "paths_K100.csv").write_bytes(buf.getvalue().encode("ascii"))
+        series = {f"S_{t}": raw["s"][t] for t in range(3)}
+        series["eps_R"] = raw["eps"]
+        for name, data in series.items():
+            _write_histogram(oracle / f"hist_K100_{name}.csv", data, cfg.hist_bins)
+        for path in sorted(oracle.iterdir()):
+            assert (tmp_path / "run" / path.name).read_bytes() == path.read_bytes()
+
+    def test_memory_is_one_batch_plus_histogram_series(self, tmp_path):
+        """Keeping every batch and joining them before writing peaked at 95 MB
+        under tracemalloc on this run.  Streaming holds the four histogram
+        series of n_paths floats plus one batch's working set, which overlaps
+        the previous batch's columns while it is drawn: within 48 columns of
+        BATCH_SIZE floats, whatever n_paths."""
+        cfg = _streamed_cfg("call", n_paths=3 * BATCH_SIZE + 3)
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg, tmp_path) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        series_bytes = 4 * 8 * cfg.n_paths
+        assert peak < series_bytes + 48 * 8 * BATCH_SIZE
+
+    @pytest.mark.parametrize("claim", sorted(STREAMED_RUNS))
+    def test_failure_in_second_batch_leaves_no_dump(
+        self, tmp_path, monkeypatch, claim
+    ):
+        engine = STREAMED_RUNS[claim][1]
+        original = getattr(simulation, engine)
+        part = tmp_path / "paths_K100.csv.part"
+        calls, part_sizes = [], []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                part_sizes.append(part.stat().st_size)
+                raise ValueError("injected failure in the second batch")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, engine, failing)
+        assert run_experiment(_streamed_cfg(claim), tmp_path) == EXIT_ERROR
+        assert len(calls) == 2
+        assert part_sizes[0] > 0  # the first batch was being written out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["effective_config.txt"]
 
 
 class TestFormatting:

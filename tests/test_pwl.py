@@ -101,6 +101,14 @@ class TestEval:
             f(np.array([120.0, bad]))
         assert f(np.array([0.0, 120.0])).tolist() == [0.0, 20.0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_slopes_at_rejects_what_call_rejects(self, bad):
+        f = call_payoff(100)
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {bad}"):
+            f.slopes_at(bad)
+        assert f.slopes_at(100.0) == (0.0, 1.0)
+        assert f.slopes_at(0.0) == (0.0, 0.0)
+
     def test_vectorised_matches_scalar(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
