@@ -45,7 +45,6 @@ from .simulation import (
     draw_step,
     execute_delayed_order,
     mid_execute,
-    run_path,
     run_path_functional,
     simulate,
     simulate_functional,
@@ -84,7 +83,6 @@ __all__ = [
     "mid_execute",
     "one_step_price",
     "put_payoff",
-    "run_path",
     "run_path_functional",
     "scale_compose",
     "simulate",

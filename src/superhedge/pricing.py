@@ -29,9 +29,9 @@ import numpy as np
 from .pwl import (
     Interval,
     PwlFunction,
-    convex_combine,
     piece_index,
     scale_compose,
+    scaled_combine,
     superdifferential,
     upper_concave_envelope,
 )
@@ -334,9 +334,7 @@ def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
             fns[t - 1] = scale_compose(g_t, kd)
         else:
             lam = (ku - 1) / (ku - kd)
-            fns[t - 1] = convex_combine(
-                scale_compose(g_t, kd), scale_compose(g_t, ku), lam
-            )
+            fns[t - 1] = scaled_combine(g_t, kd, g_t, ku, lam)
     lambdas = tuple(_chord_weight(s) for s in model.steps)
     return PricingResult(value_fns=tuple(fns), lambdas=lambdas)
 
@@ -363,7 +361,7 @@ def initial_premium(result: PricingResult, model: MarketModel) -> float:
     g0 = result.value_fns[0]
     step = model.steps[0]
     lo, hi = step.k_down * model.s_init, step.k_up * model.s_init
-    xs = [lo, hi] + [float(b) for b in g0.breakpoints if lo < float(b) < hi]
+    xs = [lo, hi] + [b for b in g0._bps_f.tolist() if lo < b < hi]
     return max(g0(x) for x in xs)
 
 

@@ -1,13 +1,18 @@
 """Exact algebra for continuous piecewise-linear functions on [0, inf).
 
-Functions are stored as breakpoint/value lists plus two extension slopes,
-with all coordinates kept as exact rationals (`fractions.Fraction`).  Every
-float is itself an exact rational, so accepting floats loses nothing, and
-keeping rationals internally means kinks, chord slopes and concave envelopes
-are computed without rounding: the flat region of a call payoff evaluates to
-exactly 0.0 and its linear tail to exactly ``x - K``.  This is what lets the
-hedging error of an exactly-replicated path come out as exactly zero instead
-of +/- 1e-14 noise.
+A function is its breakpoints plus the slope and intercept of every piece,
+all exact rationals.  Every float is itself an exact rational, so accepting
+floats loses nothing, and keeping rationals internally means kinks, chord
+slopes and concave envelopes are computed without rounding: the flat region
+of a call payoff evaluates to exactly 0.0 and its linear tail to exactly
+``x - K``.  This is what lets the hedging error of an exactly-replicated
+path come out as exactly zero instead of +/- 1e-14 noise.
+
+Each of the three lists is stored as Python int numerators over one
+positive denominator, reduced by the gcd of all of them, so the algebra
+(`scale_compose`, `scaled_combine`, `convex_combine`) and the convexity
+checks run on integers with one gcd per list instead of one per operation.
+`fractions.Fraction` views are built only when a slow path reads them.
 
 Evaluation is vectorised: each function caches per-piece slope/intercept
 float arrays, so evaluating on a million-element numpy array is one piece
@@ -50,6 +55,48 @@ def _frac(x: Scalar) -> Fraction:
     if not np.isfinite(xf):
         raise ValueError(f"coordinate must be finite, got {x!r}")
     return Fraction(xf)
+
+
+def _check_breakpoints(bps: Sequence):
+    """Refuse an empty, negative or not strictly increasing breakpoint list."""
+    if len(bps) == 0:
+        raise ValueError("need at least one breakpoint")
+    if bps[0] < 0:
+        raise ValueError("breakpoints must be nonnegative")
+    for a, b in zip(bps, bps[1:]):
+        if not a < b:
+            raise ValueError("breakpoints must be strictly increasing")
+
+
+def _common(qs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Reduced rationals as numerators over the lcm of their denominators,
+    which is the canonical form of the list."""
+    den = math.lcm(*(q.denominator for q in qs))
+    return tuple(q.numerator * (den // q.denominator) for q in qs), den
+
+
+def _reduce(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Canonical form of the list nums / den (den > 0): both divided by the
+    gcd of den and every numerator."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(n // g for n in nums), den // g
+
+
+def _lcm_factors(da: int, db: int) -> tuple[int, int, int]:
+    """(d, d // da, d // db) for d = lcm(da, db): what brings two lists to
+    one denominator."""
+    d = math.lcm(da, db)
+    return d, d // da, d // db
+
+
+def _times(nums: Sequence[int], k: int) -> list[int]:
+    return [k * n for n in nums]
+
+
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def piece_index(table: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:
@@ -147,18 +194,33 @@ class PwlFunction:
     Between consecutive breakpoints the function interpolates linearly.
     Coordinates are stored exactly as rationals; `__call__` works on floats
     or numpy arrays.
+
+    The exact data is three integer lists, each over one positive
+    denominator: the breakpoints (``_bn / _bd``), and the slope
+    (``_sn / _sd``) and intercept (``_cn / _cd``) of every piece.  Piece 0
+    is the left extension, piece i (0 < i < n) spans [bps[i-1], bps[i]] and
+    piece n is the right extension, so ``bisect_left(bps, x)`` is the piece
+    holding x.  Each list is divided by the gcd of its denominator and
+    numerators, which makes its denominator the lcm of the elements' reduced
+    denominators: the form is canonical, so ``==`` and ``hash`` compare
+    integers.  The ``Fraction`` views (`breakpoints`, `values`, the
+    extension slopes, ``_slopes`` and ``_icepts``) are built on first use.
     """
 
     __slots__ = (
-        "breakpoints",
-        "values",
-        "left_slope",
-        "right_slope",
-        "_slopes",
-        "_icepts",
+        "_bn",
+        "_bd",
+        "_sn",
+        "_sd",
+        "_cn",
+        "_cd",
         "_bps_f",
         "_slopes_f",
         "_icepts_f",
+        "_bps_q",
+        "_vals_q",
+        "_slopes_q",
+        "_icepts_q",
     )
 
     def __init__(
@@ -168,70 +230,80 @@ class PwlFunction:
         left_slope: Scalar = 0,
         right_slope: Scalar = 0,
     ):
-        self._init(
-            tuple(_frac(b) for b in breakpoints),
-            tuple(_frac(v) for v in values),
-            _frac(left_slope),
-            _frac(right_slope),
-        )
+        bps = tuple(_frac(b) for b in breakpoints)
+        vals = tuple(_frac(v) for v in values)
+        _check_breakpoints(bps)
+        if len(bps) != len(vals):
+            raise ValueError("breakpoints and values must have equal length")
+        n = len(bps)
+        seg = [(vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(n - 1)]
+        slopes = (_frac(left_slope), *seg, _frac(right_slope))
+        # Piece i is anchored at a breakpoint lying inside its closure.
+        anchors = (*range(n), n - 1)
+        icepts = tuple(vals[a] - s * bps[a] for s, a in zip(slopes, anchors))
+        self._init(_common(bps), _common(slopes), _common(icepts))
 
     @classmethod
-    def _from_pieces(
-        cls,
-        bps: tuple[Fraction, ...],
-        vals: tuple[Fraction, ...],
-        slopes: tuple[Fraction, ...],
-        icepts: tuple[Fraction, ...],
-    ) -> "PwlFunction":
-        """Build from exact coordinates plus the exact slope and intercept of
-        every piece, which the caller already knows; nothing is divided."""
+    def _from_ints(cls, bps, slopes, icepts) -> "PwlFunction":
+        """Build from canonical (numerators, denominator) lists of the
+        breakpoints and of every piece's slope and intercept; nothing is
+        divided."""
+        _check_breakpoints(bps[0])
         f = cls.__new__(cls)
-        f._init(bps, vals, slopes[0], slopes[-1], slopes, icepts)
+        f._init(bps, slopes, icepts)
         return f
 
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
 
-    def _init(self, bps, vals, left, right, slopes=None, icepts=None):
-        if len(bps) == 0:
-            raise ValueError("need at least one breakpoint")
-        if len(bps) != len(vals):
-            raise ValueError("breakpoints and values must have equal length")
-        if bps[0] < 0:
-            raise ValueError("breakpoints must be nonnegative")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
-        self.breakpoints = bps
-        self.values = vals
-        self.left_slope = left
-        self.right_slope = right
-        self._build_float_cache(slopes, icepts)
+    def _init(self, bps, slopes, icepts):
+        (bn, bd), (sn, sd), (cn, cd) = bps, slopes, icepts
+        self._bn, self._bd, self._sn, self._sd, self._cn, self._cd = bn, bd, sn, sd, cn, cd
+        # Int true division is correctly rounded, so n / d is float(Fraction(n, d)).
+        self._bps_f = np.array([n / bd for n in bn])
+        self._slopes_f = np.array([n / sd for n in sn])
+        self._icepts_f = np.array([n / cd for n in cn])
+        self._bps_q = self._vals_q = self._slopes_q = self._icepts_q = None
 
-    def _build_float_cache(self, slopes=None, icepts=None):
-        """Exact per-piece slopes and intercepts, and their float images.
+    # ------------------------------------------------------------------ #
+    # exact views, built on first use
+    # ------------------------------------------------------------------ #
 
-        Piece 0 is the left extension, piece i (0 < i < n) spans
-        [bps[i-1], bps[i]] and piece n is the right extension, so
-        ``bisect_left(bps, x)`` is the piece holding x.
-        """
-        bps, vals = self.breakpoints, self.values
-        n = len(bps)
-        if slopes is None:
-            seg = [
-                (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-                for i in range(n - 1)
-            ]
-            slopes = (self.left_slope, *seg, self.right_slope)
-            # Piece i is anchored at a breakpoint lying inside its closure.
-            anchors = (*range(n), n - 1)
-            icepts = tuple(vals[a] - s * bps[a] for s, a in zip(slopes, anchors))
-        self._slopes = slopes
-        self._icepts = icepts
-        self._bps_f = np.array([float(b) for b in bps])
-        self._slopes_f = np.array([float(s) for s in slopes])
-        self._icepts_f = np.array([float(c) for c in icepts])
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        if self._bps_q is None:
+            self._bps_q = _fractions(self._bn, self._bd)
+        return self._bps_q
+
+    @property
+    def _slopes(self) -> tuple[Fraction, ...]:
+        if self._slopes_q is None:
+            self._slopes_q = _fractions(self._sn, self._sd)
+        return self._slopes_q
+
+    @property
+    def _icepts(self) -> tuple[Fraction, ...]:
+        if self._icepts_q is None:
+            self._icepts_q = _fractions(self._cn, self._cd)
+        return self._icepts_q
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """Values at the breakpoints: piece i evaluated where it ends."""
+        if self._vals_q is None:
+            self._vals_q = tuple(
+                s * b + c for s, b, c in zip(self._slopes, self.breakpoints, self._icepts)
+            )
+        return self._vals_q
+
+    @property
+    def left_slope(self) -> Fraction:
+        return self._slopes[0]
+
+    @property
+    def right_slope(self) -> Fraction:
+        return self._slopes[-1]
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -274,12 +346,12 @@ class PwlFunction:
 
     def is_convex(self) -> bool:
         """Exact check: slopes nondecreasing left to right."""
-        slopes = self._slopes
-        return all(a <= b for a, b in zip(slopes, slopes[1:]))
+        sn = self._sn
+        return all(a <= b for a, b in zip(sn, sn[1:]))
 
     def is_concave(self) -> bool:
-        slopes = self._slopes
-        return all(a >= b for a, b in zip(slopes, slopes[1:]))
+        sn = self._sn
+        return all(a >= b for a, b in zip(sn, sn[1:]))
 
     def slopes_at(self, x: float) -> tuple[float, float]:
         """(left slope, right slope) at x; they differ only at a kink."""
@@ -297,20 +369,16 @@ class PwlFunction:
     # dunder plumbing
     # ------------------------------------------------------------------ #
 
+    def _key(self):
+        return (self._bn, self._bd, self._sn, self._sd, self._cn, self._cd)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PwlFunction):
             return NotImplemented
-        return (
-            self.breakpoints == other.breakpoints
-            and self.values == other.values
-            and self.left_slope == other.left_slope
-            and self.right_slope == other.right_slope
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(
-            (self.breakpoints, self.values, self.left_slope, self.right_slope)
-        )
+        return hash(self._key())
 
     def __repr__(self):
         pts = ", ".join(
@@ -356,44 +424,51 @@ def constant_function(c: Scalar = 0) -> PwlFunction:
 def scale_compose(f: PwlFunction, k: Scalar) -> PwlFunction:
     """Return x -> f(k*x) for k > 0 (breakpoints divide by k, slopes scale).
 
-    Each piece s*y + c of f becomes (s*k)*x + c, so the exact piece data
-    carries over without a division.
+    Each piece s*y + c of f becomes (s*k)*x + c, so the intercepts carry
+    over and, with k = p/q, the other two lists only multiply their
+    numerators and denominator by p or q.
     """
-    kq = _frac(k)
-    if kq <= 0:
-        raise ValueError(f"scale factor must be positive, got {k}")
-    return PwlFunction._from_pieces(
-        tuple(b / kq for b in f.breakpoints),
-        f.values,
-        tuple(s * kq for s in f._slopes),
-        f._icepts,
+    p, q = _ratio(k, "scale factor")
+    return PwlFunction._from_ints(
+        _reduce(_times(f._bn, q), f._bd * p),
+        _reduce(_times(f._sn, p), f._sd * q),
+        (f._cn, f._cd),
     )
 
 
-def _drop_collinear(xs, ys, slopes, icepts):
+def _ratio(k: Scalar, what: str) -> tuple[int, int]:
+    """(p, q) with k = p/q exactly, for k > 0."""
+    kq = _frac(k)
+    if kq <= 0:
+        raise ValueError(f"{what} must be positive, got {k}")
+    return kq.numerator, kq.denominator
+
+
+def _drop_collinear(xs, slopes, icepts):
     """Remove breakpoints where the slope does not actually change (exact).
 
-    ``slopes`` and ``icepts`` hold one entry per piece, len(xs) + 1 each; a
-    dropped breakpoint joins two pieces on one line, so the left one stays.
+    ``slopes`` and ``icepts`` hold one numerator per piece, len(xs) + 1
+    each, over one denominator per list; a dropped breakpoint joins two
+    pieces on one line, so the left one stays.
     """
     keep = [k for k in range(len(xs)) if slopes[k] != slopes[k + 1]]
     if not keep:  # globally affine: keep one anchor
         keep = [0]
     pieces = [0] + [k + 1 for k in keep]
     return (
-        tuple(xs[k] for k in keep),
-        tuple(ys[k] for k in keep),
-        tuple(slopes[p] for p in pieces),
-        tuple(icepts[p] for p in pieces),
+        [xs[k] for k in keep],
+        [slopes[p] for p in pieces],
+        [icepts[p] for p in pieces],
     )
 
 
-def merge_pieces(xa: Sequence[Fraction], xb: Sequence[Fraction]):
+def merge_pieces(xa: Sequence, xb: Sequence):
     """Merge two strictly increasing sequences in one pass.
 
     Returns (xs, pieces): xs is the sorted union, and pieces[k] = (i, j) says
     that the k-th gap of xs (from xs[k-1] to xs[k], open-ended at both ends)
-    lies in gap i of xa and gap j of xb.
+    lies in gap i of xa and gap j of xb.  Rationals over one shared
+    denominator merge as their integer numerators.
     """
     xs, pieces = [], [(0, 0)]
     i = j = 0
@@ -408,21 +483,40 @@ def merge_pieces(xa: Sequence[Fraction], xb: Sequence[Fraction]):
 
 
 def convex_combine(f: PwlFunction, g: PwlFunction, lam: Scalar) -> PwlFunction:
-    """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1].
+    """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1]."""
+    return scaled_combine(f, 1, g, 1, lam)
 
-    Each merged piece lies in one piece of f and one of g, so its slope and
-    intercept are the weighted piece data, and the value at a breakpoint is
-    the piece ending there evaluated at it.
+
+def scaled_combine(
+    f: PwlFunction, kf: Scalar, g: PwlFunction, kg: Scalar, lam: Scalar
+) -> PwlFunction:
+    """x -> lam*f(kf*x) + (1-lam)*g(kg*x) for kf, kg > 0 and lam in [0, 1].
+
+    One merge of the scaled breakpoint lists, brought to one denominator.
+    Each merged piece lies in one piece of f(kf*x) and one of g(kg*x), so
+    its slope and intercept are integer combinations of theirs, over one
+    denominator per list: with kf = pf/qf and lam = ln/ld, f's slopes enter
+    as ln*pf*sn over ld*qf*sd, and its intercepts as ln*cn over ld*cd.
     """
+    pf, qf = _ratio(kf, "scale factor")
+    pg, qg = _ratio(kg, "scale factor")
     lq = _frac(lam)
     if not 0 <= lq <= 1:
         raise ValueError(f"weight must lie in [0, 1], got {lam}")
-    mq = 1 - lq
-    xs, pieces = merge_pieces(f.breakpoints, g.breakpoints)
-    slopes = [lq * f._slopes[i] + mq * g._slopes[j] for i, j in pieces]
-    icepts = [lq * f._icepts[i] + mq * g._icepts[j] for i, j in pieces]
-    ys = [s * x + c for s, c, x in zip(slopes, icepts, xs)]
-    return PwlFunction._from_pieces(*_drop_collinear(xs, ys, slopes, icepts))
+    ln, ld = lq.numerator, lq.denominator
+    # f(kf*x) has breakpoints bn*qf / (bd*pf) and slopes sn*pf / (sd*qf).
+    bd, uf, ug = _lcm_factors(f._bd * pf, g._bd * pg)
+    xs, pieces = merge_pieces(_times(f._bn, qf * uf), _times(g._bn, qg * ug))
+    sd, uf, ug = _lcm_factors(f._sd * qf, g._sd * qg)
+    sf, sg = _times(f._sn, ln * pf * uf), _times(g._sn, (ld - ln) * pg * ug)
+    cd, uf, ug = _lcm_factors(f._cd, g._cd)
+    cf, cg = _times(f._cn, ln * uf), _times(g._cn, (ld - ln) * ug)
+    slopes = [sf[i] + sg[j] for i, j in pieces]
+    icepts = [cf[i] + cg[j] for i, j in pieces]
+    xs, slopes, icepts = _drop_collinear(xs, slopes, icepts)
+    return PwlFunction._from_ints(
+        _reduce(xs, bd), _reduce(slopes, ld * sd), _reduce(icepts, ld * cd)
+    )
 
 
 def upper_concave_envelope(f: PwlFunction, dom: Interval) -> PwlFunction:

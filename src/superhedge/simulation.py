@@ -141,36 +141,54 @@ class OrderSignChange:
         self.degenerate = kd == ku
         if self.degenerate:
             return
-        c = ku - kd
+        pd, qd, pu, qu = kd.numerator, kd.denominator, ku.numerator, ku.denominator
+        g = g_next
         # theta = (g(k_up z) - g(k_down z)) / (c z) is b/c + a/(c z) between
         # cuts, the z where k_up z or k_down z meets a positive breakpoint of
         # g; a and b come from the pieces of g holding k_up z and k_down z.
-        bps = g_next.breakpoints
-        first = 1 if bps[0] == 0 else 0  # z > 0 lies past a breakpoint at 0
+        # Each list is integer numerators over one denominator: the cuts
+        # b/k = bn*q / (bd*p) over zd, b over sd*qu*qd, a over cd, and
+        # c = c_n / (qu*qd) > 0.
+        first = 1 if g._bn[0] == 0 else 0  # z > 0 lies past a breakpoint at 0
+        bn, sn, cn = g._bn[first:], g._sn[first:], g._cn[first:]
+        lcm = math.lcm(pd, pu)
+        zd = g._bd * lcm
         cuts, pieces = merge_pieces(
-            [b / ku for b in bps[first:]], [b / kd for b in bps[first:]]
+            [n * (qu * (lcm // pu)) for n in bn], [n * (qd * (lcm // pd)) for n in bn]
         )
-        slopes, icepts = g_next._slopes[first:], g_next._icepts[first:]
-        b_q = [slopes[i] * ku - slopes[j] * kd for i, j in pieces]
-        a_q = [icepts[i] - icepts[j] for i, j in pieces]
+        b_n = [sn[i] * (pu * qd) - sn[j] * (pd * qu) for i, j in pieces]
+        a_n = [cn[i] - cn[j] for i, j in pieces]
+        c_n = pu * qd - pd * qu
         m = len(cuts)
 
-        theta_cuts = [(b_q[j] * z + a_q[j]) / (c * z) for j, z in enumerate(cuts)]
-        for u, v in zip(theta_cuts, theta_cuts[1:]):
-            if u > v:
+        # theta at cut z = cuts[j] / zd, from the piece ending there, is
+        # b/c + a/(c z) = (b_n*ce*cuts[j] + a_n*ze*qu*qd*sd) / (sd*ce*c_n*cuts[j])
+        # with ze/ce = zd/cd in lowest terms.
+        sd, cd = g._sd, g._cd
+        h = math.gcd(zd, cd)
+        ze, ce = zd // h, cd // h
+        a_w, t_d = ze * qu * qd * sd, sd * ce * c_n
+        t_n = [b_n[j] * ce * z + a_n[j] * a_w for j, z in enumerate(cuts)]
+        t_den = [t_d * z for z in cuts]
+        t_vals = [n / d for n, d in zip(t_n, t_den)]
+        # Correctly rounded division is monotone, so differing floats order
+        # the exact values; only equal floats need the exact comparison.
+        for j in range(m - 1):
+            u, v = t_vals[j], t_vals[j + 1]
+            if u > v or (u == v and t_n[j] * t_den[j + 1] > t_n[j + 1] * t_den[j]):
                 raise ValueError("order mapping is not monotone; payoff not convex?")
 
         self.c = float(step.k_up - step.k_down)
-        self.cuts = np.array([float(z) for z in cuts])
+        self.cuts = np.array([z / zd for z in cuts])
         # Piece j of theta spans [cut_lo[j], cut_hi[j]].
         self.cut_lo = np.concatenate(([0.0], self.cuts))
         self.cut_hi = np.concatenate((self.cuts, [np.inf]))
-        self.t_vals = np.array([float(t) for t in theta_cuts])
-        self.a = np.array([float(x) for x in a_q])
-        self.b = np.array([float(x) for x in b_q])
-        self.theta_lo = float(b_q[0] / c)   # constant value of theta near 0
-        self.theta_hi = float(b_q[-1] / c)  # asymptotic value at infinity
-        self.t_last = float(theta_cuts[-1]) if m else self.theta_lo
+        self.t_vals = np.array(t_vals)
+        self.a = np.array([n / cd for n in a_n])
+        self.b = np.array([n / (sd * qu * qd) for n in b_n])
+        self.theta_lo = b_n[0] / (sd * c_n)   # constant value of theta near 0
+        self.theta_hi = b_n[-1] / (sd * c_n)  # asymptotic value at infinity
+        self.t_last = t_vals[-1] if m else self.theta_lo
 
     def sstar(self, theta_prev: np.ndarray):
         """Per-path (sstar, sign): sstar is NaN where the sign is constant."""
@@ -327,26 +345,6 @@ def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
         t: OrderSignChange(pricing.value_fns[t + 1], model.steps[t + 1])
         for t in range(1, model.horizon)
     }
-
-
-def run_path(
-    model: MarketModel,
-    pricing: PricingResult,
-    strike: float,
-    rng: np.random.Generator,
-    straddle_to_ask: bool = True,
-) -> SimPath:
-    """Generate a single scenario and account the hedge along it.
-
-    ``strike`` labels the claim for reporting; the hedging error is measured
-    against ``pricing.payoff`` (for a strike-K call the two coincide bit for
-    bit with (S_T - K)^+).
-    """
-    require_aip(model)
-    cols = _simulate_batch(
-        model, pricing, 1, rng, _build_crossings(model, pricing), straddle_to_ask
-    )
-    return _first_path(model, cols)
 
 
 def _first_path(model: MarketModel, cols: dict) -> SimPath:

@@ -8,15 +8,17 @@ and, after rounding, byte for byte.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superhedge.cli import parse_config, run_experiment
 from superhedge.pricing import MarketModel, StepSpec, backward_induce
-from superhedge.pwl import PwlFunction, call_payoff
+from superhedge.pwl import PwlFunction, call_payoff, put_payoff, scale_compose
 from superhedge.simulation import OrderSignChange
 
 
@@ -140,7 +142,10 @@ def test_value_functions_equal_plain_scan_recursion(payoff, model):
 @given(payoff=convex_payoffs(), model=models())
 @example(payoff=call_payoff(100), model=HETEROGENEOUS)
 def test_crossing_tables_equal_two_sample_construction(payoff, model):
-    fns = backward_induce(payoff, model).value_fns
+    assert_crossings_equal_oracle(backward_induce(payoff, model).value_fns, model)
+
+
+def assert_crossings_equal_oracle(fns, model):
     for t in range(model.horizon):
         step = model.steps[t + 1]
         got = OrderSignChange(fns[t + 1], step)
@@ -152,6 +157,75 @@ def test_crossing_tables_equal_two_sample_construction(payoff, model):
             assert getattr(got, key).tobytes() == want[key].tobytes(), key
         for key in ("theta_lo", "theta_hi", "t_last"):
             assert getattr(got, key) == want[key], key
+
+
+# Two step types whose four multipliers have different odd mantissa parts,
+# plus a degenerate step: g_0's kinks sit at K over products of the
+# multipliers, whose reduced denominators differ, so each list's common
+# denominator exceeds every element's own.
+A_STEP, B_STEP = StepSpec(0.7, 1.3), StepSpec(0.85, 1.15)
+TWELVE_STEPS = MarketModel(
+    100.0,
+    12,
+    (StepSpec(0.6, 1.45), A_STEP, B_STEP, A_STEP, B_STEP, A_STEP, StepSpec(1.0, 1.0))
+    + (B_STEP, A_STEP, B_STEP, A_STEP, B_STEP, A_STEP),
+)
+
+
+@pytest.mark.parametrize(
+    "payoff",
+    [
+        call_payoff(100),
+        put_payoff(95),
+        PwlFunction([80, 95, 110, 130], [15, 5, 3, 10], -1, 2),
+    ],
+    ids=["call", "put", "four_kinks"],
+)
+def test_twelve_steps_equal_plain_scan_oracles(payoff):
+    fns = backward_induce(payoff, TWELVE_STEPS).value_fns
+    g = payoff
+    for t in range(TWELVE_STEPS.horizon, 0, -1):
+        g = reference_step(g, TWELVE_STEPS.steps[t])
+        assert fns[t - 1] == g
+        for key in ("_bps_f", "_slopes_f", "_icepts_f"):
+            assert getattr(fns[t - 1], key).tobytes() == getattr(g, key).tobytes(), key
+    assert_crossings_equal_oracle(fns, TWELVE_STEPS)
+    g0 = fns[0]
+    assert g0._bd > max(b.denominator for b in g0.breakpoints)
+
+
+def stored_lists(f: PwlFunction):
+    """(numerators, denominator, Fraction view) of each exact list of f."""
+    return (
+        (f._bn, f._bd, f.breakpoints),
+        (f._sn, f._sd, f.piece_slopes()),
+        (f._cn, f._cd, f._icepts),
+    )
+
+
+def view_key(f: PwlFunction):
+    return (f.breakpoints, f.values, f.left_slope, f.right_slope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payoff=convex_payoffs(), model=models(), k=st.integers(1, 400).map(lambda k: k / 80))
+def test_stored_lists_are_canonical(payoff, model, k):
+    fns = backward_induce(payoff, model).value_fns + (scale_compose(payoff, k),)
+    # Shifted by 1: the same breakpoints and slopes, other intercepts.
+    fns += tuple(
+        PwlFunction(f.breakpoints, [v + 1 for v in f.values], f.left_slope, f.right_slope)
+        for f in fns
+    )
+    for f in fns:
+        for nums, den, view in stored_lists(f):
+            assert den > 0 and math.gcd(den, *nums) == 1
+            assert den == math.lcm(*(q.denominator for q in view))
+            assert view == tuple(Fraction(n, den) for n in nums)
+        rebuilt = PwlFunction(*view_key(f))
+        assert rebuilt == f and hash(rebuilt) == hash(f)
+    for f in fns:
+        for g in fns:
+            assert (f == g) == (view_key(f) == view_key(g))
 
 
 def test_long_horizon_bytes_pinned(tmp_path):

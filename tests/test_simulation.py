@@ -24,11 +24,13 @@ from superhedge.simulation import (
     OrderSignChange,
     RngConfig,
     RunningMoments,
+    SimPath,
+    _build_crossings,
+    _simulate_batch,
     draw_step,
     execute_delayed_order,
     mid_execute,
     path_dump_header,
-    run_path,
     run_path_functional,
     simulate,
     simulate_functional,
@@ -45,6 +47,29 @@ def _pricing(strike=100.0, model=REF_MODEL):
 
 def _gen(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def _batch_gen(seed):
+    """The generator simulate_one gives its first batch under SeedSequence(seed)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+
+
+PATH_KEYS = ("s", "bid", "ask", "theta", "v")
+
+
+def _paths(model, pricing, n, seed):
+    """The n paths of one collected simulate_one run, one SimPath each."""
+    _, raw = simulate_one(
+        model, pricing, 0.0, n, np.random.SeedSequence(seed), collect=True
+    )
+    return [
+        SimPath(
+            s_prev=float(model.s_init),
+            **{key: np.array([c[i] for c in raw[key]]) for key in PATH_KEYS},
+            eps_r=float(raw["eps"][i]),
+        )
+        for i in range(n)
+    ]
 
 
 class TestRngConfig:
@@ -205,6 +230,39 @@ class TestOrderSignChange:
         with pytest.raises(ValueError, match="not monotone"):
             OrderSignChange(tent, StepSpec(0.7, 1.4))
 
+    # g = x - 100 beyond 100, with extra breakpoints at 400 and 800.  With
+    # k = (1/2, 2) the cuts are 50, 200, 400, 800, 1600, and theta is 1 at
+    # every cut from 200 on, since both chord ends lie on the unit-slope tail.
+    TAIL_STEP = StepSpec(0.5, 2.0)
+
+    @staticmethod
+    def _exact_theta_at_cuts(g, step):
+        kd, ku = Fraction(step.k_down), Fraction(step.k_up)
+        cuts = sorted({b / k for b in g.breakpoints for k in (kd, ku)})
+        return [
+            (g.eval_exact(ku * z) - g.eval_exact(kd * z)) / ((ku - kd) * z) for z in cuts
+        ]
+
+    def test_equal_float_decrease_rejected(self):
+        # Lowering g(800) by 2^-80 makes g nonconvex at 400, and theta at the
+        # cuts 400 and 800 falls below 1 by 2^-80/600 and 2^-80/1200: exactly
+        # a decrease from theta(200) = 1, but all three round to 1.0, so the
+        # floats alone would pass the monotone check.
+        g = PwlFunction([100, 400, 800], [0, 300, 700 - Fraction(1, 2**80)], 0, 1)
+        exact = self._exact_theta_at_cuts(g, self.TAIL_STEP)
+        rounded = [float(t) for t in exact]
+        assert rounded == sorted(rounded)
+        assert exact != sorted(exact)
+        with pytest.raises(ValueError, match="not monotone"):
+            OrderSignChange(g, self.TAIL_STEP)
+
+    def test_exactly_equal_theta_at_cuts_accepted(self):
+        g = PwlFunction([100, 400, 800], [0, 300, 700], 0, 1)
+        assert g.is_convex()
+        assert self._exact_theta_at_cuts(g, self.TAIL_STEP) == [0, 1, 1, 1, 1]
+        cross = OrderSignChange(g, self.TAIL_STEP)
+        assert cross.t_vals.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+
     @pytest.mark.parametrize("g, step", SSTAR_CASES)
     def test_sstar_bytes_equal_two_root_oracle(self, g, step):
         cross = OrderSignChange(g, step)
@@ -257,11 +315,11 @@ class TestExecuteDelayedOrder:
 
 
 class TestRunPath:
+    """Single paths of the vectorised engine, read from collected columns."""
+
     def test_self_financing_and_support(self):
         pricing = _pricing()
-        rng = _gen(10)
-        for _ in range(200):
-            p = run_path(REF_MODEL, pricing, 100.0, rng)
+        for p in _paths(REF_MODEL, pricing, 200, 10):
             for t in range(1, 3):
                 recon = p.v[t - 1] + p.theta[t - 1] * (p.s[t] - p.s[t - 1])
                 assert abs(p.v[t] - recon) <= 1e-12
@@ -272,7 +330,7 @@ class TestRunPath:
 
     def test_v0_is_time_zero_value(self):
         pricing = _pricing()
-        p = run_path(REF_MODEL, pricing, 100.0, _gen(11))
+        (p,) = _paths(REF_MODEL, pricing, 1, 11)
         assert p.v[0] == pricing.value_fns[0](p.s[0])
 
     def test_deterministic_degenerate_model(self):
@@ -282,19 +340,19 @@ class TestRunPath:
             steps=(StepSpec.from_uniform(1.0, 1.0, 0.0, 0.0),) * 3,
         )
         pricing = backward_induce(call_payoff(80), model)
-        p = run_path(model, pricing, 80.0, _gen(12))
+        (p,) = _paths(model, pricing, 1, 12)
         assert np.all(p.s == 100.0)
         assert p.v[2] == p.v[0] == 20.0
         assert p.eps_r == 0.0
 
     def test_zero_payoff(self):
         pricing = backward_induce(constant_function(0), REF_MODEL)
-        p = run_path(REF_MODEL, pricing, 1.0, _gen(13))
+        (p,) = _paths(REF_MODEL, pricing, 1, 13)
         assert np.all(p.v == 0.0)
         assert p.eps_r == 0.0
 
     def test_bid_ask_recorded_at_interior_step(self):
-        p = run_path(REF_MODEL, _pricing(), 100.0, _gen(14))
+        (p,) = _paths(REF_MODEL, _pricing(), 1, 14)
         assert math.isnan(p.bid[0]) and math.isnan(p.bid[2])
         assert p.bid[1] <= p.s[1] <= p.ask[1]
         assert p.s[1] in (p.bid[1], p.ask[1])
@@ -318,7 +376,9 @@ ASIAN = asian_call_payoff(100.0)
     [
         lambda m: backward_induce(call_payoff(100), m),
         lambda m: asian_tree_price(ASIAN, m, 100.0),
-        lambda m: run_path(m, _pricing(), 100.0, _gen(0)),
+        lambda m: simulate_one(
+            m, _pricing(), 100.0, 1, np.random.SeedSequence(0), collect=True
+        ),
         lambda m: simulate_one(m, _pricing(), 100.0, 10, np.random.SeedSequence(0)),
         lambda m: run_path_functional(m, ASIAN, _gen(0)),
         lambda m: simulate_functional(m, ASIAN, 100.0, 10, np.random.SeedSequence(0)),
@@ -326,7 +386,7 @@ ASIAN = asian_call_payoff(100.0)
     ids=[
         "backward_induce",
         "asian_tree_price",
-        "run_path",
+        "simulate_one_collect",
         "simulate_one",
         "run_path_functional",
         "simulate_functional",
@@ -363,15 +423,14 @@ class TestSimulate:
         stats, _ = simulate_one(
             REF_MODEL, pricing, 100.0, 1, np.random.SeedSequence(7)
         )
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(7).spawn(1)[0])
+        cols = _simulate_batch(
+            REF_MODEL, pricing, 1, _batch_gen(7), _build_crossings(REF_MODEL, pricing)
         )
-        p = run_path(REF_MODEL, pricing, 100.0, rng)
-        assert stats.mean_s0 == p.s[0]
-        assert stats.mean_s1 == p.s[1]
-        assert stats.mean_v0 == p.v[0]
-        assert stats.mean_eps == p.eps_r
-        assert stats.min_eps == stats.max_eps == p.eps_r
+        assert stats.mean_s0 == cols["s"][0][0]
+        assert stats.mean_s1 == cols["s"][1][0]
+        assert stats.mean_v0 == cols["v"][0][0]
+        assert stats.mean_eps == cols["eps"][0]
+        assert stats.min_eps == stats.max_eps == cols["eps"][0]
 
     def test_determinism(self):
         pricings = [_pricing(k) for k in (75.0, 100.0)]
@@ -459,9 +518,9 @@ class TestFunctionalEngine:
     def test_matches_vector_engine_on_single_european_path(self):
         pricing = _pricing()
         payoff = call_payoff(100.0)
-        p_vec = run_path(REF_MODEL, pricing, 100.0, _gen(31))
+        (p_vec,) = _paths(REF_MODEL, pricing, 1, 31)
         p_fun = run_path_functional(
-            REF_MODEL, lambda path: payoff(path[-1]), _gen(31)
+            REF_MODEL, lambda path: payoff(path[-1]), _batch_gen(31)
         )
         assert p_fun.s == pytest.approx(p_vec.s, abs=0.0)
         assert p_fun.theta == pytest.approx(p_vec.theta, abs=1e-12)
