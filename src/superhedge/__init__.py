@@ -7,25 +7,19 @@ hedge path by path.
 """
 
 from .pwl import (
-    AffineFunction,
     Interval,
     PwlFunction,
-    SlopeInterval,
     call_payoff,
     constant_function,
     convex_combine,
-    dominates,
     put_payoff,
     scale_compose,
     superdifferential,
     upper_concave_envelope,
 )
 from .pricing import (
-    AipResult,
     AipViolationError,
     MarketModel,
-    OneStepQuote,
-    PricingResult,
     StepSpec,
     StrategyFn,
     asian_call_payoff,
@@ -35,7 +29,6 @@ from .pricing import (
     closed_form_call,
     initial_premium,
     one_step_price,
-    strategy_at,
     uniform_bid_ask_model,
 )
 from .simulation import (
@@ -54,18 +47,13 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineFunction",
-    "AipResult",
     "AipViolationError",
     "Interval",
     "MarketModel",
-    "OneStepQuote",
-    "PricingResult",
     "PwlFunction",
     "RngConfig",
     "SimPath",
     "SimStats",
-    "SlopeInterval",
     "StepSpec",
     "StrategyFn",
     "asian_call_payoff",
@@ -76,7 +64,6 @@ __all__ = [
     "closed_form_call",
     "constant_function",
     "convex_combine",
-    "dominates",
     "draw_step",
     "execute_delayed_order",
     "initial_premium",
@@ -88,7 +75,6 @@ __all__ = [
     "simulate",
     "simulate_functional",
     "simulate_one",
-    "strategy_at",
     "superdifferential",
     "uniform_bid_ask_model",
     "upper_concave_envelope",

@@ -47,6 +47,7 @@ EXIT_NO_ARBITRAGE = 2
 EXIT_INFINITE_PRICE = 3
 
 PAYOFF_TAGS = ("call", "put", "custom-pwl", "asian-call")
+STRATEGY_SAMPLES = 512  # grid points of each exported strategy table
 
 
 class ConfigError(ValueError):
@@ -287,7 +288,7 @@ def _write_histogram(path: Path, data: np.ndarray, bins: int):
             fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
 
 
-def _export_strategy_tables(out_dir, label, pricing, model, n_samples=512):
+def _export_strategy_tables(out_dir, label, pricing, model):
     """Per-step sampled order mappings z -> theta_t(z)."""
     lo_mult = 1.0
     hi_mult = 1.0
@@ -297,7 +298,7 @@ def _export_strategy_tables(out_dir, label, pricing, model, n_samples=512):
         hi_mult *= step.k_up
         lo = model.s_init * lo_mult
         hi = model.s_init * hi_mult
-        grid = np.linspace(lo, hi, n_samples)
+        grid = np.linspace(lo, hi, STRATEGY_SAMPLES)
         theta = pricing.strategy(t, model)(grid)
         path = out_dir / f"strategy_{label}_t{t}.csv"
         with path.open("w", encoding="utf-8") as fh:

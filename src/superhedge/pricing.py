@@ -71,9 +71,10 @@ class StepSpec:
     spr_hi: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 < self.k_down <= self.k_up):
+        # NaN fails every comparison, so the chain refuses it too.
+        if not 0.0 < self.k_down <= self.k_up < math.inf:
             raise ValueError(
-                f"need 0 < k_down <= k_up, got ({self.k_down}, {self.k_up})"
+                f"need 0 < k_down <= k_up < inf, got ({self.k_down}, {self.k_up})"
             )
         dist = (self.m_lo, self.m_hi, self.spr_lo, self.spr_hi)
         given = [d is not None for d in dist]
@@ -126,8 +127,8 @@ class MarketModel:
     steps: tuple[StepSpec, ...]
 
     def __post_init__(self):
-        if not self.s_init > 0:
-            raise ValueError("s_init must be positive")
+        if not 0 < self.s_init < math.inf:
+            raise ValueError(f"s_init must be positive and finite, got {self.s_init}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         steps = tuple(self.steps)
@@ -345,13 +346,6 @@ def _chord_weight(step: StepSpec) -> float:
     return (step.k_up - 1.0) / (step.k_up - step.k_down)
 
 
-def strategy_at(
-    result: PricingResult, t: int, s, model: MarketModel
-):
-    """Holding theta_t(s) to carry from step t to t+1 (scalar or array s)."""
-    return result.strategy(t, model)(s)
-
-
 def initial_premium(result: PricingResult, model: MarketModel) -> float:
     """Smallest constant premium dominating the time-0 value on its support.
 
@@ -375,8 +369,8 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
 
     Case tables keyed by where the support edges fall relative to the
     strike: three cases at t=1 and six at t=0.  Serves as the oracle for
-    `backward_induce` / `strategy_at` on two-step models.  Vectorised over
-    s; returns (value, theta) floats or arrays.
+    `backward_induce` / `PricingResult.strategy` on two-step models.
+    Vectorised over s; returns (value, theta) floats or arrays.
     """
     if model.horizon != 2:
         raise ValueError("closed-form oracle requires a two-step model")
@@ -459,14 +453,11 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
 # path-dependent claims
 # ---------------------------------------------------------------------- #
 
-TREE_DEPTH_CAP = 20
+TREE_DEPTH_CAP = 20  # deepest tree asian_tree_price walks: 2^20 leaves
 
 
 def asian_tree_price(
-    payoff: Callable[[Sequence[float]], float],
-    model: MarketModel,
-    s0: float,
-    max_depth: int = TREE_DEPTH_CAP,
+    payoff: Callable[[Sequence[float]], float], model: MarketModel, s0: float
 ) -> float:
     """Minimal super-hedging value of a path-dependent claim, by tree walk.
 
@@ -475,15 +466,15 @@ def asian_tree_price(
     The chord recursion is applied path-wise over the (k_down, k_up)
     multiplier tree rooted at the executed first price s0, giving the time-0
     value; the simulation engine for path-dependent claims runs the same walk.
-    The tree has 2^horizon leaves; horizons above `max_depth` are refused.
+    The tree has 2^horizon leaves, so horizons above the fixed cap
+    TREE_DEPTH_CAP are refused.
     """
-    if not s0 > 0:
-        raise ValueError("s0 must be positive")
+    if not 0 < s0 < math.inf:
+        raise ValueError(f"s0 must be positive and finite, got {s0}")
     T = model.horizon
-    if T > max_depth:
+    if T > TREE_DEPTH_CAP:
         raise ValueError(
-            f"horizon {T} exceeds the tree depth cap {max_depth} "
-            f"(2^{T} leaves); raise max_depth explicitly if intended"
+            f"horizon {T} exceeds the tree depth cap {TREE_DEPTH_CAP} (2^{T} leaves)"
         )
     require_aip(model)
     return float(_tree_value(payoff, model, (float(s0),), 0))
@@ -514,8 +505,8 @@ def asian_call_payoff(strike: float) -> Callable[[Sequence[float]], float]:
     Takes a path of floats (returns a float) or a tuple of equal-length
     arrays, one lane per path (returns an array).
     """
-    if not strike > 0:
-        raise ValueError("strike must be positive")
+    if not 0 < strike < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {strike}")
 
     def payoff(path: Sequence[float]) -> float:
         excess = sum(path) / len(path) - strike

@@ -32,9 +32,6 @@ import numpy as np
 
 Scalar = Union[int, float, Fraction]
 
-# Default absolute tolerance for affine-domination tests.
-DOMINATION_TOL = 1e-12
-
 # Tables up to this length are searched by counting comparisons.  With random
 # needles (executed prices), np.searchsorted mispredicts a branch at every
 # level of its binary search; one comparison pass per entry does not.  On a
@@ -136,15 +133,11 @@ class Interval:
         object.__setattr__(self, "hi", hi)
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -162,23 +155,6 @@ class SlopeInterval:
 
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-
-@dataclass(frozen=True)
-class AffineFunction:
-    """a(x) = slope * x + intercept."""
-
-    slope: float
-    intercept: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.slope) and np.isfinite(self.intercept)):
-            raise ValueError("affine coefficients must be finite")
-
-    def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return self.slope * x + self.intercept
-        return self.slope * float(x) + self.intercept
 
 
 class PwlFunction:
@@ -549,10 +525,9 @@ def upper_concave_envelope(f: PwlFunction, dom: Interval) -> PwlFunction:
                 break
         hull.append(p)
 
+    # lo < hi are never popped (only middle points are), so len(hull) >= 2.
     xs = [p[0] for p in hull]
     ys = [p[1] for p in hull]
-    if len(xs) == 1:  # cannot happen for lo < hi, kept for safety
-        return PwlFunction(xs, ys, 0, 0)
     first = (ys[1] - ys[0]) / (xs[1] - xs[0])
     last = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
     return PwlFunction(xs, ys, left_slope=first, right_slope=last)
@@ -574,15 +549,3 @@ def superdifferential(h: PwlFunction, x: float, dom: Interval) -> SlopeInterval:
     if xf == dom.hi:
         return SlopeInterval(left, left, at_boundary=True)
     return SlopeInterval(right, left)
-
-
-def dominates(
-    a: AffineFunction, f: PwlFunction, dom: Interval, tol: float = DOMINATION_TOL
-) -> bool:
-    """True iff a(x) >= f(x) - tol on dom (checked at breakpoints + endpoints)."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    xs = [dom.lo] + [
-        float(b) for b in f.breakpoints if dom.lo < float(b) < dom.hi
-    ] + [dom.hi]
-    return all(a(x) >= f(x) - tol for x in xs)

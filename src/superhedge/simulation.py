@@ -84,8 +84,10 @@ def draw_step(step: StepSpec, rng: np.random.Generator, size=None):
 def mid_execute(s_prev, m, M, k):
     """Executed price s_prev * (m + k (M - m)) inside the drawn interval."""
     s = np.asarray(s_prev, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("s_prev must be positive")
+    # NaN fails every comparison, so the chain refuses it too.
+    if s.size and not 0.0 < s.min() <= s.max() < math.inf:
+        bad = s[~((0.0 < s) & (s < math.inf))].flat[0]
+        raise ValueError(f"s_prev must be positive and finite, got {bad}")
     out = s * (m + k * (M - m))
     return float(out) if out.ndim == 0 else out
 
@@ -277,17 +279,14 @@ class SimPath:
     eps_r: float
 
 
-def _protocol(
-    model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, collect: bool = True
-):
+def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool):
     """The execution protocol over n paths; returns column arrays.
 
     ``draws`` yields (m, M, k) arrays per step.  ``claim`` holds four maps of
     the executed prefix (s_0, ..., s_t): ``value(prefix, t)``, ``theta(prefix,
     t)``, ``sstar(prefix, t, held, s_prev)``, the order's (sstar, sign) at
     interior step t before its execution, and ``payoff(prefix)``.  Mid steps
-    quote no bid/ask: their columns are NaN when ``collect`` is set and None
-    otherwise, since only collected columns are read.
+    quote no bid/ask: their entries are None.
     """
     value, theta, sstar, payoff = claim
     T = model.horizon
@@ -298,8 +297,6 @@ def _protocol(
         if t == 0 or t == T:
             s_t = mid_execute(s_prev, m, M, k)
             bid_t = ask_t = None
-            if collect:
-                bid_t, ask_t = np.full(n, np.nan), np.full(n, np.nan)
         else:
             bid_t, ask_t = s_prev * m, s_prev * M
             order = sstar(prefix, t, cols["theta"][t - 1], s_prev)
@@ -327,7 +324,6 @@ def _simulate_batch(
     rng: np.random.Generator,
     crossings: dict,
     straddle_to_ask: bool = True,
-    collect: bool = True,
 ):
     """Vectorised protocol over n paths of a PWL claim; returns column arrays."""
     claim = (
@@ -337,7 +333,7 @@ def _simulate_batch(
         lambda prefix: pricing.payoff(prefix[-1]),
     )
     draws = (draw_step(step, rng, size=n) for step in model.steps)
-    return _protocol(model, n, draws, claim, straddle_to_ask, collect)
+    return _protocol(model, n, draws, claim, straddle_to_ask)
 
 
 def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
@@ -349,20 +345,23 @@ def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
 
 def _first_path(model: MarketModel, cols: dict) -> SimPath:
     """The first path of a batch's column arrays."""
+    raw = _concat_batches([cols])
     return SimPath(
         s_prev=float(model.s_init),
-        **{key: np.array([c[0] for c in cols[key]]) for key in _PATH_KEYS},
-        eps_r=float(cols["eps"][0]),
+        **{key: np.array([c[0] for c in raw[key]]) for key in _PATH_KEYS},
+        eps_r=float(raw["eps"][0]),
     )
 
 
 def _concat_batches(kept: list[dict]) -> dict:
-    """Per-path columns of several batches, joined in batch order."""
-    raw = {
-        key: [np.concatenate(col) for col in zip(*(batch[key] for batch in kept))]
-        for key in _PATH_KEYS
-    }
-    raw["eps"] = np.concatenate([batch["eps"] for batch in kept])
+    """Per-path columns of several batches, joined in batch order; the
+    mid-step bid/ask entries, None in every batch, become NaN columns."""
+    raw = {"eps": np.concatenate([batch["eps"] for batch in kept])}
+    for key in _PATH_KEYS:
+        raw[key] = [
+            np.full(raw["eps"].size, np.nan) if col[0] is None else np.concatenate(col)
+            for col in zip(*(batch[key] for batch in kept))
+        ]
     return raw
 
 
@@ -552,22 +551,22 @@ def simulate_one(
     seed_seq: np.random.SeedSequence,
     straddle_to_ask: bool = True,
     collect: bool = False,
-    batch_size: int = BATCH_SIZE,
     sink: Optional[Callable[[dict], None]] = None,
 ):
     """Simulate one strike; returns (SimStats, raw columns or None).
 
-    Paths are generated in fixed-size batches with seeds spawned from
-    ``seed_seq``; the batch layout depends only on n_paths, so a given seed
-    gives bit-identical results.  ``collect=True`` additionally returns the
-    concatenated per-path columns: (5T+5) floats per path, since mid steps
-    keep NaN bid/ask, held twice while the batches are joined, so the peak
-    is about 2 * (5T+5) * 8 bytes per path.  ``sink``, if given, is called
-    with each batch's columns in path order once they are aggregated; a
-    caller that writes them out holds one batch of at most ``batch_size``
-    paths, whatever n_paths.  Without ``collect`` the mid-step bid/ask
-    entries it gets are None.
+    Paths are generated in batches of BATCH_SIZE (read when called) with
+    seeds spawned from ``seed_seq``; the batch layout depends only on
+    n_paths, so a given seed gives bit-identical results.  ``collect=True``
+    additionally returns the concatenated per-path columns: (5T+5) floats
+    per path, NaN for the bid/ask of mid steps, held with the (5T+1) of the
+    batches while they are joined, so the peak is about (10T+6) * 8 bytes
+    per path.  ``sink``, if given, is called with each batch's columns in
+    path order once they are aggregated; a caller that writes them out holds
+    one batch, whatever n_paths.  In both engines the mid-step bid/ask
+    entries a sink gets are None.
     """
+    batch_size = BATCH_SIZE
 
     def batches():
         crossings = _build_crossings(model, pricing)
@@ -575,9 +574,7 @@ def simulate_one(
         for b, child in enumerate(children):
             nb = min(batch_size, n_paths - b * batch_size)
             rng = np.random.Generator(np.random.PCG64(child))
-            yield _simulate_batch(
-                model, pricing, nb, rng, crossings, straddle_to_ask, collect
-            )
+            yield _simulate_batch(model, pricing, nb, rng, crossings, straddle_to_ask)
 
     return _fold(model, strike, n_paths, batches(), collect, sink)
 

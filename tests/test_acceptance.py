@@ -20,19 +20,18 @@ from superhedge.pricing import (
     check_aip,
     closed_form_call,
     one_step_price,
-    strategy_at,
     uniform_bid_ask_model,
 )
 from superhedge.pwl import (
-    AffineFunction,
     Interval,
     PwlFunction,
     call_payoff,
     constant_function,
-    dominates,
     upper_concave_envelope,
 )
 from superhedge.simulation import RngConfig, simulate, simulate_one
+
+from exact_domination import check_points, chord, dominates, sampled_affine
 
 STRIKES = (50.0, 75.0, 100.0, 125.0, 150.0)
 N_PATHS = 1_000_000
@@ -130,7 +129,7 @@ def test_criterion_3_closed_form_equivalence():
             worst_v = max(worst_v, float(np.max(np.abs(res.value_fns[t](grid) - v_ref))))
             worst_th = max(
                 worst_th,
-                float(np.max(np.abs(strategy_at(res, t, grid, model) - th_ref))),
+                float(np.max(np.abs(res.strategy(t, model)(grid) - th_ref))),
             )
     elapsed = time.perf_counter() - t0
     ok = worst_v <= 1e-10 and worst_th <= 1e-10 and elapsed < 1.0
@@ -146,7 +145,7 @@ def test_criterion_4_worked_values():
     model = uniform_bid_ask_model()
     res = backward_induce(call_payoff(100), model)
     g0_100 = res.value_fns[0](100.0)
-    th0_100 = strategy_at(res, 0, 100.0, model)
+    th0_100 = res.strategy(0, model)(100.0)
     quote = one_step_price(call_payoff(100), 100.0, StepSpec(0.7, 1.4))
     checks = [
         abs(g0_100 - 864 / 49) <= 1e-12,
@@ -189,27 +188,25 @@ def test_criterion_5_envelope_property_suite():
             hi = lo + 0.5
         dom = Interval(lo, hi)
         env = upper_concave_envelope(f, dom)
-        grid = np.linspace(lo, hi, 120)
+        # Both are linear between these points, so exact checks there are
+        # checks on all of dom.
+        pts = check_points(dom, f, env)
 
-        if np.min(env(grid) - f(grid)) < -1e-12:
+        if any(env.eval_exact(x) < f.eval_exact(x) for x in pts):
             bad.append(f"case {i}: domination")
         seg = env.piece_slopes()[1:-1]
         if any(a < b for a, b in zip(seg, seg[1:])):
             bad.append(f"case {i}: concavity")
-        pts = [lo, hi] + [float(b) for b in f.breakpoints if lo < float(b) < hi]
         for _ in range(3):
-            slope = float(rng.uniform(-5, 5))
-            icept = max(f(x) - slope * x for x in pts) + float(rng.uniform(0, 1))
-            a = AffineFunction(slope, icept)
-            if not dominates(a, f, dom, tol=0.0):
+            slope, icept = sampled_affine(
+                f, check_points(dom, f), rng.uniform(-5, 5), rng.uniform(0, 1)
+            )
+            if not dominates(slope, icept, f, pts):
                 bad.append(f"case {i}: sampled affine fails f")
-            if not dominates(a, env, dom, tol=1e-9):
+            if not dominates(slope, icept, env, pts):
                 bad.append(f"case {i}: minimality")
-        if convex_case:
-            ylo, yhi = f(lo), f(hi)
-            chord = ylo + (yhi - ylo) * (grid - lo) / (hi - lo)
-            if np.max(np.abs(env(grid) - chord)) > 1e-12:
-                bad.append(f"case {i}: chord specialisation")
+        if convex_case and env != chord(f, dom):
+            bad.append(f"case {i}: chord specialisation")
         if bad:
             break
     report(

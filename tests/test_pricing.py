@@ -2,6 +2,8 @@
 closed-form oracle equivalence, strategies, tree engine."""
 
 import math
+from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,18 +19,19 @@ from superhedge.pricing import (
     closed_form_call,
     initial_premium,
     one_step_price,
-    strategy_at,
     uniform_bid_ask_model,
 )
 from superhedge.pwl import (
-    AffineFunction,
     Interval,
     PwlFunction,
     call_payoff,
     constant_function,
-    dominates,
     put_payoff,
+    upper_concave_envelope,
 )
+from superhedge.simulation import mid_execute
+
+from exact_domination import check_points, dominates, sampled_affine
 
 
 def two_step_model(b1=(0.7, 1.4), b2=(0.7, 1.4), s_init=100.0):
@@ -64,6 +67,39 @@ class TestStepSpec:
     def test_model_step_count(self):
         with pytest.raises(ValueError):
             MarketModel(s_init=100, horizon=2, steps=(StepSpec(0.7, 1.4),) * 2)
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: StepSpec(0.7, math.inf), "inf"),
+        (lambda: StepSpec.from_uniform(0.7, 1.0, 0.0, math.inf), "inf"),
+        (lambda: MarketModel(math.inf, 1, (StepSpec(0.7, 1.4),) * 2), "inf"),
+        (
+            lambda: asian_tree_price(
+                asian_call_payoff(100), uniform_bid_ask_model(horizon=2), math.inf
+            ),
+            "inf",
+        ),
+        (lambda: asian_call_payoff(math.inf), "inf"),
+        (lambda: asian_call_payoff(math.nan), "nan"),
+        (lambda: mid_execute(math.nan, 0.7, 1.0, 0.5), "positive and finite, got nan"),
+        (lambda: mid_execute(np.array([90.0, math.inf]), 0.7, 1.0, 0.5), "got inf"),
+    ],
+    ids=[
+        "step_k_up",
+        "step_spread",
+        "model_s_init",
+        "asian_tree_s0",
+        "asian_strike_inf",
+        "asian_strike_nan",
+        "mid_execute_nan",
+        "mid_execute_inf_lane",
+    ],
+)
+def test_non_finite_model_inputs_refused(build, bad):
+    with pytest.raises(ValueError, match=bad):
+        build()
 
 
 class TestCheckAip:
@@ -139,28 +175,26 @@ class TestOneStepPrice:
             assert gap.min() >= -1e-9
 
     def test_domination_sandwich(self):
-        # every affine dominating the claim on the support prices above the
-        # one-step value; the tangent at s attains it
+        # every affine dominating the claim on the support prices at or above
+        # the one-step value; the tangent at s attains it (exact rationals)
         rng = np.random.default_rng(12)
         g = call_payoff(100)
-        step = StepSpec(0.7, 1.4)
-        s = 100.0
+        s = Fraction(100)
         dom = Interval(70, 140)
-        q = one_step_price(g, s, step)
-        pts = [70.0, 100.0, 140.0]
-        best = math.inf
+        q = one_step_price(g, float(s), StepSpec(0.7, 1.4))
+        h = upper_concave_envelope(g, dom)
+        price = h.eval_exact(s)
+        pts = check_points(dom, g, h)
         for _ in range(1000):
-            slope = float(rng.uniform(-2, 3))
-            icept = max(g(x) - slope * x for x in pts) + float(rng.uniform(0, 5))
-            a = AffineFunction(slope, icept)
-            assert dominates(a, g, dom)
-            val = a(s)
-            assert val >= q.price - 1e-9
-            best = min(best, val)
-        tangent = AffineFunction(q.theta, q.price - q.theta * s)
-        assert dominates(tangent, g, dom, tol=1e-9)
-        best = min(best, tangent(s))
-        assert q.price >= best - 1e-9
+            slope, icept = sampled_affine(
+                g, check_points(dom, g), rng.uniform(-2, 3), rng.uniform(0, 5)
+            )
+            assert dominates(slope, icept, g, pts)
+            assert slope * s + icept >= price
+        theta = h.piece_slopes()[bisect_left(h.breakpoints, s)]
+        assert dominates(theta, price - theta * s, g, pts)
+        assert q.theta == float(theta)
+        assert abs(q.price - float(price)) <= 1e-12
 
 
 class TestBackwardInduce:
@@ -253,26 +287,26 @@ class TestStrategy:
     def test_worked_values(self):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)
-        assert strategy_at(res, 0, 100.0, model) == pytest.approx(
+        assert res.strategy(0, model)(100.0) == pytest.approx(
             288 / 490, abs=1e-12
         )
-        assert strategy_at(res, 1, 140.0, model) == pytest.approx(96 / 98, abs=1e-12)
+        assert res.strategy(1, model)(140.0) == pytest.approx(96 / 98, abs=1e-12)
 
     def test_flat_region_is_exact_zero(self):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)
-        assert strategy_at(res, 1, 50.0, model) == 0.0  # below K/1.4
+        assert res.strategy(1, model)(50.0) == 0.0  # below K/1.4
 
     def test_deep_region_is_exact_one(self):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(50), model)
-        assert strategy_at(res, 0, 150.0, model) == 1.0
+        assert res.strategy(0, model)(150.0) == 1.0
 
     def test_monotone_for_call(self):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)
         s = np.linspace(1, 400, 2000)
-        th = strategy_at(res, 0, s, model)
+        th = res.strategy(0, model)(s)
         assert np.all(np.diff(th) >= -1e-12)
         assert th.max() <= 1.0 + 1e-12
 
@@ -280,9 +314,9 @@ class TestStrategy:
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)
         s = np.linspace(5, 300, 57)
-        vec = strategy_at(res, 1, s, model)
+        vec = res.strategy(1, model)(s)
         assert vec == pytest.approx(
-            [strategy_at(res, 1, float(x), model) for x in s], abs=0.0
+            [res.strategy(1, model)(float(x)) for x in s], abs=0.0
         )
         # k_down == k_up == 1 at step 2: theta_1 is the slope of g_2 at s,
         # the mean of both one-sided slopes on a kink
@@ -293,33 +327,33 @@ class TestStrategy:
         g2 = res.value_fns[2]
         kinks = [float(b) for b in g2.breakpoints]
         s = np.concatenate((np.linspace(5, 300, 57), kinks))
-        vec = strategy_at(res, 1, s, model)
-        assert vec.tolist() == [strategy_at(res, 1, float(x), model) for x in s]
+        vec = res.strategy(1, model)(s)
+        assert vec.tolist() == [res.strategy(1, model)(float(x)) for x in s]
         for x in kinks:
             left, right = g2.slopes_at(x)
             assert left != right
-            assert strategy_at(res, 1, x, model) == 0.5 * (left + right)
+            assert res.strategy(1, model)(x) == 0.5 * (left + right)
 
     def test_nonpositive_price_rejected(self):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)
         with pytest.raises(ValueError):
-            strategy_at(res, 0, 0.0, model)
+            res.strategy(0, model)(0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_price_rejected(self, bad):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)
         with pytest.raises(ValueError, match="positive and finite"):
-            strategy_at(res, 0, bad, model)
+            res.strategy(0, model)(bad)
         with pytest.raises(ValueError, match="positive and finite"):
-            strategy_at(res, 0, np.array([90.0, bad, 110.0]), model)
+            res.strategy(0, model)(np.array([90.0, bad, 110.0]))
 
     def test_index_bounds(self):
         model = uniform_bid_ask_model()
         res = backward_induce(call_payoff(100), model)
         with pytest.raises(ValueError):
-            strategy_at(res, 2, 100.0, model)
+            res.strategy(2, model)(100.0)
 
 
 class TestClosedFormOracle:
@@ -359,7 +393,7 @@ class TestClosedFormOracle:
             for t in (0, 1):
                 v_ref, th_ref = closed_form_call(t, s, strike, model)
                 v_got = res.value_fns[t](s)
-                th_got = strategy_at(res, t, s, model)
+                th_got = res.strategy(t, model)(s)
                 assert np.max(np.abs(v_got - v_ref)) <= 1e-10
                 assert np.max(np.abs(th_got - th_ref)) <= 1e-10
 

@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 
 from superhedge import pwl
 from superhedge.pwl import (
-    AffineFunction,
     Interval,
     PwlFunction,
     call_payoff,
     constant_function,
     convex_combine,
-    dominates,
     piece_index,
     put_payoff,
     scale_compose,
     superdifferential,
     upper_concave_envelope,
 )
+
+from exact_domination import check_points, chord, dominates, sampled_affine
 
 
 def random_pwl(rng, max_pts=7, allow_negative_slopes=True):
@@ -382,24 +382,27 @@ class TestSuperdifferential:
 
 
 class TestDominates:
+    """Exact domination of a call payoff by lines, at its check points."""
+
     def test_envelope_dominates_call(self):
         f = call_payoff(100)
         dom = Interval(70, 140)
-        a = AffineFunction(slope=4 / 7, intercept=-40.0)  # the chord
-        assert dominates(a, f, dom)
+        env = upper_concave_envelope(f, dom)
+        slope, icept = Fraction(4, 7), Fraction(-40)  # the chord
+        assert env == chord(f, dom)
+        assert all(env.eval_exact(x) == slope * x + icept for x in check_points(dom, f))
+        assert dominates(slope, icept, f, check_points(dom, f))
 
     def test_shifted_down_fails(self):
         f = call_payoff(100)
-        dom = Interval(70, 140)
-        a = AffineFunction(slope=4 / 7, intercept=-41.0)
-        assert not dominates(a, f, dom)
+        pts = check_points(Interval(70, 140), f)
+        assert not dominates(Fraction(4, 7), Fraction(-41), f, pts)
+        # the chord lowered by the smallest amount fails at the ends
+        assert not dominates(Fraction(4, 7), Fraction(-40) - Fraction(1, 10**30), f, pts)
 
     def test_identity_dominates_call_payoff(self):
-        assert dominates(AffineFunction(1.0, 0.0), call_payoff(100), Interval(0, 200))
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            dominates(AffineFunction(1, 0), call_payoff(100), Interval(0, 1), tol=-1)
+        f = call_payoff(100)
+        assert dominates(1, 0, f, check_points(Interval(0, 200), f))
 
 
 class TestIntervalType:
@@ -411,9 +414,8 @@ class TestIntervalType:
         with pytest.raises(ValueError):
             Interval(-1, 3)
 
-    def test_width_and_contains(self):
+    def test_contains(self):
         iv = Interval(2, 5)
-        assert iv.width == 3
         assert iv.contains(2) and iv.contains(5) and not iv.contains(5.1)
 
 
@@ -434,8 +436,8 @@ class TestEnvelopeProperties:
         for _ in range(self.N):
             f, dom = self._random_case(rng)
             env = upper_concave_envelope(f, dom)
-            xs = np.linspace(dom.lo, dom.hi, 200)
-            assert np.all(env(xs) >= f(xs) - 1e-12)
+            pts = check_points(dom, f, env)
+            assert all(env.eval_exact(x) >= f.eval_exact(x) for x in pts)
             slopes = env.piece_slopes()[1:-1]
             assert all(a >= b for a, b in zip(slopes, slopes[1:]))
 
@@ -444,17 +446,13 @@ class TestEnvelopeProperties:
         for _ in range(self.N):
             f, dom = self._random_case(rng)
             env = upper_concave_envelope(f, dom)
-            pts = [dom.lo, dom.hi] + [
-                float(b) for b in f.breakpoints if dom.lo < float(b) < dom.hi
-            ]
+            pts = check_points(dom, f, env)
             for _ in range(5):
-                slope = float(rng.uniform(-5, 5))
-                icept = max(f(x) - slope * x for x in pts) + float(
-                    rng.uniform(0, 1)
+                slope, icept = sampled_affine(
+                    f, check_points(dom, f), rng.uniform(-5, 5), rng.uniform(0, 1)
                 )
-                a = AffineFunction(slope, icept)
-                assert dominates(a, f, dom, tol=0.0)
-                assert dominates(a, env, dom, tol=1e-9)
+                assert dominates(slope, icept, f, pts)
+                assert dominates(slope, icept, env, pts)
 
     def test_chord_specialisation_for_convex(self):
         rng = np.random.default_rng(9)
@@ -463,8 +461,5 @@ class TestEnvelopeProperties:
             lo, hi = np.sort(rng.uniform(0.0, 210.0, 2))
             if hi - lo < 0.5:
                 hi = lo + 0.5
-            env = upper_concave_envelope(f, Interval(lo, hi))
-            ylo, yhi = f(lo), f(hi)
-            xs = np.linspace(lo, hi, 100)
-            chord = ylo + (yhi - ylo) * (xs - lo) / (hi - lo)
-            assert np.max(np.abs(env(xs) - chord)) <= 1e-9
+            dom = Interval(lo, hi)
+            assert upper_concave_envelope(f, dom) == chord(f, dom)

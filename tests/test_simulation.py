@@ -4,10 +4,12 @@ aggregation, reproducibility."""
 import io
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
+from superhedge import simulation
 from superhedge.pricing import (
     AipViolationError,
     MarketModel,
@@ -398,6 +400,26 @@ def test_aip_gate_names_first_bad_step(entry):
     assert (err.value.step, err.value.k_down) == (1, 1.05)
 
 
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda m: partial(simulate_one, m, backward_induce(call_payoff(100), m)),
+        lambda m: partial(simulate_functional, m, ASIAN),
+    ],
+    ids=["simulate_one", "simulate_functional"],
+)
+def test_sink_gets_none_mid_step_quotes(engine):
+    # one sink contract for both engines; collected output fills NaN instead
+    model = uniform_bid_ask_model(horizon=3)
+    seen = []
+    _, raw = engine(model)(100.0, 20, np.random.SeedSequence(3), collect=True, sink=seen.append)
+    (cols,) = seen
+    for key in ("bid", "ask"):
+        assert cols[key][0] is None and cols[key][3] is None
+        assert np.isnan(raw[key][0]).all() and np.isnan(raw[key][3]).all()
+        np.testing.assert_array_equal(raw[key][1:3], cols[key][1:3])
+
+
 class TestSimulate:
     def test_row_values_pinned_horizon_one(self):
         # pinned floats: any change to the merge order or arithmetic of the
@@ -444,16 +466,13 @@ class TestSimulate:
         b = simulate(REF_MODEL, pricing, [100.0], 5_000, RngConfig(6))
         assert a[0].mean_eps != b[0].mean_eps
 
-    def test_batch_split_invariance(self):
+    def test_batch_split_invariance(self, monkeypatch):
         # same seed, different batch sizes: the per-batch substreams differ,
         # but a fixed batch size must give identical results
+        monkeypatch.setattr(simulation, "BATCH_SIZE", 1024)
         pricing = _pricing()
-        s1, _ = simulate_one(
-            REF_MODEL, pricing, 100.0, 3000, np.random.SeedSequence(9), batch_size=1024
-        )
-        s2, _ = simulate_one(
-            REF_MODEL, pricing, 100.0, 3000, np.random.SeedSequence(9), batch_size=1024
-        )
+        s1, _ = simulate_one(REF_MODEL, pricing, 100.0, 3000, np.random.SeedSequence(9))
+        s2, _ = simulate_one(REF_MODEL, pricing, 100.0, 3000, np.random.SeedSequence(9))
         assert s1 == s2
 
     def test_model_moments(self):
