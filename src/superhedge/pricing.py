@@ -376,8 +376,9 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
         raise ValueError("closed-form oracle requires a two-step model")
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
-    if not strike > 0:
-        raise ValueError("strike must be positive")
+    # NaN fails every comparison, so the chains refuse it too.
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {strike}")
     m1, M1 = model.steps[1].k_down, model.steps[1].k_up
     m2, M2 = model.steps[2].k_down, model.steps[2].k_up
     if not (m1 < M1 and m2 < M2):
@@ -386,8 +387,9 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
-    if s_arr.min() <= 0.0:
-        raise ValueError("price must be positive")
+    if not 0.0 < s_arr.min() <= s_arr.max() < math.inf:
+        bad = s_arr[~((0.0 < s_arr) & (s_arr < math.inf))][0]
+        raise ValueError(f"price must be positive and finite, got {bad}")
     K = float(strike)
     c_lo, c_hi = K / M2, K / m2
 

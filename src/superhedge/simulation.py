@@ -20,6 +20,13 @@ root seed.  European (PWL) claims run in fixed-size batches, each with its
 own seed spawned from the root, so batches could be drawn and aggregated in
 any order (Chan et al. moment merging).  Path-dependent claims run in
 chunks that share one generator, so their chunks must be drawn in order.
+
+Each run holds one workspace of batch columns, sized for its largest batch
+and reused by every batch.  A step draws the whole batch into it in stream
+order, then runs its elementwise chain (execution, value, holding, V, eps)
+over TILE lanes at a time, so the chain's temporaries stay cache-sized.
+Every operation is elementwise, so tiling leaves every float unchanged; the
+statistics reduce over whole batch columns.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .pricing import MarketModel, PricingResult, StepSpec, _tree_value, require_
 from .pwl import PwlFunction, merge_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
+TILE = 1 << 15  # lanes each step's elementwise chain runs at a time
 DUMP_ROWS = 2048  # path-dump rows formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
@@ -66,19 +74,28 @@ class RngConfig:
 # ---------------------------------------------------------------------- #
 
 
-def draw_step(step: StepSpec, rng: np.random.Generator, size=None):
+def draw_step(step: StepSpec, rng: np.random.Generator, size: int = 1, out=None):
     """Draw (m, M, k): interval edges m, M = m + spread, and mid position k.
 
     m ~ U[m_lo, m_hi], spread ~ U[spr_lo, spr_hi] independent, k ~ U[0, 1].
     k is drawn at every step, including bid/ask steps that ignore it, which
-    keeps the stream layout identical across protocols.
+    keeps the stream layout identical across protocols.  The draws fill
+    ``out``, three contiguous float rows of one length, or three new rows of
+    ``size`` floats, and the rows are returned.  Each row is
+    ``rng.random(out=row)`` mapped by ``*= hi - lo; += lo``: the stream and
+    the bits of ``rng.uniform(lo, hi, len(row))``.
     """
     if not step.has_distribution:
         raise ValueError("step has no draw distribution attached")
-    m = rng.uniform(step.m_lo, step.m_hi, size)
-    spr = rng.uniform(step.spr_lo, step.spr_hi, size)
-    k = rng.uniform(0.0, 1.0, size)
-    return m, m + spr, k
+    m, M, k = np.empty((3, size)) if out is None else out
+    bounds = ((step.m_lo, step.m_hi), (step.spr_lo, step.spr_hi), (0, 1))
+    for row, (lo, hi) in zip((m, M, k), bounds):
+        lo, hi = float(lo), float(hi)  # as uniform reads them, before hi - lo
+        rng.random(out=row)
+        row *= hi - lo
+        row += lo
+    M += m  # spread + m, the bits of m + spread
+    return m, M, k
 
 
 def mid_execute(s_prev, m, M, k):
@@ -279,42 +296,67 @@ class SimPath:
     eps_r: float
 
 
-def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool):
-    """The execution protocol over n paths; returns column arrays.
+def _workspace(horizon: int, size: int) -> dict:
+    """Batch columns for up to ``size`` paths, reused by every batch of a run:
+    the draw rows (m, M, k), s and v with T+1 rows, theta with T, bid and ask
+    with T-1 (interior steps only) and eps; 5T+4 rows of ``size`` floats."""
+    T = horizon
+    block = np.empty((5 * T + 4, size))
+    draw, s, v, theta, bid, ask, eps = np.split(
+        block, np.cumsum([3, T + 1, T + 1, T, T - 1, T - 1])
+    )
+    return dict(draw=draw, s=s, v=v, theta=theta, bid=bid, ask=ask, eps=eps[0])
 
-    ``draws`` yields (m, M, k) arrays per step.  ``claim`` holds four maps of
-    the executed prefix (s_0, ..., s_t): ``value(prefix, t)``, ``theta(prefix,
-    t)``, ``sstar(prefix, t, held, s_prev)``, the order's (sstar, sign) at
-    interior step t before its execution, and ``payoff(prefix)``.  Mid steps
-    quote no bid/ask: their entries are None.
+
+def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, ws):
+    """The execution protocol over the first n lanes of workspace ``ws``;
+    returns the batch columns, views into ``ws``.
+
+    ``draws`` yields (m, M, k) arrays of n lanes per step.  ``claim`` holds
+    four maps of the executed prefix (s_0, ..., s_t): ``value(prefix, t)``,
+    ``theta(prefix, t)``, ``sstar(prefix, t, held, s_prev)``, the order's
+    (sstar, sign) at interior step t before its execution, and
+    ``payoff(prefix)``.  Each step runs tile by tile, TILE lanes at a time,
+    and every map must act on each lane alone.  Mid steps quote no bid/ask:
+    their entries are None.
     """
     value, theta, sstar, payoff = claim
     T = model.horizon
-    s_prev = np.full(n, float(model.s_init))
-    prefix: tuple[np.ndarray, ...] = ()
-    cols = {key: [] for key in _PATH_KEYS}
+    s, bid, ask, th, v = (ws[key][:, :n] for key in _PATH_KEYS)
+    eps = ws["eps"][:n]
     for t, (m, M, k) in enumerate(draws):
-        if t == 0 or t == T:
-            s_t = mid_execute(s_prev, m, M, k)
-            bid_t = ask_t = None
-        else:
-            bid_t, ask_t = s_prev * m, s_prev * M
-            order = sstar(prefix, t, cols["theta"][t - 1], s_prev)
-            _check_quotes(bid_t, ask_t)
-            s_t = _execute_vec(bid_t, ask_t, *order, straddle_to_ask)
-        prefix += (s_t,)
-        if t == 0:
-            cols["v"].append(value(prefix, 0))
-        else:
-            cols["v"].append(cols["v"][t - 1] + cols["theta"][t - 1] * (s_t - s_prev))
-        if t < T:
-            cols["theta"].append(theta(prefix, t))
-        cols["s"].append(s_t)
-        cols["bid"].append(bid_t)
-        cols["ask"].append(ask_t)
-        s_prev = s_t
-    cols["eps"] = (cols["v"][T] - payoff(prefix)) / cols["s"][T]
-    return cols
+        for lo in range(0, n, TILE):
+            sl = slice(lo, lo + TILE)
+            if t == 0:
+                s_prev = np.full(len(s[0, sl]), float(model.s_init))
+            else:
+                s_prev = s[t - 1, sl]
+            if t == 0 or t == T:
+                s[t, sl] = mid_execute(s_prev, m[sl], M[sl], k[sl])
+            else:
+                bid_t = np.multiply(s_prev, m[sl], out=bid[t - 1, sl])
+                ask_t = np.multiply(s_prev, M[sl], out=ask[t - 1, sl])
+                order = sstar(tuple(row[sl] for row in s[:t]), t, th[t - 1, sl], s_prev)
+                _check_quotes(bid_t, ask_t)
+                s[t, sl] = _execute_vec(bid_t, ask_t, *order, straddle_to_ask)
+            prefix = tuple(row[sl] for row in s[: t + 1])
+            if t == 0:
+                v[0, sl] = value(prefix, 0)
+            else:
+                gain = th[t - 1, sl] * (prefix[-1] - s_prev)
+                np.add(v[t - 1, sl], gain, out=v[t, sl])
+            if t < T:
+                th[t, sl] = theta(prefix, t)
+            else:
+                np.divide(v[T, sl] - payoff(prefix), prefix[-1], out=eps[sl])
+    return {
+        "s": list(s),
+        "bid": [None, *bid, None],
+        "ask": [None, *ask, None],
+        "theta": list(th),
+        "v": list(v),
+        "eps": eps,
+    }
 
 
 def _simulate_batch(
@@ -324,16 +366,21 @@ def _simulate_batch(
     rng: np.random.Generator,
     crossings: dict,
     straddle_to_ask: bool = True,
+    ws: Optional[dict] = None,
 ):
-    """Vectorised protocol over n paths of a PWL claim; returns column arrays."""
+    """Vectorised protocol over n paths of a PWL claim; returns the batch
+    columns, views into ``ws`` (a workspace of its own when None)."""
+    if ws is None:
+        ws = _workspace(model.horizon, n)
     claim = (
         lambda prefix, t: pricing.value_fns[0](prefix[-1]),
         lambda prefix, t: pricing.strategy(t, model)(prefix[-1]),
         lambda prefix, t, held, s_prev: crossings[t].sstar(held),
         lambda prefix: pricing.payoff(prefix[-1]),
     )
-    draws = (draw_step(step, rng, size=n) for step in model.steps)
-    return _protocol(model, n, draws, claim, straddle_to_ask)
+    rows = tuple(row[:n] for row in ws["draw"])
+    draws = (draw_step(step, rng, out=rows) for step in model.steps)
+    return _protocol(model, n, draws, claim, straddle_to_ask, ws)
 
 
 def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
@@ -344,25 +391,15 @@ def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
 
 
 def _first_path(model: MarketModel, cols: dict) -> SimPath:
-    """The first path of a batch's column arrays."""
-    raw = _concat_batches([cols])
+    """The first path of a batch's columns, NaN for the bid/ask of mid steps."""
     return SimPath(
         s_prev=float(model.s_init),
-        **{key: np.array([c[0] for c in raw[key]]) for key in _PATH_KEYS},
-        eps_r=float(raw["eps"][0]),
+        **{
+            key: np.array([math.nan if c is None else c[0] for c in cols[key]])
+            for key in _PATH_KEYS
+        },
+        eps_r=float(cols["eps"][0]),
     )
-
-
-def _concat_batches(kept: list[dict]) -> dict:
-    """Per-path columns of several batches, joined in batch order; the
-    mid-step bid/ask entries, None in every batch, become NaN columns."""
-    raw = {"eps": np.concatenate([batch["eps"] for batch in kept])}
-    for key in _PATH_KEYS:
-        raw[key] = [
-            np.full(raw["eps"].size, np.nan) if col[0] is None else np.concatenate(col)
-            for col in zip(*(batch[key] for batch in kept))
-        ]
-    return raw
 
 
 # ---------------------------------------------------------------------- #
@@ -456,6 +493,9 @@ class SimStats:
 def _theta_frac(theta: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """theta * s / v on the paths with v != 0."""
     nonzero = v != 0.0
+    if nonzero.all():  # the same values in the same order, without gathers
+        out = theta * s
+        return np.divide(out, v, out=out)
     return (theta[nonzero] * s[nonzero]) / v[nonzero]
 
 
@@ -523,24 +563,49 @@ def _fold(
     """Check the run, then fold each batch of path columns into SimStats.
 
     ``batches`` is a generator, so none of its set-up runs before the checks.
-    Each batch goes, in path order, to ``sink`` once aggregated; ``collect``
-    is the sink that keeps every batch.  Returns (SimStats, the kept batches
-    joined in order when ``collect`` is set, else None).
+    Each batch goes, in path order, to ``sink`` once aggregated.  Its columns
+    are views into the run's workspace, valid only during the call: the next
+    batch overwrites them.  ``collect`` is the sink that copies every batch
+    into whole-run columns.  Returns (SimStats, those columns when
+    ``collect`` is set, else None).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     require_aip(model)
     agg = _Aggregator(model.s_init)
-    kept: list[dict] = []
     sinks = [agg.add]
+    raw: dict = {}
     if collect:
-        sinks.append(kept.append)
+        sinks.append(_collector(raw, n_paths))
     if sink is not None:
         sinks.append(sink)
     for cols in batches:
         for add in sinks:
             add(cols)
-    return agg.result(label), _concat_batches(kept) if collect else None
+    return agg.result(label), raw if collect else None
+
+
+def _collector(raw: dict, n_paths: int):
+    """A sink that copies each batch into whole-run columns in ``raw``,
+    allocated at the first batch; the mid-step bid/ask entries, None in a
+    batch, stay NaN."""
+    done = 0
+
+    def keep(cols: dict):
+        nonlocal done
+        if not raw:
+            for key in _PATH_KEYS:
+                raw[key] = [np.full(n_paths, np.nan) for _ in cols[key]]
+            raw["eps"] = np.empty(n_paths)
+        rows = slice(done, done + cols["eps"].size)
+        for key in _PATH_KEYS:
+            for whole, col in zip(raw[key], cols[key]):
+                if col is not None:
+                    whole[rows] = col
+        raw["eps"][rows] = cols["eps"]
+        done = rows.stop
+
+    return keep
 
 
 def simulate_one(
@@ -557,24 +622,28 @@ def simulate_one(
 
     Paths are generated in batches of BATCH_SIZE (read when called) with
     seeds spawned from ``seed_seq``; the batch layout depends only on
-    n_paths, so a given seed gives bit-identical results.  ``collect=True``
-    additionally returns the concatenated per-path columns: (5T+5) floats
-    per path, NaN for the bid/ask of mid steps, held with the (5T+1) of the
-    batches while they are joined, so the peak is about (10T+6) * 8 bytes
-    per path.  ``sink``, if given, is called with each batch's columns in
-    path order once they are aggregated; a caller that writes them out holds
-    one batch, whatever n_paths.  In both engines the mid-step bid/ask
-    entries a sink gets are None.
+    n_paths, so a given seed gives bit-identical results.  Every batch runs
+    in one workspace of (5T+4) rows of min(BATCH_SIZE, n_paths) floats.
+    ``collect=True`` additionally returns the per-path columns of the whole
+    run, copied batch by batch: (5T+5) floats per path, NaN for the bid/ask
+    of mid steps.  ``sink``, if given, is called with each batch's columns
+    in path order once they are aggregated; they are views into the
+    workspace, valid only during the call, so a sink that keeps them copies
+    them.  A caller that writes them out holds one batch, whatever n_paths.
+    In both engines the mid-step bid/ask entries a sink gets are None.
     """
     batch_size = BATCH_SIZE
 
     def batches():
         crossings = _build_crossings(model, pricing)
+        ws = _workspace(model.horizon, min(batch_size, n_paths))
         children = seed_seq.spawn((n_paths + batch_size - 1) // batch_size)
         for b, child in enumerate(children):
             nb = min(batch_size, n_paths - b * batch_size)
             rng = np.random.Generator(np.random.PCG64(child))
-            yield _simulate_batch(model, pricing, nb, rng, crossings, straddle_to_ask)
+            yield _simulate_batch(
+                model, pricing, nb, rng, crossings, straddle_to_ask, ws
+            )
 
     return _fold(model, strike, n_paths, batches(), collect, sink)
 
@@ -686,15 +755,21 @@ def _functional_sstar(leaf, model: MarketModel, base, t: int, held, s_prev):
     return np.where(no_root, np.nan, np.where(z_left == 0.0, z_right, inner)), sign
 
 
-def _functional_batch(model: MarketModel, payoff, n: int, rng, straddle_to_ask=True):
-    """Protocol for a path-dependent claim over n paths; returns column arrays.
+def _functional_batch(
+    model: MarketModel, payoff, n: int, rng, straddle_to_ask=True, ws=None
+):
+    """Protocol for a path-dependent claim over n paths; returns the batch
+    columns, views into ``ws`` (a workspace of its own when None).
 
     Each path takes its 3 (T + 1) uniforms consecutively from ``rng`` in the
     order (m, spread, k) per step, and every lane repeats the per-path
-    arithmetic, so results do not depend on how paths are batched.
+    arithmetic, so results do not depend on how paths are batched.  The
+    draws stay in their own per-path block, not the workspace's draw rows.
     """
     if not all(step.has_distribution for step in model.steps):
         raise ValueError("step has no draw distribution attached")
+    if ws is None:
+        ws = _workspace(model.horizon, n)
     lo = np.array([(st.m_lo, st.spr_lo, 0.0) for st in model.steps], dtype=float)
     hi = np.array([(st.m_hi, st.spr_hi, 1.0) for st in model.steps], dtype=float)
     u = lo + (hi - lo) * rng.random((n, model.horizon + 1, 3))
@@ -706,7 +781,7 @@ def _functional_batch(model: MarketModel, payoff, n: int, rng, straddle_to_ask=T
         partial(_functional_sstar, leaf, model),
         leaf,
     )
-    return _protocol(model, n, draws, claim, straddle_to_ask)
+    return _protocol(model, n, draws, claim, straddle_to_ask, ws)
 
 
 def run_path_functional(
@@ -743,15 +818,17 @@ def simulate_functional(
     path.  A payoff written for floats only fails with a TypeError stating
     this contract.  Unlike simulate_one, all chunks share one generator made
     from ``seed_seq``: it feeds chunks of FUNCTIONAL_CHUNK paths in turn,
-    each run as one vector batch and aggregated as one batch; ``sink`` gets
-    each chunk's columns as in simulate_one.
+    each run as one vector batch in one reused workspace and aggregated as
+    one batch; ``sink`` gets each chunk's columns as in simulate_one, views
+    into the workspace valid only during the call.
     """
 
     def batches():
         rng = np.random.Generator(np.random.PCG64(seed_seq))
+        ws = _workspace(model.horizon, min(FUNCTIONAL_CHUNK, n_paths))
         for done in range(0, n_paths, FUNCTIONAL_CHUNK):
             nb = min(FUNCTIONAL_CHUNK, n_paths - done)
-            yield _functional_batch(model, payoff, nb, rng, straddle_to_ask)
+            yield _functional_batch(model, payoff, nb, rng, straddle_to_ask, ws)
 
     return _fold(model, strike_label, n_paths, batches(), collect, sink)
 

@@ -424,9 +424,11 @@ class TestStreamedOutputs:
     def test_memory_is_one_batch_plus_histogram_series(self, tmp_path):
         """Keeping every batch and joining them before writing peaked at 95 MB
         under tracemalloc on this run.  Streaming holds the four histogram
-        series of n_paths floats plus one batch's working set, which overlaps
-        the previous batch's columns while it is drawn: within 48 columns of
-        BATCH_SIZE floats, whatever n_paths."""
+        series of n_paths floats plus one batch's working set: the reused
+        workspace of 5T+4 columns of BATCH_SIZE floats and the aggregation's
+        temporaries, with no column of the previous batch alive.  That
+        measured 21 columns beyond the series; the bound is 26, whatever
+        n_paths."""
         cfg = _streamed_cfg("call", n_paths=3 * BATCH_SIZE + 3)
         tracemalloc.start()
         try:
@@ -435,7 +437,7 @@ class TestStreamedOutputs:
         finally:
             tracemalloc.stop()
         series_bytes = 4 * 8 * cfg.n_paths
-        assert peak < series_bytes + 48 * 8 * BATCH_SIZE
+        assert peak < series_bytes + 26 * 8 * BATCH_SIZE
 
     @pytest.mark.parametrize("claim", sorted(STREAMED_RUNS))
     def test_failure_in_second_batch_leaves_no_dump(

@@ -408,6 +408,22 @@ class TestClosedFormOracle:
         with pytest.raises(ValueError):
             closed_form_call(0, 100.0, 100.0, uniform_bid_ask_model(horizon=3))
 
+    @pytest.mark.parametrize(
+        "s, strike, bad",
+        [
+            (math.nan, 100.0, "price .* got nan"),
+            (np.array([90.0, math.inf]), 100.0, "price .* got inf"),
+            (100.0, math.inf, "strike .* got inf"),
+            (100.0, math.nan, "strike .* got nan"),
+        ],
+        ids=["s_nan", "s_inf_lane", "strike_inf", "strike_nan"],
+    )
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_non_finite_inputs_refused(self, t, s, strike, bad):
+        # these once gave (nan, 0.6000000000000001) and (0.0, 0.0)
+        with pytest.raises(ValueError, match=bad):
+            closed_form_call(t, s, strike, uniform_bid_ask_model())
+
 
 class TestAsianTree:
     def test_european_equivalence(self):

@@ -8,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superhedge import simulation
 from superhedge.pricing import (
@@ -106,6 +108,31 @@ class TestDrawStep:
     def test_missing_distribution_rejected(self):
         with pytest.raises(ValueError, match="distribution"):
             draw_step(StepSpec(0.7, 1.4), _gen(0))
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            REF_MODEL.steps[0],
+            StepSpec.from_uniform(0.9, 0.9, 0.0, 0.2),  # m_lo == m_hi
+            StepSpec.from_uniform(1.0, 1.0, 0.0, 0.0),  # degenerate step
+            StepSpec(1, 2, 1, 1, 0, 1),  # integer bounds
+        ],
+        ids=["wide", "fixed_m", "degenerate", "int_bounds"],
+    )
+    def test_out_reproduces_uniform_stream(self, step):
+        ref, rng = _gen(4), _gen(4)
+        rows = np.empty((3, 1001))
+        # two steps in a row, into ``out`` and then into fresh rows: the
+        # streams stay in step
+        for out in (tuple(rows), None):
+            m = ref.uniform(step.m_lo, step.m_hi, 1001)
+            spr = ref.uniform(step.spr_lo, step.spr_hi, 1001)
+            k = ref.uniform(0.0, 1.0, 1001)
+            got = draw_step(step, rng, size=1001, out=out)
+            assert out is None or all(g.base is rows for g in got)
+            for want, row in zip((m, m + spr, k), got):
+                assert want.tobytes() == row.tobytes()
+        assert ref.random() == rng.random()
 
 
 class TestMidExecute:
@@ -418,6 +445,116 @@ def test_sink_gets_none_mid_step_quotes(engine):
         assert cols[key][0] is None and cols[key][3] is None
         assert np.isnan(raw[key][0]).all() and np.isnan(raw[key][3]).all()
         np.testing.assert_array_equal(raw[key][1:3], cols[key][1:3])
+
+
+def _copy_cols(cols):
+    out = {key: [None if c is None else c.copy() for c in cols[key]] for key in PATH_KEYS}
+    out["eps"] = cols["eps"].copy()
+    return out
+
+
+@pytest.mark.parametrize(
+    "engine, batch, n",
+    [
+        (
+            lambda m: partial(simulate_one, m, backward_induce(call_payoff(100), m)),
+            "BATCH_SIZE",
+            2500,
+        ),
+        (lambda m: partial(simulate_functional, m, ASIAN), "FUNCTIONAL_CHUNK", 40),
+    ],
+    ids=["simulate_one", "simulate_functional"],
+)
+def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, n):
+    # a sink's columns are views into the workspace the next batch reuses:
+    # collect=True must copy every batch, the short last one included
+    monkeypatch.setattr(simulation, batch, 1000 if batch == "BATCH_SIZE" else 16)
+    monkeypatch.setattr(simulation, "TILE", 300)
+    model = uniform_bid_ask_model(horizon=3)
+    copies, seen = [], []
+
+    def sink(cols):
+        copies.append(_copy_cols(cols))
+        seen.append(cols)
+
+    _, raw = engine(model)(100.0, n, np.random.SeedSequence(8), collect=True, sink=sink)
+    size = getattr(simulation, batch)
+    assert [c["eps"].size for c in copies] == [size, size, n - 2 * size]
+    assert seen[0]["s"][0].base is seen[1]["s"][0].base  # one reused workspace
+    np.testing.assert_array_equal(raw["eps"], np.concatenate([c["eps"] for c in copies]))
+    for key in PATH_KEYS:
+        for t, whole in enumerate(raw[key]):
+            parts = [c[key][t] for c in copies]
+            want = np.full(n, np.nan) if parts[0] is None else np.concatenate(parts)
+            np.testing.assert_array_equal(whole, want)
+
+
+# Steps mixed per horizon by the tiling tests: wide, narrow, degenerate.
+TILE_STEPS = (
+    StepSpec.from_uniform(0.7, 1.0, 0.0, 0.4),
+    StepSpec.from_uniform(0.9, 1.0, 0.05, 0.2),
+    StepSpec.from_uniform(1.0, 1.0, 0.0, 0.0),
+)
+
+
+def _tiled_run(simulate, model, n, seed, tile, sizes):
+    """(stats rows, streamed path dump) of one run with TILE = ``tile`` and
+    the batch sizes ``sizes`` patched in."""
+    buf, done = io.StringIO(), 0
+
+    def sink(cols):
+        nonlocal done
+        write_path_dump(buf, cols, model.horizon, done)
+        done += cols["eps"].size
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "TILE", tile)
+        for name, size in sizes.items():
+            mp.setattr(simulation, name, size)
+        stats, _ = simulate(100.0, n, np.random.SeedSequence(seed), sink=sink)
+    return stats.row_values(), buf.getvalue()
+
+
+class TestTiles:
+    """Each step runs TILE lanes at a time; every operation is elementwise,
+    so any tile size gives the stats and dump bytes of one tile per batch."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        horizon=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+        payoff=st.sampled_from([call_payoff(90), put_payoff(110)]),
+        straddle_to_ask=st.booleans(),
+        # (TILE, n_paths, BATCH_SIZE): n is no multiple of TILE, and the
+        # run crosses a batch boundary with a short last batch
+        case=st.sampled_from([(1, 23, 16), (5, 23, 16), (4096, 2 * 4096 + 37, 5000)]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_european_tiles_keep_bytes(self, horizon, picks, payoff, straddle_to_ask, case, seed):
+        tile, n, batch = case
+        model = MarketModel(100.0, horizon, tuple(TILE_STEPS[i] for i in picks[: horizon + 1]))
+        simulate = partial(
+            simulate_one, model, backward_induce(payoff, model), straddle_to_ask=straddle_to_ask
+        )
+        sizes = {"BATCH_SIZE": batch}
+        want = _tiled_run(simulate, model, n, seed, n, sizes)  # one tile per batch
+        got = _tiled_run(simulate, model, n, seed, tile, sizes)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("tile", [1, 5])
+    @pytest.mark.parametrize("straddle_to_ask", [True, False])
+    @pytest.mark.parametrize(
+        "picks", [(0, 0, 0, 0), (0, 2, 1, 0)], ids=["homogeneous", "degenerate"]
+    )
+    def test_functional_tiles_keep_bytes(self, tile, straddle_to_ask, picks):
+        model = MarketModel(100.0, 3, tuple(TILE_STEPS[i] for i in picks))
+        simulate = partial(simulate_functional, model, ASIAN, straddle_to_ask=straddle_to_ask)
+        sizes = {"FUNCTIONAL_CHUNK": 16}
+        want = _tiled_run(simulate, model, 23, 5, 4096, sizes)
+        got = _tiled_run(simulate, model, 23, 5, tile, sizes)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
 class TestSimulate:
