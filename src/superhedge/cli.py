@@ -31,6 +31,7 @@ from .pricing import (
     initial_premium,
     require_aip,
     require_convex,
+    require_tree_depth,
 )
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
@@ -119,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError("hist_bins must be at least 1")
         try:
             RngConfig(self.seed)
+            if self.payoff == "asian-call":  # its tree walks have 2^horizon leaves
+                require_tree_depth(self.horizon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -281,8 +281,8 @@ class StrategyFn:
             raise ValueError(f"price must be positive and finite, got {bad}")
         g, kd, ku = self.g_next, self.k_down, self.k_up
         if kd == ku:
-            idx_l, idx_r = _kink_slope_indices(g, kd * s)
-            return 0.5 * (g._slopes_f[idx_l] + g._slopes_f[idx_r]) * kd
+            left, right = g.slopes_at(kd * s)
+            return 0.5 * (left + right) * kd
         a, b = kd * s, ku * s
         ia = piece_index(g._bps_f, a)
         ib = piece_index(g._bps_f, b)
@@ -291,13 +291,6 @@ class StrategyFn:
         g_b = g._slopes_f[ib] * b + g._icepts_f[ib]
         chord = (g_b - g_a) / ((ku - kd) * s)
         return np.where(ia == ib, slope_a, chord)
-
-
-def _kink_slope_indices(g: PwlFunction, x: np.ndarray):
-    idx = piece_index(g._bps_f, x)
-    on_kink = (idx < len(g._bps_f)) & (x == g._bps_f[np.minimum(idx, len(g._bps_f) - 1)])
-    idx_r = np.where(on_kink, idx + 1, idx)
-    return idx, idx_r
 
 
 def require_convex(payoff: PwlFunction):
@@ -455,7 +448,7 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
 # path-dependent claims
 # ---------------------------------------------------------------------- #
 
-TREE_DEPTH_CAP = 20  # deepest tree asian_tree_price walks: 2^20 leaves
+TREE_DEPTH_CAP = 20  # deepest tree any tree walk visits: 2^20 leaves
 
 
 def asian_tree_price(
@@ -473,13 +466,19 @@ def asian_tree_price(
     """
     if not 0 < s0 < math.inf:
         raise ValueError(f"s0 must be positive and finite, got {s0}")
-    T = model.horizon
-    if T > TREE_DEPTH_CAP:
-        raise ValueError(
-            f"horizon {T} exceeds the tree depth cap {TREE_DEPTH_CAP} (2^{T} leaves)"
-        )
+    require_tree_depth(model.horizon)
     require_aip(model)
     return float(_tree_value(payoff, model, (float(s0),), 0))
+
+
+def require_tree_depth(horizon: int):
+    """Refuse a horizon above TREE_DEPTH_CAP: a tree walk visits 2^horizon
+    leaves (ValueError)."""
+    if horizon > TREE_DEPTH_CAP:
+        raise ValueError(
+            f"horizon {horizon} exceeds the tree depth cap {TREE_DEPTH_CAP} "
+            f"(2^{horizon} leaves)"
+        )
 
 
 def _tree_value(leaf, model: MarketModel, prefix: tuple, t: int):

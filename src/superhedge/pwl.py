@@ -96,6 +96,14 @@ def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, den) for n in nums)
 
 
+def _check_points(x: np.ndarray):
+    """Refuse negative, infinite and NaN evaluation points."""
+    # NaN fails every comparison, so the chain refuses it too.
+    if x.size and not 0.0 <= x.min() <= x.max() < math.inf:
+        bad = x[~((0.0 <= x) & (x < math.inf))][0]
+        raise ValueError(f"evaluation point must be nonnegative and finite, got {bad}")
+
+
 def piece_index(table: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:
     """The indices ``np.searchsorted(table, x, side)`` returns, for any floats.
 
@@ -288,12 +296,7 @@ class PwlFunction:
     def __call__(self, x):
         """Evaluate at a nonnegative finite float or array of floats."""
         if isinstance(x, np.ndarray):
-            # NaN fails every comparison, so the chain refuses it too.
-            if x.size and not 0.0 <= x.min() <= x.max() < math.inf:
-                bad = x[~((0.0 <= x) & (x < math.inf))][0]
-                raise ValueError(
-                    f"evaluation point must be nonnegative and finite, got {bad}"
-                )
+            _check_points(x)
             idx = piece_index(self._bps_f, x)
             return self._slopes_f[idx] * x + self._icepts_f[idx]
         xf = float(x)
@@ -329,17 +332,17 @@ class PwlFunction:
         sn = self._sn
         return all(a >= b for a, b in zip(sn, sn[1:]))
 
-    def slopes_at(self, x: float) -> tuple[float, float]:
-        """(left slope, right slope) at x; they differ only at a kink."""
-        xf = float(x)
-        if not 0.0 <= xf < math.inf:
-            raise ValueError(
-                f"evaluation point must be nonnegative and finite, got {xf}"
-            )
-        i = int(np.searchsorted(self._bps_f, xf, side="left"))
-        if i < len(self._bps_f) and xf == self._bps_f[i]:
-            return float(self._slopes_f[i]), float(self._slopes_f[i + 1])
-        return float(self._slopes_f[i]), float(self._slopes_f[i])
+    def slopes_at(self, x):
+        """(left slope, right slope) at x, which differ only at a kink: two
+        floats for a float, two arrays of x's shape for an array."""
+        if not isinstance(x, np.ndarray):  # a scalar is the array rule at n=1
+            left, right = self.slopes_at(np.array([x], dtype=float))
+            return float(left[0]), float(right[0])
+        _check_points(x)
+        bps = self._bps_f
+        i = piece_index(bps, x)
+        on_kink = x == bps[np.minimum(i, bps.size - 1)]  # x > bps[-1] at i == K
+        return self._slopes_f[i], self._slopes_f[i + on_kink]
 
     # ------------------------------------------------------------------ #
     # dunder plumbing
@@ -438,26 +441,6 @@ def _drop_collinear(xs, slopes, icepts):
     )
 
 
-def merge_pieces(xa: Sequence, xb: Sequence):
-    """Merge two strictly increasing sequences in one pass.
-
-    Returns (xs, pieces): xs is the sorted union, and pieces[k] = (i, j) says
-    that the k-th gap of xs (from xs[k-1] to xs[k], open-ended at both ends)
-    lies in gap i of xa and gap j of xb.  Rationals over one shared
-    denominator merge as their integer numerators.
-    """
-    xs, pieces = [], [(0, 0)]
-    i = j = 0
-    na, nb = len(xa), len(xb)
-    while i < na or j < nb:
-        x = xa[i] if j == nb else xb[j] if i == na else min(xa[i], xb[j])
-        xs.append(x)
-        i += i < na and xa[i] == x
-        j += j < nb and xb[j] == x
-        pieces.append((i, j))
-    return xs, pieces
-
-
 def convex_combine(f: PwlFunction, g: PwlFunction, lam: Scalar) -> PwlFunction:
     """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1]."""
     return scaled_combine(f, 1, g, 1, lam)
@@ -468,31 +451,53 @@ def scaled_combine(
 ) -> PwlFunction:
     """x -> lam*f(kf*x) + (1-lam)*g(kg*x) for kf, kg > 0 and lam in [0, 1].
 
-    One merge of the scaled breakpoint lists, brought to one denominator.
-    Each merged piece lies in one piece of f(kf*x) and one of g(kg*x), so
-    its slope and intercept are integer combinations of theirs, over one
-    denominator per list: with kf = pf/qf and lam = ln/ld, f's slopes enter
-    as ln*pf*sn over ld*qf*sd, and its intercepts as ln*cn over ld*cd.
+    With lam = ln/ld this is the integer-weighted combination of
+    `_scaled_pieces` with weights ln and ld - ln, over ld.
     """
-    pf, qf = _ratio(kf, "scale factor")
-    pg, qg = _ratio(kg, "scale factor")
     lq = _frac(lam)
     if not 0 <= lq <= 1:
         raise ValueError(f"weight must lie in [0, 1], got {lam}")
     ln, ld = lq.numerator, lq.denominator
-    # f(kf*x) has breakpoints bn*qf / (bd*pf) and slopes sn*pf / (sd*qf).
-    bd, uf, ug = _lcm_factors(f._bd * pf, g._bd * pg)
-    xs, pieces = merge_pieces(_times(f._bn, qf * uf), _times(g._bn, qg * ug))
-    sd, uf, ug = _lcm_factors(f._sd * qf, g._sd * qg)
-    sf, sg = _times(f._sn, ln * pf * uf), _times(g._sn, (ld - ln) * pg * ug)
-    cd, uf, ug = _lcm_factors(f._cd, g._cd)
-    cf, cg = _times(f._cn, ln * uf), _times(g._cn, (ld - ln) * ug)
-    slopes = [sf[i] + sg[j] for i, j in pieces]
-    icepts = [cf[i] + cg[j] for i, j in pieces]
+    (xs, bd), (slopes, sd), (icepts, cd) = _scaled_pieces(f, kf, ln, g, kg, ld - ln)
     xs, slopes, icepts = _drop_collinear(xs, slopes, icepts)
     return PwlFunction._from_ints(
         _reduce(xs, bd), _reduce(slopes, ld * sd), _reduce(icepts, ld * cd)
     )
+
+
+def _scaled_pieces(
+    f: PwlFunction, kf: Scalar, wf: int, g: PwlFunction, kg: Scalar, wg: int
+):
+    """Pieces of x -> wf*f(kf*x) + wg*g(kg*x) for kf, kg > 0 and integer
+    weights wf, wg of either sign, before collinear breakpoints are dropped.
+
+    One merge of the scaled breakpoint lists, brought to one denominator.
+    Each merged piece lies in one piece of f(kf*x) and one of g(kg*x), so
+    its slope and intercept are integer combinations of theirs: with
+    kf = pf/qf, f's slopes enter as wf*pf*sn over qf*sd, and its intercepts
+    as wf*cn over cd.  Returns unreduced (numerators, denominator) lists of
+    the merged breakpoints and of every piece's slope and intercept.
+    """
+    pf, qf = _ratio(kf, "scale factor")
+    pg, qg = _ratio(kg, "scale factor")
+    # f(kf*x) has breakpoints bn*qf / (bd*pf) and slopes sn*pf / (sd*qf).
+    bd, uf, ug = _lcm_factors(f._bd * pf, g._bd * pg)
+    xa, xb = _times(f._bn, qf * uf), _times(g._bn, qg * ug)
+    # Merged gap k (ending at xs[k]) lies in gap i of xa and gap j of xb.
+    xs, pieces, i, j, na, nb = [], [(0, 0)], 0, 0, len(xa), len(xb)
+    while i < na or j < nb:
+        x = xa[i] if j == nb else xb[j] if i == na else min(xa[i], xb[j])
+        xs.append(x)
+        i += i < na and xa[i] == x
+        j += j < nb and xb[j] == x
+        pieces.append((i, j))
+    sd, uf, ug = _lcm_factors(f._sd * qf, g._sd * qg)
+    sf, sg = _times(f._sn, wf * pf * uf), _times(g._sn, wg * pg * ug)
+    cd, uf, ug = _lcm_factors(f._cd, g._cd)
+    cf, cg = _times(f._cn, wf * uf), _times(g._cn, wg * ug)
+    slopes = [sf[i] + sg[j] for i, j in pieces]
+    icepts = [cf[i] + cg[j] for i, j in pieces]
+    return (xs, bd), (slopes, sd), (icepts, cd)
 
 
 def upper_concave_envelope(f: PwlFunction, dom: Interval) -> PwlFunction:

@@ -40,8 +40,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .pricing import MarketModel, PricingResult, StepSpec, _tree_value, require_aip
-from .pwl import PwlFunction, merge_pieces, piece_index
+from .pricing import MarketModel, PricingResult, StepSpec, _tree_value
+from .pricing import require_aip, require_tree_depth
+from .pwl import PwlFunction, _scaled_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
 TILE = 1 << 15  # lanes each step's elementwise chain runs at a time
@@ -146,13 +147,14 @@ def _check_quotes(bid: np.ndarray, ask: np.ndarray):
 class OrderSignChange:
     """Sign-change price of z -> theta_t(z) - theta_prev, solved exactly.
 
-    theta_t(z) = (g(k_up z) - g(k_down z)) / ((k_up - k_down) z) is monotone
-    for convex g and piecewise of the form b/c + a/(c z), so the zero set of
-    the order mapping is an interval whose endpoints solve linear equations
-    on the pieces.  The reported S* is the finite endpoint when the zero set
-    extends to 0 or infinity (a plateau of theta at the held position) and
-    the midpoint otherwise; with no zero at all, only the constant sign is
-    reported.  All piece data is precomputed from exact rationals.
+    theta_t(z) = (g(k_up z) - g(k_down z)) / ((k_up - k_down) z) is
+    continuous and of the form b/c + a/(c z) between cuts, monotone when no
+    piece has a > 0 (convex g), so the zero set of the order mapping is an
+    interval whose endpoints solve linear equations on the pieces.  The
+    reported S* is the finite endpoint when the zero set extends to 0 or
+    infinity (a plateau of theta at the held position) and the midpoint
+    otherwise; with no zero at all, only the constant sign is reported.
+    All piece data is precomputed from exact rationals.
     """
 
     def __init__(self, g_next: PwlFunction, step: StepSpec):
@@ -160,54 +162,38 @@ class OrderSignChange:
         self.degenerate = kd == ku
         if self.degenerate:
             return
-        pd, qd, pu, qu = kd.numerator, kd.denominator, ku.numerator, ku.denominator
+        # N(z) = g(k_up z) - g(k_down z) is b z + a between cuts, the z where
+        # k_up z or k_down z meets a breakpoint of g: the recursion's merge
+        # gives the cuts over zd, b over bd and a over ad.
         g = g_next
-        # theta = (g(k_up z) - g(k_down z)) / (c z) is b/c + a/(c z) between
-        # cuts, the z where k_up z or k_down z meets a positive breakpoint of
-        # g; a and b come from the pieces of g holding k_up z and k_down z.
-        # Each list is integer numerators over one denominator: the cuts
-        # b/k = bn*q / (bd*p) over zd, b over sd*qu*qd, a over cd, and
-        # c = c_n / (qu*qd) > 0.
-        first = 1 if g._bn[0] == 0 else 0  # z > 0 lies past a breakpoint at 0
-        bn, sn, cn = g._bn[first:], g._sn[first:], g._cn[first:]
-        lcm = math.lcm(pd, pu)
-        zd = g._bd * lcm
-        cuts, pieces = merge_pieces(
-            [n * (qu * (lcm // pu)) for n in bn], [n * (qd * (lcm // pd)) for n in bn]
-        )
-        b_n = [sn[i] * (pu * qd) - sn[j] * (pd * qu) for i, j in pieces]
-        a_n = [cn[i] - cn[j] for i, j in pieces]
-        c_n = pu * qd - pd * qu
-        m = len(cuts)
-
+        (cuts, zd), (b_n, bd), (a_n, ad) = _scaled_pieces(g, ku, 1, g, kd, -1)
+        if cuts[0] == 0:  # z > 0 lies past a breakpoint at 0
+            cuts, b_n, a_n = cuts[1:], b_n[1:], a_n[1:]
+        # theta = N / (c z) is continuous and nondecreasing on a piece iff
+        # a <= 0.  Below the first cut and past the last, both chord ends lie
+        # in one piece of g, so a = 0 there: theta at the last cut is theta_hi.
+        if any(n > 0 for n in a_n):
+            raise ValueError("order mapping is not monotone; payoff not convex?")
         # theta at cut z = cuts[j] / zd, from the piece ending there, is
-        # b/c + a/(c z) = (b_n*ce*cuts[j] + a_n*ze*qu*qd*sd) / (sd*ce*c_n*cuts[j])
-        # with ze/ce = zd/cd in lowest terms.
-        sd, cd = g._sd, g._cd
-        h = math.gcd(zd, cd)
-        ze, ce = zd // h, cd // h
-        a_w, t_d = ze * qu * qd * sd, sd * ce * c_n
-        t_n = [b_n[j] * ce * z + a_n[j] * a_w for j, z in enumerate(cuts)]
-        t_den = [t_d * z for z in cuts]
-        t_vals = [n / d for n, d in zip(t_n, t_den)]
-        # Correctly rounded division is monotone, so differing floats order
-        # the exact values; only equal floats need the exact comparison.
-        for j in range(m - 1):
-            u, v = t_vals[j], t_vals[j + 1]
-            if u > v or (u == v and t_n[j] * t_den[j + 1] > t_n[j + 1] * t_den[j]):
-                raise ValueError("order mapping is not monotone; payoff not convex?")
-
+        # (b z + a) / (c z) = (b_n*ae*cuts[j] + a_n*bd*ze) / (bd*ae*c*cuts[j])
+        # with ze/ae = zd/ad in lowest terms.
+        c, h = ku - kd, math.gcd(zd, ad)
+        ze, ae = zd // h, ad // h
+        b_w, a_w = ae * c.denominator, bd * ze * c.denominator
+        t_d = bd * ae * c.numerator
         self.c = float(step.k_up - step.k_down)
         self.cuts = np.array([z / zd for z in cuts])
         # Piece j of theta spans [cut_lo[j], cut_hi[j]].
         self.cut_lo = np.concatenate(([0.0], self.cuts))
         self.cut_hi = np.concatenate((self.cuts, [np.inf]))
-        self.t_vals = np.array(t_vals)
-        self.a = np.array([n / cd for n in a_n])
-        self.b = np.array([n / (sd * qu * qd) for n in b_n])
-        self.theta_lo = b_n[0] / (sd * c_n)   # constant value of theta near 0
-        self.theta_hi = b_n[-1] / (sd * c_n)  # asymptotic value at infinity
-        self.t_last = t_vals[-1] if m else self.theta_lo
+        self.t_vals = np.array(
+            [(b_n[j] * b_w * z + a_n[j] * a_w) / (t_d * z) for j, z in enumerate(cuts)]
+        )
+        self.a = np.array([n / ad for n in a_n])
+        self.b = np.array([n / bd for n in b_n])
+        # theta = b/c near 0 and at infinity
+        self.theta_lo = b_n[0] * c.denominator / (bd * c.numerator)
+        self.theta_hi = b_n[-1] * c.denominator / (bd * c.numerator)
 
     def sstar(self, theta_prev: np.ndarray):
         """Per-path (sstar, sign): sstar is NaN where the sign is constant."""
@@ -220,9 +206,7 @@ class OrderSignChange:
 
         sign = np.zeros(n)
         all_buy = th < self.theta_lo
-        all_sell = (th > self.theta_hi) | (
-            (th == self.theta_hi) & (self.t_last < self.theta_hi)
-        )
+        all_sell = th > self.theta_hi
         sign[all_buy] = 1.0
         sign[all_sell] = -1.0
         root = ~(all_buy | all_sell)
@@ -296,15 +280,16 @@ class SimPath:
     eps_r: float
 
 
-def _workspace(horizon: int, size: int) -> dict:
+def _workspace(horizon: int, size: int, draw_shape: Optional[tuple] = None) -> dict:
     """Batch columns for up to ``size`` paths, reused by every batch of a run:
-    the draw rows (m, M, k), s and v with T+1 rows, theta with T, bid and ask
-    with T-1 (interior steps only) and eps; 5T+4 rows of ``size`` floats."""
+    s and v with T+1 rows, theta with T, bid and ask with T-1 (interior
+    steps only) and eps, 5T+1 rows of ``size`` floats, plus a draw block of
+    ``draw_shape``, by default the three rows (m, M, k)."""
     T = horizon
-    block = np.empty((5 * T + 4, size))
-    draw, s, v, theta, bid, ask, eps = np.split(
-        block, np.cumsum([3, T + 1, T + 1, T, T - 1, T - 1])
+    s, v, theta, bid, ask, eps = np.split(
+        np.empty((5 * T + 1, size)), np.cumsum([T + 1, T + 1, T, T - 1, T - 1])
     )
+    draw = np.empty(draw_shape or (3, size))
     return dict(draw=draw, s=s, v=v, theta=theta, bid=bid, ask=ask, eps=eps[0])
 
 
@@ -620,8 +605,9 @@ def simulate_one(
 ):
     """Simulate one strike; returns (SimStats, raw columns or None).
 
-    Paths are generated in batches of BATCH_SIZE (read when called) with
-    seeds spawned from ``seed_seq``; the batch layout depends only on
+    Paths are generated in batches of BATCH_SIZE (read when called), each
+    seeded by a child spawned from ``seed_seq`` as it starts (the children
+    of one ``spawn(k)``, in order); the batch layout depends only on
     n_paths, so a given seed gives bit-identical results.  Every batch runs
     in one workspace of (5T+4) rows of min(BATCH_SIZE, n_paths) floats.
     ``collect=True`` additionally returns the per-path columns of the whole
@@ -637,10 +623,9 @@ def simulate_one(
     def batches():
         crossings = _build_crossings(model, pricing)
         ws = _workspace(model.horizon, min(batch_size, n_paths))
-        children = seed_seq.spawn((n_paths + batch_size - 1) // batch_size)
-        for b, child in enumerate(children):
-            nb = min(batch_size, n_paths - b * batch_size)
-            rng = np.random.Generator(np.random.PCG64(child))
+        for done in range(0, n_paths, batch_size):
+            nb = min(batch_size, n_paths - done)
+            rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
             yield _simulate_batch(
                 model, pricing, nb, rng, crossings, straddle_to_ask, ws
             )
@@ -764,15 +749,17 @@ def _functional_batch(
     Each path takes its 3 (T + 1) uniforms consecutively from ``rng`` in the
     order (m, spread, k) per step, and every lane repeats the per-path
     arithmetic, so results do not depend on how paths are batched.  The
-    draws stay in their own per-path block, not the workspace's draw rows.
+    draws fill the workspace's (paths, T + 1, 3) draw block.
     """
     if not all(step.has_distribution for step in model.steps):
         raise ValueError("step has no draw distribution attached")
     if ws is None:
-        ws = _workspace(model.horizon, n)
+        ws = _workspace(model.horizon, n, (n, model.horizon + 1, 3))
     lo = np.array([(st.m_lo, st.spr_lo, 0.0) for st in model.steps], dtype=float)
     hi = np.array([(st.m_hi, st.spr_hi, 1.0) for st in model.steps], dtype=float)
-    u = lo + (hi - lo) * rng.random((n, model.horizon + 1, 3))
+    u = rng.random(out=ws["draw"][:n])
+    u *= hi - lo  # the bits of lo + (hi - lo) * u: IEEE * and + commute
+    u += lo
     draws = ((u[:, t, 0], u[:, t, 0] + u[:, t, 1], u[:, t, 2]) for t in range(len(lo)))
     leaf = partial(_payoff_values, payoff)
     claim = (
@@ -796,6 +783,7 @@ def run_path_functional(
     payoff contract; successive calls on one generator give the paths of one
     simulate_functional batch bit for bit.
     """
+    require_tree_depth(model.horizon)
     require_aip(model)
     return _first_path(model, _functional_batch(model, payoff, 1, rng, straddle_to_ask))
 
@@ -820,12 +808,15 @@ def simulate_functional(
     from ``seed_seq``: it feeds chunks of FUNCTIONAL_CHUNK paths in turn,
     each run as one vector batch in one reused workspace and aggregated as
     one batch; ``sink`` gets each chunk's columns as in simulate_one, views
-    into the workspace valid only during the call.
+    into the workspace valid only during the call.  A horizon above
+    TREE_DEPTH_CAP (2^horizon tree leaves per path) is refused before any draw.
     """
+    require_tree_depth(model.horizon)
 
     def batches():
         rng = np.random.Generator(np.random.PCG64(seed_seq))
-        ws = _workspace(model.horizon, min(FUNCTIONAL_CHUNK, n_paths))
+        size = min(FUNCTIONAL_CHUNK, n_paths)
+        ws = _workspace(model.horizon, size, (size, model.horizon + 1, 3))
         for done in range(0, n_paths, FUNCTIONAL_CHUNK):
             nb = min(FUNCTIONAL_CHUNK, n_paths - done)
             yield _functional_batch(model, payoff, nb, rng, straddle_to_ask, ws)

@@ -354,6 +354,18 @@ class TestMain:
         assert "strikes must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_asian_horizon_above_tree_cap_writes_nothing(self, tmp_path, capsys):
+        f = tmp_path / "cfg.txt"
+        f.write_text("payoff = asian-call\nhorizon = 21\nn_paths = 10\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(f), "--out", str(out)]) == EXIT_ERROR
+        assert "tree depth cap 20" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="tree depth cap"):
+            parse_config("payoff = asian-call\nhorizon = 21\n")
+        parse_config("payoff = asian-call\nhorizon = 20\n")
+        parse_config("horizon = 21\n")  # the chord recursion walks no tree
+
     @pytest.mark.parametrize(
         "shape, message",
         [

@@ -50,7 +50,8 @@ def reference_step(g: PwlFunction, step: StepSpec) -> PwlFunction:
 
 
 def reference_crossings(g: PwlFunction, step: StepSpec) -> dict:
-    """The crossing arrays of OrderSignChange, from two samples per z-interval."""
+    """The crossing arrays of OrderSignChange, from two samples per z-interval,
+    and whether the exact theta at the cuts is nondecreasing."""
     kd, ku = Fraction(step.k_down), Fraction(step.k_up)
     c = ku - kd
     cuts = sorted(
@@ -84,6 +85,7 @@ def reference_crossings(g: PwlFunction, step: StepSpec) -> dict:
         "theta_lo": float(b_q[0] / c),
         "theta_hi": float(b_q[-1] / c),
         "t_last": float(theta_cuts[-1]) if m else float(b_q[0] / c),
+        "monotone": theta_cuts == sorted(theta_cuts),
     }
 
 
@@ -155,8 +157,48 @@ def assert_crossings_equal_oracle(fns, model):
         want = reference_crossings(fns[t + 1], step)
         for key in ("cuts", "t_vals", "a", "b"):
             assert getattr(got, key).tobytes() == want[key].tobytes(), key
-        for key in ("theta_lo", "theta_hi", "t_last"):
+        for key in ("theta_lo", "theta_hi"):
             assert getattr(got, key) == want[key], key
+        if got.cuts.size:
+            assert got.t_vals[-1] == want["t_last"] == got.theta_hi
+
+
+@st.composite
+def any_payoffs(draw):
+    """PWL functions with any slopes, convex or not, often with a breakpoint
+    at 0."""
+    ticks = sorted(draw(st.sets(st.integers(0, 4000), min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        ticks[0] = 0
+    xs = [Fraction(k, 20) for k in sorted(set(ticks))]
+    slopes = [Fraction(draw(st.integers(-8, 8)), 4) for _ in range(len(xs) + 1)]
+    ys = [Fraction(draw(st.integers(-400, 400)), 10)]
+    for i in range(len(xs) - 1):
+        ys.append(ys[-1] + slopes[i + 1] * (xs[i + 1] - xs[i]))
+    return PwlFunction(xs, ys, slopes[0], slopes[-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(any_payoffs(), convex_payoffs()), step=steps)
+@example(g=PwlFunction([0, 100], [5, 5], 0, 1), step=StepSpec(0.7, 1.4))
+@example(g=PwlFunction([80, 100, 120], [0, 10, 0]), step=StepSpec(0.7, 1.4))
+@example(g=PwlFunction([0], [1], 2, 2), step=StepSpec(0.7, 1.4))
+@example(g=call_payoff(100), step=StepSpec(1.0, 1.0))
+def test_crossing_table_refused_iff_exact_theta_decreases(g, step):
+    if step.k_down == step.k_up:
+        assert OrderSignChange(g, step).degenerate
+        return
+    want = reference_crossings(g, step)
+    if not want["monotone"]:
+        with pytest.raises(ValueError, match="not monotone"):
+            OrderSignChange(g, step)
+        return
+    got = OrderSignChange(g, step)
+    for key in ("cuts", "t_vals", "a", "b"):
+        assert getattr(got, key).tobytes() == want[key].tobytes(), key
+    assert (got.theta_lo, got.theta_hi) == (want["theta_lo"], want["theta_hi"])
+    if got.cuts.size:
+        assert got.t_vals[-1] == got.theta_hi
 
 
 # Two step types whose four multipliers have different odd mantissa parts,

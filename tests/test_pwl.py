@@ -104,10 +104,34 @@ class TestEval:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_slopes_at_rejects_what_call_rejects(self, bad):
         f = call_payoff(100)
-        with pytest.raises(ValueError, match=f"nonnegative and finite, got {bad}"):
-            f.slopes_at(bad)
+        for x in (bad, np.array([bad, 120.0]), np.array([120.0, bad])):
+            with pytest.raises(ValueError, match=f"nonnegative and finite, got {bad}"):
+                f.slopes_at(x)
         assert f.slopes_at(100.0) == (0.0, 1.0)
         assert f.slopes_at(0.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n_kinks", [3, pwl._COUNT_MAX + 5])  # counted, searched
+    def test_vector_slopes_at_equals_scalar_and_exact_sides(self, n_kinks):
+        from bisect import bisect_left, bisect_right
+
+        bps = [Fraction(0)] + [Fraction(7 * i + 3, 2) for i in range(n_kinks)]
+        vals = [Fraction((-1) ** i * i, 3) for i in range(len(bps))]
+        f = PwlFunction(bps, vals, Fraction(-5, 2), Fraction(9, 4))
+        mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        xs = np.array([float(x) for x in bps + mids + [bps[-1] + 1]])
+        left, right = f.slopes_at(xs)
+        slopes = f.piece_slopes()
+        for x, lv, rv in zip(xs, left, right):
+            xq = Fraction(float(x))
+            want = (
+                float(slopes[bisect_left(f.breakpoints, xq)]),
+                float(slopes[bisect_right(f.breakpoints, xq)]),
+            )
+            assert f.slopes_at(float(x)) == (lv, rv) == want
+        assert f.slopes_at(0.0) == (-2.5, float(slopes[1]))
+        grid = f.slopes_at(xs.reshape(-1, 1))
+        assert [g.shape for g in grid] == [(xs.size, 1)] * 2
+        assert [g.shape for g in f.slopes_at(np.array(2.0))] == [(), ()]
 
     def test_vectorised_matches_scalar(self):
         rng = np.random.default_rng(0)

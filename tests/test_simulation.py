@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from superhedge import simulation
 from superhedge.pricing import (
+    TREE_DEPTH_CAP,
     AipViolationError,
     MarketModel,
     StepSpec,
@@ -159,7 +160,7 @@ def two_root_sstar(cross: OrderSignChange, theta_prev: np.ndarray):
     sign = np.zeros(n)
     all_buy = th < cross.theta_lo
     all_sell = (th > cross.theta_hi) | (
-        (th == cross.theta_hi) & (cross.t_last < cross.theta_hi)
+        (th == cross.theta_hi) & (cross.t_vals[-1] < cross.theta_hi)
     )
     sign[all_buy] = 1.0
     sign[all_sell] = -1.0
@@ -786,6 +787,43 @@ class TestFunctionalEngine:
     def test_payoff_breaking_contract_names_it(self, payoff):
         with pytest.raises(TypeError, match="tuple .* of equal-length float arrays"):
             simulate_functional(REF_MODEL, payoff, 100.0, 20, np.random.SeedSequence(67))
+
+    def test_draws_fill_workspace_block_with_uniform_bits(self):
+        model = uniform_bid_ask_model(horizon=3)
+        ws = simulation._workspace(3, 16, (16, 4, 3))
+        simulation._functional_batch(model, ASIAN, 10, _gen(71), ws=ws)
+        lo = np.array([(st.m_lo, st.spr_lo, 0.0) for st in model.steps])
+        hi = np.array([(st.m_hi, st.spr_hi, 1.0) for st in model.steps])
+        want = lo + (hi - lo) * _gen(71).random((10, 4, 3))
+        assert ws["draw"][:10].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda m, rng: run_path_functional(m, ASIAN, rng),
+        lambda m, rng: simulate_functional(m, ASIAN, 100.0, 5, np.random.SeedSequence(1)),
+    ],
+    ids=["run_path_functional", "simulate_functional"],
+)
+def test_functional_engines_refuse_horizon_above_tree_cap(engine):
+    model = uniform_bid_ask_model(horizon=TREE_DEPTH_CAP + 1)
+    rng = _gen(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="tree depth cap 20"):
+        engine(model, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+def test_batch_seeds_spawned_as_batches_start(monkeypatch):
+    monkeypatch.setattr(simulation, "BATCH_SIZE", 100)
+    seed_seq, spawned = np.random.SeedSequence(13), []
+
+    def sink(cols):
+        spawned.append(seed_seq.n_children_spawned)
+
+    simulate_one(REF_MODEL, _pricing(), 100.0, 450, seed_seq, sink=sink)
+    assert spawned == [1, 2, 3, 4, 5]
 
 
 class TestRunningMoments:
