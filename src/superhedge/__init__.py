@@ -14,7 +14,6 @@ from .pwl import (
     convex_combine,
     put_payoff,
     scale_compose,
-    superdifferential,
     upper_concave_envelope,
 )
 from .pricing import (
@@ -33,7 +32,6 @@ from .pricing import (
 )
 from .simulation import (
     RngConfig,
-    SimPath,
     SimStats,
     draw_step,
     execute_delayed_order,
@@ -52,7 +50,6 @@ __all__ = [
     "MarketModel",
     "PwlFunction",
     "RngConfig",
-    "SimPath",
     "SimStats",
     "StepSpec",
     "StrategyFn",
@@ -75,7 +72,6 @@ __all__ = [
     "simulate",
     "simulate_functional",
     "simulate_one",
-    "superdifferential",
     "uniform_bid_ask_model",
     "upper_concave_envelope",
 ]

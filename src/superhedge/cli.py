@@ -94,6 +94,11 @@ class ExperimentConfig:
             raise ConfigError("strikes must be nonempty")
         if any(k <= 0 for k in self.strikes):
             raise ConfigError("strikes must be positive")
+        if self.payoff != "custom-pwl":  # a strike's label names its column and files
+            labels = [_column_label(float(k)) for k in self.strikes]
+            for i, label in enumerate(labels):
+                if label in labels[:i]:
+                    raise ConfigError(f"strikes share the column label {label!r}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
         if self.payoff not in PAYOFF_TAGS:
@@ -200,13 +205,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         parsed = _parse_value(key, value, f"line {lineno}")
+        if key in fields or key in bounds:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key in _BOUND_KEYS:
             bounds[key] = parsed
             continue
         if key in ("m_lo", "m_hi", "spr_lo", "spr_hi"):
             saw_dist_keys = True
-        if key in fields:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = parsed
 
     if bounds:

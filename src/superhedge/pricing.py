@@ -32,7 +32,6 @@ from .pwl import (
     piece_index,
     scale_compose,
     scaled_combine,
-    superdifferential,
     upper_concave_envelope,
 )
 
@@ -205,7 +204,8 @@ def one_step_price(
     With support [m, M] = [k_down * s_prev, k_up * s_prev]: if s_prev lies
     outside, no finite price exists (returns -inf).  Otherwise the value is
     the upper concave envelope of g_next on [m, M] evaluated at s_prev and
-    theta is the midpoint of the envelope's superdifferential there.
+    theta is the midpoint of the envelope's superdifferential there: the
+    mean of its one-sided slopes, or the inward one at an end of [m, M].
     """
     if not s_prev > 0:
         raise ValueError(f"s_prev must be positive, got {s_prev}")
@@ -218,9 +218,15 @@ def one_step_price(
         return OneStepQuote(MINUS_INFINITY, math.nan)
     dom = Interval(kd * s_prev, ku * s_prev)
     h = upper_concave_envelope(g_next, dom)
-    price = h(float(s_prev))
-    theta = superdifferential(h, float(s_prev), dom).midpoint()
-    return OneStepQuote(price, theta)
+    s = float(s_prev)
+    left, right = h.slopes_at(s)
+    if s == dom.lo:  # at an end of the support only the inward slope exists
+        theta = right
+    elif s == dom.hi:
+        theta = left
+    else:
+        theta = 0.5 * (right + left)
+    return OneStepQuote(h(s), theta)
 
 
 # ---------------------------------------------------------------------- #
@@ -380,7 +386,7 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
-    if not 0.0 < s_arr.min() <= s_arr.max() < math.inf:
+    if s_arr.size and not 0.0 < s_arr.min() <= s_arr.max() < math.inf:
         bad = s_arr[~((0.0 < s_arr) & (s_arr < math.inf))][0]
         raise ValueError(f"price must be positive and finite, got {bad}")
     K = float(strike)

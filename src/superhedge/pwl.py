@@ -12,7 +12,8 @@ Each of the three lists is stored as Python int numerators over one
 positive denominator, reduced by the gcd of all of them, so the algebra
 (`scale_compose`, `scaled_combine`, `convex_combine`) and the convexity
 checks run on integers with one gcd per list instead of one per operation.
-`fractions.Fraction` views are built only when a slow path reads them.
+`fractions.Fraction` views are built from the lists only when a slow path
+reads them, and are not kept.
 
 Evaluation is vectorised: each function caches per-piece slope/intercept
 float arrays, so evaluating on a million-element numpy array is one piece
@@ -140,30 +141,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-
-@dataclass(frozen=True)
-class SlopeInterval:
-    """Superdifferential of a concave function at a point: [lo, hi] slopes.
-
-    ``lo`` is the right-hand slope, ``hi`` the left-hand slope (for a concave
-    function right <= left).  ``at_boundary`` marks evaluation at an endpoint
-    of the domain, where only the one-sided slope exists and is repeated.
-    """
-
-    lo: float
-    hi: float
-    at_boundary: bool = False
-
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 class PwlFunction:
     """Continuous piecewise-linear function on [0, inf).
@@ -187,24 +164,13 @@ class PwlFunction:
     holding x.  Each list is divided by the gcd of its denominator and
     numerators, which makes its denominator the lcm of the elements' reduced
     denominators: the form is canonical, so ``==`` and ``hash`` compare
-    integers.  The ``Fraction`` views (`breakpoints`, `values`, the
-    extension slopes, ``_slopes`` and ``_icepts``) are built on first use.
+    integers.  The lists are the only exact form kept: the ``Fraction``
+    views (`breakpoints`, `values`, the extension slopes, `piece_slopes`)
+    are built from them each time they are read.
     """
 
     __slots__ = (
-        "_bn",
-        "_bd",
-        "_sn",
-        "_sd",
-        "_cn",
-        "_cd",
-        "_bps_f",
-        "_slopes_f",
-        "_icepts_f",
-        "_bps_q",
-        "_vals_q",
-        "_slopes_q",
-        "_icepts_q",
+        "_bn", "_bd", "_sn", "_sd", "_cn", "_cd", "_bps_f", "_slopes_f", "_icepts_f"
     )
 
     def __init__(
@@ -248,46 +214,31 @@ class PwlFunction:
         self._bps_f = np.array([n / bd for n in bn])
         self._slopes_f = np.array([n / sd for n in sn])
         self._icepts_f = np.array([n / cd for n in cn])
-        self._bps_q = self._vals_q = self._slopes_q = self._icepts_q = None
 
     # ------------------------------------------------------------------ #
-    # exact views, built on first use
+    # exact views, built from the integer lists when read
     # ------------------------------------------------------------------ #
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        if self._bps_q is None:
-            self._bps_q = _fractions(self._bn, self._bd)
-        return self._bps_q
-
-    @property
-    def _slopes(self) -> tuple[Fraction, ...]:
-        if self._slopes_q is None:
-            self._slopes_q = _fractions(self._sn, self._sd)
-        return self._slopes_q
-
-    @property
-    def _icepts(self) -> tuple[Fraction, ...]:
-        if self._icepts_q is None:
-            self._icepts_q = _fractions(self._cn, self._cd)
-        return self._icepts_q
+        return _fractions(self._bn, self._bd)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """Values at the breakpoints: piece i evaluated where it ends."""
-        if self._vals_q is None:
-            self._vals_q = tuple(
-                s * b + c for s, b, c in zip(self._slopes, self.breakpoints, self._icepts)
-            )
-        return self._vals_q
+        return tuple(self._line(i, b) for i, b in enumerate(self.breakpoints))
 
     @property
     def left_slope(self) -> Fraction:
-        return self._slopes[0]
+        return Fraction(self._sn[0], self._sd)
 
     @property
     def right_slope(self) -> Fraction:
-        return self._slopes[-1]
+        return Fraction(self._sn[-1], self._sd)
+
+    def _line(self, i: int, x: Fraction) -> Fraction:
+        """Piece i's line at x, exactly."""
+        return Fraction(self._sn[i], self._sd) * x + Fraction(self._cn[i], self._cd)
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -312,8 +263,10 @@ class PwlFunction:
         xq = _frac(x)
         if xq < 0:
             raise ValueError("evaluation point must be nonnegative")
-        i = bisect_left(self.breakpoints, xq)
-        return self._slopes[i] * xq + self._icepts[i]
+        # With x = p/q, breakpoint bn/bd >= x iff bn*q >= p*bd.
+        p, q, bd = xq.numerator, xq.denominator, self._bd
+        i = bisect_left(self._bn, p * bd, key=lambda n: n * q)
+        return self._line(i, xq)
 
     # ------------------------------------------------------------------ #
     # structure queries
@@ -321,7 +274,7 @@ class PwlFunction:
 
     def piece_slopes(self) -> tuple[Fraction, ...]:
         """All slopes left to right, extensions included."""
-        return self._slopes
+        return _fractions(self._sn, self._sd)
 
     def is_convex(self) -> bool:
         """Exact check: slopes nondecreasing left to right."""
@@ -507,8 +460,7 @@ def upper_concave_envelope(f: PwlFunction, dom: Interval) -> PwlFunction:
     interior breakpoints (sufficient for piecewise-linear f).  For convex f
     the result is the chord through the endpoints.  The returned function is
     defined on dom; outside it the end segments extend linearly.  A
-    degenerate dom (lo == hi) yields the constant f(lo); detect it via
-    ``dom.is_degenerate``.
+    degenerate dom (lo == hi) yields the constant f(lo).
     """
     lo, hi = _frac(dom.lo), _frac(dom.hi)
     if lo == hi:
@@ -536,21 +488,3 @@ def upper_concave_envelope(f: PwlFunction, dom: Interval) -> PwlFunction:
     first = (ys[1] - ys[0]) / (xs[1] - xs[0])
     last = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
     return PwlFunction(xs, ys, left_slope=first, right_slope=last)
-
-
-def superdifferential(h: PwlFunction, x: float, dom: Interval) -> SlopeInterval:
-    """Slope interval [right slope, left slope] of concave h at x in dom.
-
-    At dom's endpoints only the inward one-sided slope exists; it is
-    returned for both ends of the interval and the result is flagged
-    ``at_boundary``.
-    """
-    xf = float(x)
-    if not dom.contains(xf):
-        raise ValueError(f"{xf} lies outside the domain [{dom.lo}, {dom.hi}]")
-    left, right = h.slopes_at(xf)
-    if xf == dom.lo:
-        return SlopeInterval(right, right, at_boundary=True)
-    if xf == dom.hi:
-        return SlopeInterval(left, left, at_boundary=True)
-    return SlopeInterval(right, left)

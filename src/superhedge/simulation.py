@@ -262,24 +262,6 @@ def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class SimPath:
-    """One simulated scenario.
-
-    ``s`` holds the executed prices S_0..S_T; ``bid``/``ask`` the quoted
-    pair at interior steps (NaN at mid-execution steps); ``theta`` the held
-    quantities theta_0..theta_{T-1}; ``v`` the portfolio values V_0..V_T.
-    """
-
-    s_prev: float
-    s: np.ndarray
-    bid: np.ndarray
-    ask: np.ndarray
-    theta: np.ndarray
-    v: np.ndarray
-    eps_r: float
-
-
 def _workspace(horizon: int, size: int, draw_shape: Optional[tuple] = None) -> dict:
     """Batch columns for up to ``size`` paths, reused by every batch of a run:
     s and v with T+1 rows, theta with T, bid and ask with T-1 (interior
@@ -373,18 +355,6 @@ def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
         t: OrderSignChange(pricing.value_fns[t + 1], model.steps[t + 1])
         for t in range(1, model.horizon)
     }
-
-
-def _first_path(model: MarketModel, cols: dict) -> SimPath:
-    """The first path of a batch's columns, NaN for the bid/ask of mid steps."""
-    return SimPath(
-        s_prev=float(model.s_init),
-        **{
-            key: np.array([math.nan if c is None else c[0] for c in cols[key]])
-            for key in _PATH_KEYS
-        },
-        eps_r=float(cols["eps"][0]),
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -572,15 +542,14 @@ def _fold(
 
 def _collector(raw: dict, n_paths: int):
     """A sink that copies each batch into whole-run columns in ``raw``,
-    allocated at the first batch; the mid-step bid/ask entries, None in a
-    batch, stay NaN."""
+    allocated at the first batch; the mid-step bid/ask entries stay None."""
     done = 0
 
     def keep(cols: dict):
         nonlocal done
         if not raw:
             for key in _PATH_KEYS:
-                raw[key] = [np.full(n_paths, np.nan) for _ in cols[key]]
+                raw[key] = [c if c is None else np.empty(n_paths) for c in cols[key]]
             raw["eps"] = np.empty(n_paths)
         rows = slice(done, done + cols["eps"].size)
         for key in _PATH_KEYS:
@@ -611,12 +580,13 @@ def simulate_one(
     n_paths, so a given seed gives bit-identical results.  Every batch runs
     in one workspace of (5T+4) rows of min(BATCH_SIZE, n_paths) floats.
     ``collect=True`` additionally returns the per-path columns of the whole
-    run, copied batch by batch: (5T+5) floats per path, NaN for the bid/ask
-    of mid steps.  ``sink``, if given, is called with each batch's columns
-    in path order once they are aggregated; they are views into the
-    workspace, valid only during the call, so a sink that keeps them copies
-    them.  A caller that writes them out holds one batch, whatever n_paths.
-    In both engines the mid-step bid/ask entries a sink gets are None.
+    run, copied batch by batch: 5T+1 floats per path.  ``sink``, if given,
+    is called with each batch's columns in path order once they are
+    aggregated; they are views into the workspace, valid only during the
+    call, so a sink that keeps them copies them.  A caller that writes them
+    out holds one batch, whatever n_paths.  Collected, single-path and sink
+    columns share one format: in both engines the mid-step bid/ask entries
+    are None.
     """
     batch_size = BATCH_SIZE
 
@@ -776,16 +746,17 @@ def run_path_functional(
     payoff: Callable[[tuple[np.ndarray, ...]], np.ndarray],
     rng: np.random.Generator,
     straddle_to_ask: bool = True,
-) -> SimPath:
+) -> dict:
     """One path of the path-dependent protocol (holdings from tree walks).
 
     The n=1 case of the engine behind simulate_functional, under the same
     payoff contract; successive calls on one generator give the paths of one
-    simulate_functional batch bit for bit.
+    simulate_functional batch bit for bit.  Returns the path as the batch
+    columns a sink gets, each of one lane.
     """
     require_tree_depth(model.horizon)
     require_aip(model)
-    return _first_path(model, _functional_batch(model, payoff, 1, rng, straddle_to_ask))
+    return _functional_batch(model, payoff, 1, rng, straddle_to_ask)
 
 
 def simulate_functional(

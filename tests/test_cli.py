@@ -67,6 +67,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("seed = 1\nseed = 2\n")
 
+    @pytest.mark.parametrize("key", ["k_down", "k_up"])
+    def test_duplicate_bound_key(self, key):
+        # the last line once won silently
+        text = f"k_down = 0.7\nk_up = 1.4\n{key} = 0.8\n"
+        with pytest.raises(ConfigError, match=f"line 3: duplicate key '{key}'"):
+            parse_config(text)
+
     def test_zero_paths_fails_validation(self):
         with pytest.raises(ConfigError, match="n_paths"):
             parse_config("n_paths = 0\n")
@@ -168,6 +175,16 @@ class TestParseConfig:
     def test_custom_payoff_needs_breakpoints(self):
         with pytest.raises(ConfigError, match="payoff_breakpoints"):
             parse_config("payoff = custom-pwl\n")
+
+    @pytest.mark.parametrize("strikes", ["100, 100", "100, 100.0000001", "75, 1e2, 100"])
+    def test_strikes_sharing_a_column_label_rejected(self, strikes):
+        # each label names a stats column and the strike's files
+        for payoff in ("call", "put", "asian-call"):
+            with pytest.raises(ConfigError, match="column label 'K100'"):
+                parse_config(f"strikes = {strikes}\npayoff = {payoff}\n")
+        parse_config("strikes = 100, 100.001\n")  # K100 and K100.001
+        custom = "payoff = custom-pwl\npayoff_breakpoints = 100\npayoff_values = 0\n"
+        parse_config(f"strikes = {strikes}\n" + custom)  # one column, "custom"
 
 
 class TestRunExperiment:
@@ -344,6 +361,13 @@ class TestMain:
         except SystemExit as exc:  # argparse's own errors
             code = exc.code
         assert code == EXIT_ERROR
+        assert not out.exists()
+
+    def test_colliding_strike_labels_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--strikes", "100, 100.0000001", "--paths", "50", "--dump-paths"]
+        assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+        assert "column label 'K100'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_strike_in_config_writes_nothing(self, tmp_path, capsys):

@@ -22,16 +22,21 @@ from superhedge.pwl import PwlFunction, call_payoff, put_payoff, scale_compose
 from superhedge.simulation import OrderSignChange
 
 
-def scan_eval(f: PwlFunction, x: Fraction) -> Fraction:
-    """f(x) exactly, by a linear scan and a fresh slope per piece."""
-    bps, vals = f.breakpoints, f.values
-    if x <= bps[0]:
-        return vals[0] + f.left_slope * (x - bps[0])
-    for i in range(1, len(bps)):
-        if x <= bps[i]:
-            s = (vals[i] - vals[i - 1]) / (bps[i] - bps[i - 1])
-            return vals[i] + s * (x - bps[i])
-    return vals[-1] + f.right_slope * (x - bps[-1])
+def scanner(f: PwlFunction):
+    """x -> f(x) exactly, by a linear scan and a fresh slope per piece, on
+    f's views read once."""
+    bps, vals, left, right = f.breakpoints, f.values, f.left_slope, f.right_slope
+
+    def scan_eval(x: Fraction) -> Fraction:
+        if x <= bps[0]:
+            return vals[0] + left * (x - bps[0])
+        for i in range(1, len(bps)):
+            if x <= bps[i]:
+                s = (vals[i] - vals[i - 1]) / (bps[i] - bps[i - 1])
+                return vals[i] + s * (x - bps[i])
+        return vals[-1] + right * (x - bps[-1])
+
+    return scan_eval
 
 
 def reference_step(g: PwlFunction, step: StepSpec) -> PwlFunction:
@@ -39,7 +44,8 @@ def reference_step(g: PwlFunction, step: StepSpec) -> PwlFunction:
     kd, ku = Fraction(step.k_down), Fraction(step.k_up)
     lam = (ku - 1) / (ku - kd) if kd != ku else Fraction(1)
     xs = sorted({b / kd for b in g.breakpoints} | {b / ku for b in g.breakpoints})
-    ys = [lam * scan_eval(g, kd * x) + (1 - lam) * scan_eval(g, ku * x) for x in xs]
+    g_at = scanner(g)
+    ys = [lam * g_at(kd * x) + (1 - lam) * g_at(ku * x) for x in xs]
     left = lam * kd * g.left_slope + (1 - lam) * ku * g.left_slope
     right = lam * kd * g.right_slope + (1 - lam) * ku * g.right_slope
     slopes = [left]
@@ -58,9 +64,10 @@ def reference_crossings(g: PwlFunction, step: StepSpec) -> dict:
         {b / ku for b in g.breakpoints if b > 0} | {b / kd for b in g.breakpoints if b > 0}
     )
     m = len(cuts)
+    g_at = scanner(g)
 
     def num(z):
-        return scan_eval(g, ku * z) - scan_eval(g, kd * z)
+        return g_at(ku * z) - g_at(kd * z)
 
     a_q, b_q = [], []
     for j in range(m + 1):
@@ -237,11 +244,16 @@ def test_twelve_steps_equal_plain_scan_oracles(payoff):
 
 
 def stored_lists(f: PwlFunction):
-    """(numerators, denominator, Fraction view) of each exact list of f."""
+    """(numerators, denominator, Fraction view) of each exact list of f; the
+    intercepts are read off the graph: piece i passes through breakpoint
+    min(i, n - 1)."""
+    bps, vals, n = f.breakpoints, f.values, len(f.breakpoints)
+    anchors = (*range(n), n - 1)
+    icepts = tuple(vals[a] - s * bps[a] for s, a in zip(f.piece_slopes(), anchors))
     return (
-        (f._bn, f._bd, f.breakpoints),
+        (f._bn, f._bd, bps),
         (f._sn, f._sd, f.piece_slopes()),
-        (f._cn, f._cd, f._icepts),
+        (f._cn, f._cd, icepts),
     )
 
 
@@ -268,6 +280,66 @@ def test_stored_lists_are_canonical(payoff, model, k):
     for f in fns:
         for g in fns:
             assert (f == g) == (view_key(f) == view_key(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.one_of(any_payoffs(), convex_payoffs()),
+    x=st.fractions(min_value=0, max_value=250, max_denominator=60),
+    pick=st.integers(0, 10),
+)
+def test_eval_exact_equals_plain_scan(f, x, pick):
+    # at a breakpoint, between two, at 0 and beyond the last one
+    bps, scan_eval = f.breakpoints, scanner(f)
+    for y in (x, bps[pick % len(bps)], Fraction(0), bps[-1] + 1):
+        assert f.eval_exact(y) == scan_eval(y)
+    assert f.eval_exact(float(x)) == scan_eval(Fraction(float(x)))
+
+
+def corner_tree_errors(payoff: PwlFunction, model: MarketModel) -> list[Fraction]:
+    """V_T - payoff(S_T) on every corner path, in exact rationals.
+
+    V_0 = g_0(S_0) at S_0 = s_init; at each step the portfolio holds the
+    chord slope of g_{t+1} over [k_down S_t, k_up S_t] and the price moves to
+    one of the two ends.  A degenerate step (k_down == k_up == 1) does not
+    move the price, so any holding does; it holds 0.
+    """
+    fns = backward_induce(payoff, model).value_fns
+    s0 = Fraction(model.s_init)
+    nodes = [(s0, fns[0].eval_exact(s0))]
+    for t in range(model.horizon):
+        step, g = model.steps[t + 1], fns[t + 1]
+        kd, ku = Fraction(step.k_down), Fraction(step.k_up)
+        grown = []
+        for s, v in nodes:
+            theta = 0
+            if kd != ku:
+                theta = (g.eval_exact(ku * s) - g.eval_exact(kd * s)) / ((ku - kd) * s)
+            grown += [(k * s, v + theta * (k * s - s)) for k in (kd, ku)]
+        nodes = grown
+    assert len(nodes) == 2**model.horizon
+    return [v - payoff.eval_exact(s) for s, v in nodes]
+
+
+def uniform_steps(horizon: int, step=StepSpec(0.7, 1.4)) -> MarketModel:
+    return MarketModel(100.0, horizon, (step,) * (horizon + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(payoff=convex_payoffs(), model=models())
+@example(payoff=call_payoff(100), model=uniform_steps(1))
+@example(payoff=call_payoff(100), model=uniform_steps(2))
+@example(payoff=call_payoff(100), model=uniform_steps(6))
+@example(payoff=put_payoff(90), model=uniform_steps(5))
+@example(payoff=put_payoff(100), model=uniform_steps(3, StepSpec(0.99, 1.02)))
+@example(
+    payoff=call_payoff(100),
+    model=MarketModel(100.0, 4, HETEROGENEOUS.steps + (StepSpec(0.8, 1.25),)),
+)
+def test_corner_tree_hedge_is_tight(payoff, model):
+    # The minimal price replicates the claim exactly on the two-point tree:
+    # no corner path ends with a surplus or a shortfall.
+    assert corner_tree_errors(payoff, model) == [0] * 2**model.horizon
 
 
 def test_long_horizon_bytes_pinned(tmp_path):

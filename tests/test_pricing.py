@@ -424,6 +424,17 @@ class TestClosedFormOracle:
         with pytest.raises(ValueError, match=bad):
             closed_form_call(t, s, strike, uniform_bid_ask_model())
 
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_empty_array_gives_empty_arrays(self, t):
+        # as the recursion's strategy does; this once raised numpy's
+        # "zero-size array to reduction operation minimum"
+        model = uniform_bid_ask_model()
+        empty = np.array([])
+        v, th = closed_form_call(t, empty, 100.0, model)
+        assert v.shape == th.shape == (0,)
+        res = backward_induce(call_payoff(100.0), model)
+        assert res.strategy(t, model)(empty).shape == (0,)
+
 
 class TestAsianTree:
     def test_european_equivalence(self):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superhedge import pwl
+from superhedge.pricing import StepSpec, one_step_price
 from superhedge.pwl import (
     Interval,
     PwlFunction,
@@ -18,7 +19,6 @@ from superhedge.pwl import (
     piece_index,
     put_payoff,
     scale_compose,
-    superdifferential,
     upper_concave_envelope,
 )
 
@@ -330,7 +330,6 @@ class TestEnvelope:
     def test_degenerate_interval_constant(self):
         f = call_payoff(100)
         dom = Interval(120, 120)
-        assert dom.is_degenerate
         env = upper_concave_envelope(f, dom)
         assert env(120.0) == pytest.approx(20.0, abs=1e-12)
         assert env(300.0) == pytest.approx(20.0, abs=1e-12)
@@ -371,38 +370,41 @@ class TestEnvelope:
 
 
 class TestSuperdifferential:
+    """The holding `one_step_price` reads from the envelope's one-sided
+    slopes (`slopes_at`): their mean, or the inward one at a support end."""
+
     def test_chord_unique_slope(self):
         f = call_payoff(100)
-        dom = Interval(70, 140)
-        h = upper_concave_envelope(f, dom)
-        sd = superdifferential(h, 100.0, dom)
-        assert sd.lo == pytest.approx(4 / 7, rel=1e-15)
-        assert sd.hi == pytest.approx(4 / 7, rel=1e-15)
-        assert not sd.at_boundary
+        h = upper_concave_envelope(f, Interval(70, 140))
+        assert h.slopes_at(100.0) == pytest.approx((4 / 7, 4 / 7), rel=1e-15)
+        assert one_step_price(f, 100.0, StepSpec(0.7, 1.4)).theta == 4 / 7
 
     def test_concave_kink(self):
         h = PwlFunction([0, 10], [0, 10], left_slope=1, right_slope=0)
-        sd = superdifferential(h, 10.0, Interval(0, 20))
-        assert (sd.lo, sd.hi) == (0.0, 1.0)
+        assert h.slopes_at(10.0) == (1.0, 0.0)
+        assert one_step_price(h, 10.0, StepSpec(0.5, 2.0)) == (10.0, 0.5)
 
     def test_affine_interior(self):
         h = PwlFunction([0], [5], left_slope=2, right_slope=2)
-        sd = superdifferential(h, 7.0, Interval(1, 10))
-        assert (sd.lo, sd.hi) == (2.0, 2.0)
+        assert h.slopes_at(7.0) == (2.0, 2.0)
+        assert one_step_price(h, 7.0, StepSpec(0.5, 1.5)) == (19.0, 2.0)
 
     def test_boundary_flagged(self):
-        f = call_payoff(100)
-        dom = Interval(70, 140)
-        h = upper_concave_envelope(f, dom)
-        lo = superdifferential(h, 70.0, dom)
-        hi = superdifferential(h, 140.0, dom)
-        assert lo.at_boundary and hi.at_boundary
-        assert lo.lo == lo.hi and hi.lo == hi.hi
+        # s at an end of its support: the holding is the inward one-sided
+        # slope, right at the lower end and left at the upper one.
+        g = PwlFunction([90, 110, 130], [0, 14, 20], left_slope=0, right_slope=1)
+        for step, dom, side, quote in [
+            (StepSpec(1.0, 1.4), Interval(100, 140), 1, (7.0, 0.7)),
+            (StepSpec(0.7, 1.0), Interval(70, 100), 0, (7.0, 0.23333333333333334)),
+        ]:
+            q = one_step_price(g, 100.0, step)
+            assert q == quote
+            assert q.theta == upper_concave_envelope(g, dom).slopes_at(100.0)[side]
 
     def test_outside_domain_rejected(self):
-        h = constant_function(1)
-        with pytest.raises(ValueError):
-            superdifferential(h, 30.0, Interval(0, 20))
+        # 30 lies outside [1.05 * 30, 1.1 * 30]: no envelope, no finite price
+        q = one_step_price(constant_function(1), 30.0, StepSpec(1.05, 1.1))
+        assert q.price == -math.inf and math.isnan(q.theta)
 
 
 class TestDominates:
@@ -437,10 +439,6 @@ class TestIntervalType:
     def test_nonnegative(self):
         with pytest.raises(ValueError):
             Interval(-1, 3)
-
-    def test_contains(self):
-        iv = Interval(2, 5)
-        assert iv.contains(2) and iv.contains(5) and not iv.contains(5.1)
 
 
 class TestEnvelopeProperties:

@@ -29,7 +29,6 @@ from superhedge.simulation import (
     OrderSignChange,
     RngConfig,
     RunningMoments,
-    SimPath,
     _build_crossings,
     _simulate_batch,
     draw_step,
@@ -62,19 +61,11 @@ def _batch_gen(seed):
 PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 
 
-def _paths(model, pricing, n, seed):
-    """The n paths of one collected simulate_one run, one SimPath each."""
-    _, raw = simulate_one(
+def _collected(model, pricing, n, seed):
+    """The path columns of one collected simulate_one run of n paths."""
+    return simulate_one(
         model, pricing, 0.0, n, np.random.SeedSequence(seed), collect=True
-    )
-    return [
-        SimPath(
-            s_prev=float(model.s_init),
-            **{key: np.array([c[i] for c in raw[key]]) for key in PATH_KEYS},
-            eps_r=float(raw["eps"][i]),
-        )
-        for i in range(n)
-    ]
+    )[1]
 
 
 class TestRngConfig:
@@ -345,23 +336,24 @@ class TestExecuteDelayedOrder:
 
 
 class TestRunPath:
-    """Single paths of the vectorised engine, read from collected columns."""
+    """Paths of the vectorised engine, read from collected columns."""
 
     def test_self_financing_and_support(self):
-        pricing = _pricing()
-        for p in _paths(REF_MODEL, pricing, 200, 10):
-            for t in range(1, 3):
-                recon = p.v[t - 1] + p.theta[t - 1] * (p.s[t] - p.s[t - 1])
-                assert abs(p.v[t] - recon) <= 1e-12
-                ratio = p.s[t] / p.s[t - 1]
-                assert 0.7 - 1e-12 <= ratio <= 1.4 + 1e-12
-            assert 0.7 - 1e-12 <= p.s[0] / p.s_prev <= 1.4 + 1e-12
-            assert p.eps_r >= -1e-9
+        raw = _collected(REF_MODEL, _pricing(), 200, 10)
+        s, v, theta = raw["s"], raw["v"], raw["theta"]
+        for t in range(1, 3):
+            recon = v[t - 1] + theta[t - 1] * (s[t] - s[t - 1])
+            assert np.all(np.abs(v[t] - recon) <= 1e-12)
+            ratio = s[t] / s[t - 1]
+            assert np.all((0.7 - 1e-12 <= ratio) & (ratio <= 1.4 + 1e-12))
+        ratio = s[0] / REF_MODEL.s_init
+        assert np.all((0.7 - 1e-12 <= ratio) & (ratio <= 1.4 + 1e-12))
+        assert np.all(raw["eps"] >= -1e-9)
 
     def test_v0_is_time_zero_value(self):
         pricing = _pricing()
-        (p,) = _paths(REF_MODEL, pricing, 1, 11)
-        assert p.v[0] == pricing.value_fns[0](p.s[0])
+        raw = _collected(REF_MODEL, pricing, 1, 11)
+        assert raw["v"][0][0] == pricing.value_fns[0](raw["s"][0][0])
 
     def test_deterministic_degenerate_model(self):
         model = MarketModel(
@@ -370,22 +362,23 @@ class TestRunPath:
             steps=(StepSpec.from_uniform(1.0, 1.0, 0.0, 0.0),) * 3,
         )
         pricing = backward_induce(call_payoff(80), model)
-        (p,) = _paths(model, pricing, 1, 12)
-        assert np.all(p.s == 100.0)
-        assert p.v[2] == p.v[0] == 20.0
-        assert p.eps_r == 0.0
+        raw = _collected(model, pricing, 1, 12)
+        assert np.all(np.array(raw["s"]) == 100.0)
+        assert raw["v"][2][0] == raw["v"][0][0] == 20.0
+        assert raw["eps"][0] == 0.0
 
     def test_zero_payoff(self):
         pricing = backward_induce(constant_function(0), REF_MODEL)
-        (p,) = _paths(REF_MODEL, pricing, 1, 13)
-        assert np.all(p.v == 0.0)
-        assert p.eps_r == 0.0
+        raw = _collected(REF_MODEL, pricing, 1, 13)
+        assert np.all(np.array(raw["v"]) == 0.0)
+        assert raw["eps"][0] == 0.0
 
     def test_bid_ask_recorded_at_interior_step(self):
-        (p,) = _paths(REF_MODEL, _pricing(), 1, 14)
-        assert math.isnan(p.bid[0]) and math.isnan(p.bid[2])
-        assert p.bid[1] <= p.s[1] <= p.ask[1]
-        assert p.s[1] in (p.bid[1], p.ask[1])
+        raw = _collected(REF_MODEL, _pricing(), 1, 14)
+        bid, ask, s = raw["bid"], raw["ask"], raw["s"]
+        assert bid[0] is None and bid[2] is None
+        assert bid[1][0] <= s[1][0] <= ask[1][0]
+        assert s[1][0] in (bid[1][0], ask[1][0])
 
 
 # Step 1 moves the price up by at least 5%: an immediate profit.
@@ -437,14 +430,14 @@ def test_aip_gate_names_first_bad_step(entry):
     ids=["simulate_one", "simulate_functional"],
 )
 def test_sink_gets_none_mid_step_quotes(engine):
-    # one sink contract for both engines; collected output fills NaN instead
+    # one column format for both engines, in a sink and in collected output
     model = uniform_bid_ask_model(horizon=3)
     seen = []
     _, raw = engine(model)(100.0, 20, np.random.SeedSequence(3), collect=True, sink=seen.append)
     (cols,) = seen
     for key in ("bid", "ask"):
         assert cols[key][0] is None and cols[key][3] is None
-        assert np.isnan(raw[key][0]).all() and np.isnan(raw[key][3]).all()
+        assert raw[key][0] is None and raw[key][3] is None
         np.testing.assert_array_equal(raw[key][1:3], cols[key][1:3])
 
 
@@ -486,8 +479,10 @@ def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, n):
     for key in PATH_KEYS:
         for t, whole in enumerate(raw[key]):
             parts = [c[key][t] for c in copies]
-            want = np.full(n, np.nan) if parts[0] is None else np.concatenate(parts)
-            np.testing.assert_array_equal(whole, want)
+            if parts[0] is None:
+                assert whole is None
+            else:
+                np.testing.assert_array_equal(whole, np.concatenate(parts))
 
 
 # Steps mixed per horizon by the tiling tests: wide, narrow, degenerate.
@@ -675,14 +670,14 @@ class TestFunctionalEngine:
     def test_matches_vector_engine_on_single_european_path(self):
         pricing = _pricing()
         payoff = call_payoff(100.0)
-        (p_vec,) = _paths(REF_MODEL, pricing, 1, 31)
-        p_fun = run_path_functional(
+        vec = _collected(REF_MODEL, pricing, 1, 31)
+        fun = run_path_functional(
             REF_MODEL, lambda path: payoff(path[-1]), _batch_gen(31)
         )
-        assert p_fun.s == pytest.approx(p_vec.s, abs=0.0)
-        assert p_fun.theta == pytest.approx(p_vec.theta, abs=1e-12)
-        assert p_fun.v == pytest.approx(p_vec.v, abs=1e-12)
-        assert p_fun.eps_r == pytest.approx(p_vec.eps_r, abs=1e-12)
+        assert np.ravel(fun["s"]) == pytest.approx(np.ravel(vec["s"]), abs=0.0)
+        assert np.ravel(fun["theta"]) == pytest.approx(np.ravel(vec["theta"]), abs=1e-12)
+        assert np.ravel(fun["v"]) == pytest.approx(np.ravel(vec["v"]), abs=1e-12)
+        assert fun["eps"][0] == pytest.approx(vec["eps"][0], abs=1e-12)
 
     def test_asian_paths_super_hedge(self):
         stats, raw = simulate_functional(
@@ -753,10 +748,10 @@ class TestFunctionalEngine:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(53)))
         for i in range(50):
             path = run_path_functional(model, payoff, rng)
-            for key in ("s", "bid", "ask", "theta", "v"):
-                column = np.array([c[i] for c in raw[key]])
-                assert np.array_equal(getattr(path, key), column, equal_nan=True)
-            assert path.eps_r == raw["eps"][i]
+            for key in PATH_KEYS:
+                for one, whole in zip(path[key], raw[key], strict=True):
+                    assert one is whole is None or one[0] == whole[i]
+            assert path["eps"][0] == raw["eps"][i]
 
     def test_chunk_boundary(self):
         stats, _ = simulate_functional(
