@@ -206,13 +206,14 @@ def one_step_price(
     the upper concave envelope of g_next on [m, M] evaluated at s_prev and
     theta is the midpoint of the envelope's superdifferential there: the
     mean of its one-sided slopes, or the inward one at an end of [m, M].
+    Each value is the exact one at s_prev, correctly rounded.
     """
     if not s_prev > 0:
         raise ValueError(f"s_prev must be positive, got {s_prev}")
     kd, ku = step.k_down, step.k_up
     if kd == ku:
         if kd == 1.0:  # deterministic next price equal to s_prev
-            return OneStepQuote(g_next(float(s_prev)), 0.0)
+            return OneStepQuote(float(g_next.eval_exact(s_prev)), 0.0)
         return OneStepQuote(MINUS_INFINITY, math.nan)
     if not kd <= 1.0 <= ku:
         return OneStepQuote(MINUS_INFINITY, math.nan)
@@ -226,7 +227,7 @@ def one_step_price(
         theta = left
     else:
         theta = 0.5 * (right + left)
-    return OneStepQuote(h(s), theta)
+    return OneStepQuote(float(h.eval_exact(s)), theta)
 
 
 # ---------------------------------------------------------------------- #

@@ -79,18 +79,22 @@ def draw_step(step: StepSpec, rng: np.random.Generator, size: int = 1, out=None)
     """Draw (m, M, k): interval edges m, M = m + spread, and mid position k.
 
     m ~ U[m_lo, m_hi], spread ~ U[spr_lo, spr_hi] independent, k ~ U[0, 1].
-    k is drawn at every step, including bid/ask steps that ignore it, which
-    keeps the stream layout identical across protocols.  The draws fill
-    ``out``, three contiguous float rows of one length, or three new rows of
-    ``size`` floats, and the rows are returned.  Each row is
+    The draws fill ``out``, three contiguous float rows of one length, or
+    three new rows of ``size`` floats, and the rows are returned.  Each row is
     ``rng.random(out=row)`` mapped by ``*= hi - lo; += lo``: the stream and
-    the bits of ``rng.uniform(lo, hi, len(row))``.
+    the bits of ``rng.uniform(lo, hi, len(row))``.  A bid/ask step ignores k,
+    so its caller may pass None as the k row of ``out``: the stream then
+    advances past the row's draws without making them, and the stream layout
+    stays the same for every protocol.
     """
     if not step.has_distribution:
         raise ValueError("step has no draw distribution attached")
     m, M, k = np.empty((3, size)) if out is None else out
     bounds = ((step.m_lo, step.m_hi), (step.spr_lo, step.spr_hi), (0, 1))
     for row, (lo, hi) in zip((m, M, k), bounds):
+        if row is None:  # one 64-bit output per double, as random() takes
+            rng.bit_generator.advance(len(m))
+            continue
         lo, hi = float(lo), float(hi)  # as uniform reads them, before hi - lo
         rng.random(out=row)
         row *= hi - lo
@@ -237,24 +241,40 @@ class OrderSignChange:
         if split.size:
             z[split] = piece_root(np.maximum(jr[split], 1), th[split])
         at_top = (jr == m) & (th == self.theta_hi)
-        z_right = np.where(at_top, np.inf, z)
+        return _sstar_from_ends(z_left, np.where(at_top, np.inf, z))
 
-        return np.where(
-            z_left == 0.0,
-            z_right,
-            np.where(np.isinf(z_right), z_left, 0.5 * (z_left + z_right)),
-        )
+
+def _sstar_from_ends(z_left, z_right):
+    """The reported point of the zero set [z_left, z_right]: the finite end
+    when it reaches 0 (z_left == 0) or infinity, else the midpoint."""
+    inner = np.where(np.isinf(z_right), z_left, 0.5 * (z_left + z_right))
+    return np.where(z_left == 0.0, z_right, inner)
+
+
+_REGIONS = tuple(np.int8(i) for i in range(4))  # _region's indices
+
+
+def _region(bid, ask, sstar):
+    """Where S* lies against the quotes, as an int8 index nondecreasing in
+    S*: 0 at or below the bid, 1 inside and closer to the bid (ties
+    included), 2 inside and closer to the ask, 3 at or above the ask (tested
+    first).  The index is monotone because rounded differences are."""
+    closer_bid = np.abs(sstar - bid) <= np.abs(sstar - ask)
+    lo, in_bid, in_ask, hi = _REGIONS
+    inside = np.where(closer_bid, in_bid, in_ask)
+    return np.where(ask <= sstar, hi, np.where(sstar <= bid, lo, inside))
 
 
 def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
-    no_root = np.isnan(sstar)
-    closer_bid = np.abs(sstar - bid) <= np.abs(sstar - ask)
-    straddle = closer_bid if straddle_to_ask else ~closer_bid
-    with np.errstate(invalid="ignore"):
-        ruled = np.where(
-            ask <= sstar, bid, np.where(sstar <= bid, ask, np.where(straddle, ask, bid))
-        )
-    return np.where(no_root, np.where(sign <= 0.0, bid, ask), ruled)
+    """The executed quote, by S*'s ``_region``: the ask in region 0 and the
+    bid in region 3; inside, ``straddle_to_ask`` executes the ask when the
+    bid is closer (so regions 2 and 3 execute the bid), and False the
+    reverse (regions 1 and 3).  Where S* is NaN the sign decides: <= 0 bid,
+    > 0 ask."""
+    region = _region(bid, ask, sstar)
+    to_bid = region >= 2 if straddle_to_ask else region % 2 == 1
+    to_bid = np.where(np.isnan(sstar), sign <= 0.0, to_bid)
+    return np.where(to_bid, bid, ask)
 
 
 # ---------------------------------------------------------------------- #
@@ -279,13 +299,16 @@ def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, w
     """The execution protocol over the first n lanes of workspace ``ws``;
     returns the batch columns, views into ``ws``.
 
-    ``draws`` yields (m, M, k) arrays of n lanes per step.  ``claim`` holds
-    four maps of the executed prefix (s_0, ..., s_t): ``value(prefix, t)``,
-    ``theta(prefix, t)``, ``sstar(prefix, t, held, s_prev)``, the order's
-    (sstar, sign) at interior step t before its execution, and
-    ``payoff(prefix)``.  Each step runs tile by tile, TILE lanes at a time,
-    and every map must act on each lane alone.  Mid steps quote no bid/ask:
-    their entries are None.
+    ``draws`` yields (m, M, k) arrays of n lanes per step; bid/ask steps
+    may yield None for k, which they do not read.  ``claim`` holds four maps
+    of the executed prefix (s_0, ..., s_t): ``value(prefix, t)``,
+    ``theta(prefix, t)``, ``sstar(prefix, t, held, s_prev, bid, ask)``, the
+    order's (sstar, sign) at interior step t before its execution, and
+    ``payoff(prefix)``.  The S* map gets the step's quotes so that it may
+    stop solving once it knows which quote executes: any S* in the same
+    ``_region`` as the exact one executes the same quote.  Each step runs
+    tile by tile, TILE lanes at a time, and every map must act on each lane
+    alone.  Mid steps quote no bid/ask: their entries are None.
     """
     value, theta, sstar, payoff = claim
     T = model.horizon
@@ -303,8 +326,9 @@ def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, w
             else:
                 bid_t = np.multiply(s_prev, m[sl], out=bid[t - 1, sl])
                 ask_t = np.multiply(s_prev, M[sl], out=ask[t - 1, sl])
-                order = sstar(tuple(row[sl] for row in s[:t]), t, th[t - 1, sl], s_prev)
                 _check_quotes(bid_t, ask_t)
+                pre = tuple(row[sl] for row in s[:t])
+                order = sstar(pre, t, th[t - 1, sl], s_prev, bid_t, ask_t)
                 s[t, sl] = _execute_vec(bid_t, ask_t, *order, straddle_to_ask)
             prefix = tuple(row[sl] for row in s[: t + 1])
             if t == 0:
@@ -342,11 +366,16 @@ def _simulate_batch(
     claim = (
         lambda prefix, t: pricing.value_fns[0](prefix[-1]),
         lambda prefix, t: pricing.strategy(t, model)(prefix[-1]),
-        lambda prefix, t, held, s_prev: crossings[t].sstar(held),
+        lambda prefix, t, held, s_prev, bid, ask: crossings[t].sstar(held),
         lambda prefix: pricing.payoff(prefix[-1]),
     )
-    rows = tuple(row[:n] for row in ws["draw"])
-    draws = (draw_step(step, rng, out=rows) for step in model.steps)
+    mid_rows = tuple(row[:n] for row in ws["draw"])
+    quote_rows = (*mid_rows[:2], None)  # bid/ask steps skip their k draws
+    T = model.horizon
+    draws = (
+        draw_step(step, rng, out=mid_rows if t in (0, T) else quote_rows)
+        for t, step in enumerate(model.steps)
+    )
     return _protocol(model, n, draws, claim, straddle_to_ask, ws)
 
 
@@ -633,11 +662,13 @@ def simulate(
 # ---------------------------------------------------------------------- #
 
 FUNCTIONAL_CHUNK = 4096
+OPENING_HALVINGS = 30  # S* bisection steps walked at once
 
 _PAYOFF_CONTRACT = (
     "a path-dependent payoff gets a tuple (s_0, ..., s_T) of equal-length "
-    "float arrays, one entry per path, and returns an array of that length "
-    "or a scalar; use np.maximum, not max, on arrays"
+    "float arrays, one entry per path (or equal-shape 2-D blocks of lanes), "
+    "and returns an array of that shape or a scalar; use np.maximum, not "
+    "max, on arrays"
 )
 
 
@@ -670,44 +701,97 @@ def _tree_theta(leaf, model: MarketModel, prefix: tuple, t: int) -> np.ndarray:
     return (g_up - g_dn) / ((step.k_up - step.k_down) * s_t)
 
 
-def _functional_sstar(leaf, model: MarketModel, base, t: int, held, s_prev):
-    """Per-path (sstar, sign) of z -> theta_t(base + (z,)) - held.
+def _wide(a, b):
+    """The bisection's go-on test: [a, b] is wider than ROOT_WIDTH_TOL
+    relative to its midpoint, or absolutely below 1."""
+    return b - a > ROOT_WIDTH_TOL * np.maximum(1.0, 0.5 * (a + b))
+
+
+def _functional_sstar(leaf, model: MarketModel, base, t: int, held, s_prev, bid, ask):
+    """Per-path (sstar, sign) of z -> theta_t(base + (z,)) - held, solved
+    until it fixes which of the quotes (bid, ask) executes.
 
     Same plateau conventions as OrderSignChange; sstar is NaN where the sign
-    is constant on [1e-9, 1e9] * s_prev.  The left end of the zero set (first
-    z with delta >= 0) and the right end (first z with delta > 0) are
-    bisected together, one lane each, and a lane stops once its bracket is
-    narrower than ROOT_WIDTH_TOL relative to its midpoint.
+    is constant on [lo, hi] = [1e-9, 1e9] * s_prev.  The left end of the
+    zero set (first z with delta >= 0) and the right end (first z with
+    delta > 0) are bisected, one lane each.  A lane stops once its bracket
+    is narrower than ROOT_WIDTH_TOL relative to its midpoint, or once its
+    path is decided: S* formed from its lanes' low ends lies in the same
+    ``_region`` as S* formed from their high ends.  Each lane's last
+    midpoint lies in all of its brackets, and the S* formula and the region
+    are nondecreasing in it, so a decided path executes the quote of the
+    full bisection under either straddle convention; only the S* it
+    reports differs.  Paths whose brackets could overflow or reach 0 are
+    never decided early.
+
+    While a lane's root lies below them, its midpoints are the same floats
+    m_j = 0.5 (lo + m_{j-1}) from m_0 = hi.  The first OPENING_HALVINGS of
+    them are walked at once, one (halvings, paths) block at a time, and each
+    lane replays the loop's rule on them, width test first, up to its first
+    other outcome.
     """
     n = held.size
 
-    def order(lanes):
-        pre, th = tuple(p[lanes] for p in base), held[lanes]
-        return lambda z: _tree_theta(leaf, model, pre + (z,), t) - th
+    def delta(paths, z):
+        """The order at prices z, one column per path of ``paths``; the
+        prefix is broadcast to z's shape, so the walk's arrays agree."""
+        pre = tuple(np.broadcast_to(p[paths], z.shape) for p in base)
+        return _tree_theta(leaf, model, pre + (z,), t) - held[paths]
 
     lo, hi = 1e-9 * s_prev, 1e9 * s_prev
-    f = order(np.concatenate((np.arange(n), np.arange(n))))(np.concatenate((lo, hi)))
-    f_lo, f_hi = f[:n], f[n:]
+    f_lo, f_hi = delta(slice(None), np.stack((lo, hi)))
     sign = np.where(f_lo > 0.0, 1.0, np.where(f_hi < 0.0, -1.0, 0.0))
     no_root = (f_lo > 0.0) | (f_hi < 0.0) | ((f_lo == 0.0) & (f_hi == 0.0))
-    left = np.flatnonzero(~no_root & (f_lo != 0.0))
-    right = np.flatnonzero(~no_root & (f_hi != 0.0))
-    lanes = np.concatenate((left, right))
-    strict = np.arange(lanes.size) < left.size  # z_left lanes test delta < 0
-    a, b, delta = lo[lanes], hi[lanes], order(lanes)
-    active = b - a > ROOT_WIDTH_TOL * np.maximum(1.0, 0.5 * (a + b))
+    # Lane (0, i) bisects z_left of path i, lane (1, i) its z_right.  An end
+    # that is not bisected stays at 0 or inf, where S* reads it as missing.
+    lane = ~no_root & np.stack((f_lo != 0.0, f_hi != 0.0))
+    rest = np.array([[0.0], [math.inf]])
+
+    # The opening run, one block of root paths at a time: the bracket that
+    # each rule (0 strict, 1 not) reaches on m_1, ..., m_J.
+    roots, J = np.flatnonzero(~no_root), OPENING_HALVINGS
+    opened = np.empty((2, 2, n))  # [low/high end, lane side, path]
+    block = max(1, 2 * FUNCTIONAL_CHUNK // J)
+    for i in range(0, roots.size, block):
+        paths = roots[i : i + block]
+        lo_p, k = lo[paths], np.arange(paths.size)
+        mids = np.empty((J + 1, paths.size))  # mids[j] is m_j
+        mids[0] = hi[paths]
+        for j in range(J):
+            mids[j + 1] = 0.5 * (lo_p + mids[j])
+        d = delta(paths, mids[1:])
+        go_on = _wide(lo_p, mids[:-1])  # the width test before m_{j+1}
+        for side, up in enumerate((d < 0.0, d <= 0.0)):
+            stop = ~go_on | up
+            first = stop.argmax(axis=0)
+            r = np.where(stop[first, k], first, J)  # the bracket is [lo, m_r] ...
+            rose = stop[first, k] & go_on[first, k]  # ... or [m_{r+1}, m_r]
+            opened[0, side, paths] = np.where(rose, mids[first + 1, k], lo_p)
+            opened[1, side, paths] = mids[r, k]
+    ends = np.where(lane, opened, rest)
+    a, b = ends  # views: the loop moves ``ends`` with them
+    exact = (lo > 0.0) & (hi + hi < math.inf)  # midpoints stay in brackets
+
+    def undecided():
+        region = _region(bid, ask, _sstar_from_ends(ends[:, 0], ends[:, 1]))
+        return ~((region[0] == region[1]) & exact)
+
+    active = np.zeros((2, n), dtype=bool)
+    active[lane] = _wide(a[lane], b[lane])
+    active &= undecided()
+    flat_a, flat_b, flat_active = a.reshape(-1), b.reshape(-1), active.reshape(-1)
     while active.any():
-        mid = 0.5 * (a + b)
-        d = delta(mid)
-        below = np.where(strict, d < 0.0, d <= 0.0)
-        a = np.where(active & below, mid, a)
-        b = np.where(active & ~below, mid, b)
-        active = b - a > ROOT_WIDTH_TOL * np.maximum(1.0, 0.5 * (a + b))
+        idx = np.flatnonzero(active)
+        a_i, b_i = flat_a[idx], flat_b[idx]
+        mid = 0.5 * (a_i + b_i)
+        d = delta(idx % n, mid)
+        up = np.where(idx < n, d < 0.0, d <= 0.0)
+        flat_a[idx] = a_i = np.where(up, mid, a_i)
+        flat_b[idx] = b_i = np.where(up, b_i, mid)
+        flat_active[idx] = _wide(a_i, b_i)
+        active &= undecided()
     z = 0.5 * (a + b)
-    z_left, z_right = np.zeros(n), np.full(n, math.inf)
-    z_left[left], z_right[right] = z[: left.size], z[left.size :]
-    inner = np.where(np.isinf(z_right), z_left, 0.5 * (z_left + z_right))
-    return np.where(no_root, np.nan, np.where(z_left == 0.0, z_right, inner)), sign
+    return np.where(no_root, np.nan, _sstar_from_ends(z[0], z[1])), sign
 
 
 def _functional_batch(
@@ -771,11 +855,15 @@ def simulate_functional(
 ):
     """Path-dependent analogue of simulate_one; returns (SimStats, raw or None).
 
-    ``payoff`` receives a tuple (s_0, ..., s_T) of equal-length float arrays,
+    ``payoff`` receives a tuple (s_0, ..., s_T) of equal-shape float arrays,
     one lane per path (tree walks append hypothetical prices), and returns
-    an array of the same length; a scalar return is broadcast to every
-    path.  A payoff written for floats only fails with a TypeError stating
-    this contract.  Unlike simulate_one, all chunks share one generator made
+    an array of the same shape; a scalar return is broadcast to every path.
+    The arrays are 1-D, or 2-D blocks of lanes when the S* solve walks its
+    opening halvings at once, so the payoff must act on each lane alone.  A
+    payoff written for floats only fails with a TypeError stating this
+    contract.  The S* solve stops on a path once the executed quote is
+    fixed (see _functional_sstar), so the outputs are those of the full
+    bisection.  Unlike simulate_one, all chunks share one generator made
     from ``seed_seq``: it feeds chunks of FUNCTIONAL_CHUNK paths in turn,
     each run as one vector batch in one reused workspace and aggregated as
     one batch; ``sink`` gets each chunk's columns as in simulate_one, views

@@ -401,6 +401,14 @@ class TestSuperdifferential:
             assert q == quote
             assert q.theta == upper_concave_envelope(g, dom).slopes_at(100.0)[side]
 
+    def test_price_is_exact_value_rounded(self):
+        # The envelope touches g(90) = 0 at the left end of its support; its
+        # float evaluation gave -7.105427357601002e-15 there.
+        g = PwlFunction([90, 110, 130], [0, 14, 20], left_slope=0, right_slope=1)
+        h = upper_concave_envelope(g, Interval(90, 135))
+        assert h.eval_exact(90) == 0
+        assert one_step_price(g, 90.0, StepSpec(1.0, 1.5)) == (0.0, 0.7)
+
     def test_outside_domain_rejected(self):
         # 30 lies outside [1.05 * 30, 1.1 * 30]: no envelope, no finite price
         q = one_step_price(constant_function(1), 30.0, StepSpec(1.05, 1.1))

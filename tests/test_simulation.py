@@ -127,6 +127,18 @@ class TestDrawStep:
         assert ref.random() == rng.random()
 
 
+    def test_skipped_k_row_advances_the_stream(self):
+        # bid/ask steps pass None for k: the stream moves on as if it were drawn
+        step = REF_MODEL.steps[1]
+        ref, rng = _gen(5), _gen(5)
+        want = draw_step(step, ref, size=1001)
+        rows = np.empty((2, 1001))
+        m, M, k = draw_step(step, rng, out=(*rows, None))
+        assert k is None and m.base is rows and M.base is rows
+        assert m.tobytes() == want[0].tobytes() and M.tobytes() == want[1].tobytes()
+        assert ref.random(3).tobytes() == rng.random(3).tobytes()
+
+
 class TestMidExecute:
     def test_ends_and_middle(self):
         assert mid_execute(100.0, 0.8, 1.0, 0.0) == pytest.approx(80.0)
