@@ -32,6 +32,7 @@ from .pricing import (
     require_aip,
     require_convex,
     require_tree_depth,
+    uniform_bid_ask_model,
 )
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
@@ -140,12 +141,8 @@ class ExperimentConfig:
         )
 
     def build_model(self) -> MarketModel:
-        step = StepSpec.from_uniform(self.m_lo, self.m_hi, self.spr_lo, self.spr_hi)
-        return MarketModel(
-            s_init=self.s_prev,
-            horizon=self.horizon,
-            steps=(step,) * (self.horizon + 1),
-        )
+        m, spr = (self.m_lo, self.m_hi), (self.spr_lo, self.spr_hi)
+        return uniform_bid_ask_model(self.s_prev, self.horizon, m, spr)
 
 
 # ---------------------------------------------------------------------- #
@@ -403,39 +400,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         for strike, child in zip(columns, children):
             label = _column_label(strike)
             if cfg.payoff == "asian-call":
-                payoff_fn = asian_call_payoff(strike)
-                v0 = asian_tree_price(payoff_fn, model, model.s_init)
+                engine, claim = simulate_functional, asian_call_payoff(strike)
+                v0 = asian_tree_price(claim, model, model.s_init)
                 print(f"{label}: time-0 value at s0={model.s_init:g}: {v0:.6g}")
-                simulate = partial(
-                    simulate_functional,
-                    model,
-                    payoff_fn,
-                    strike,
-                    cfg.n_paths,
-                    child,
-                    cfg.straddle_to_ask,
-                )
             else:
-                if cfg.payoff == "call":
-                    payoff = call_payoff(strike)
-                elif cfg.payoff == "put":
-                    payoff = put_payoff(strike)
-                else:
-                    payoff = cfg.custom_payoff()
-                pricing = backward_induce(payoff, model)
-                premium = initial_premium(pricing, model)
+                make = {"call": call_payoff, "put": put_payoff}.get(cfg.payoff)
+                payoff = make(strike) if make else cfg.custom_payoff()
+                engine, claim = simulate_one, backward_induce(payoff, model)
+                premium = initial_premium(claim, model)
                 print(f"{label}: initial premium P0 = {premium:.6g}")
                 if cfg.export_strategy:
-                    _export_strategy_tables(out_dir, label, pricing, model)
-                simulate = partial(
-                    simulate_one,
-                    model,
-                    pricing,
-                    strike,
-                    cfg.n_paths,
-                    child,
-                    cfg.straddle_to_ask,
-                )
+                    _export_strategy_tables(out_dir, label, claim, model)
+            simulate = partial(
+                engine, model, claim, strike, cfg.n_paths, child, cfg.straddle_to_ask
+            )
             stats_list.append(
                 _simulate_strike(simulate, cfg, out_dir, label, model.horizon)
             )

@@ -29,6 +29,8 @@ import numpy as np
 from .pwl import (
     Interval,
     PwlFunction,
+    _check_array,
+    _check_scalar,
     piece_index,
     scale_compose,
     scaled_combine,
@@ -59,7 +61,8 @@ class StepSpec:
     uniform-draw parameters describe how the simulator samples the interval:
     the lower edge m ~ U[m_lo, m_hi] and the spread spr ~ U[spr_lo, spr_hi],
     upper edge M = m + spr.  When they are given they must be consistent with
-    the essential bounds: k_down == m_lo and k_up == m_hi + spr_hi.
+    the essential bounds, k_down == m_lo and k_up == m_hi + spr_hi up to 1e-12,
+    and the step keeps the draws' exact support [m_lo, m_hi + spr_hi].
     """
 
     k_down: float
@@ -80,8 +83,8 @@ class StepSpec:
         if any(given) and not all(given):
             raise ValueError("either give all distribution bounds or none")
         if all(given):
-            if not self.m_lo <= self.m_hi:
-                raise ValueError("need m_lo <= m_hi")
+            if not 0.0 < self.m_lo <= self.m_hi:
+                raise ValueError("need 0 < m_lo <= m_hi")
             if not 0.0 <= self.spr_lo <= self.spr_hi:
                 raise ValueError("need 0 <= spr_lo <= spr_hi")
             if not _close(self.k_down, self.m_lo) or not _close(
@@ -93,6 +96,8 @@ class StepSpec:
                     f"k=({self.k_down}, {self.k_up}), m=[{self.m_lo}, {self.m_hi}], "
                     f"spr=[{self.spr_lo}, {self.spr_hi}]"
                 )
+            object.__setattr__(self, "k_down", self.m_lo)
+            object.__setattr__(self, "k_up", self.m_hi + self.spr_hi)
 
     @classmethod
     def from_uniform(
@@ -126,8 +131,7 @@ class MarketModel:
     steps: tuple[StepSpec, ...]
 
     def __post_init__(self):
-        if not 0 < self.s_init < math.inf:
-            raise ValueError(f"s_init must be positive and finite, got {self.s_init}")
+        _check_scalar(self.s_init, "s_init")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         steps = tuple(self.steps)
@@ -208,8 +212,7 @@ def one_step_price(
     mean of its one-sided slopes, or the inward one at an end of [m, M].
     Each value is the exact one at s_prev, correctly rounded.
     """
-    if not s_prev > 0:
-        raise ValueError(f"s_prev must be positive, got {s_prev}")
+    _check_scalar(s_prev, "s_prev")
     kd, ku = step.k_down, step.k_up
     if kd == ku:
         if kd == 1.0:  # deterministic next price equal to s_prev
@@ -257,10 +260,17 @@ class PricingResult:
         return self.value_fns[-1]
 
     def strategy(self, t: int, model: MarketModel) -> "StrategyFn":
+        _require_horizon(self, model)
         if not 0 <= t < self.horizon:
             raise ValueError(f"strategy index must lie in [0, {self.horizon})")
         step = model.steps[t + 1]
         return StrategyFn(self.value_fns[t + 1], step.k_down, step.k_up)
+
+
+def _require_horizon(result: PricingResult, model: MarketModel):
+    """Refuse a model whose horizon is not the one ``result`` was priced on."""
+    if result.horizon != model.horizon:
+        raise ValueError(f"pricing horizon {result.horizon} != model's {model.horizon}")
 
 
 class StrategyFn:
@@ -282,10 +292,7 @@ class StrategyFn:
     def __call__(self, s):
         if not isinstance(s, np.ndarray):  # a scalar is the array rule at n=1
             return float(self(np.array([s], dtype=float))[0])
-        # NaN fails every comparison, so the chain refuses it too.
-        if s.size and not 0.0 < s.min() <= s.max() < math.inf:
-            bad = s[~((0.0 < s) & (s < math.inf))][0]
-            raise ValueError(f"price must be positive and finite, got {bad}")
+        _check_array(s, "price")
         g, kd, ku = self.g_next, self.k_down, self.k_up
         if kd == ku:
             left, right = g.slopes_at(kd * s)
@@ -376,9 +383,7 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
         raise ValueError("closed-form oracle requires a two-step model")
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
-    # NaN fails every comparison, so the chains refuse it too.
-    if not 0.0 < strike < math.inf:
-        raise ValueError(f"strike must be positive and finite, got {strike}")
+    _check_scalar(strike, "strike")
     m1, M1 = model.steps[1].k_down, model.steps[1].k_up
     m2, M2 = model.steps[2].k_down, model.steps[2].k_up
     if not (m1 < M1 and m2 < M2):
@@ -387,9 +392,7 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
-    if s_arr.size and not 0.0 < s_arr.min() <= s_arr.max() < math.inf:
-        bad = s_arr[~((0.0 < s_arr) & (s_arr < math.inf))][0]
-        raise ValueError(f"price must be positive and finite, got {bad}")
+    _check_array(s_arr, "price")
     K = float(strike)
     c_lo, c_hi = K / M2, K / m2
 
@@ -423,28 +426,16 @@ def closed_form_call(t: int, s, strike: float, model: MarketModel):
             s_arr * d2 * d1
         )
 
-        value = np.select(
-            [
-                zb == 0,                  # both edges below the kink zone
-                (za == 0) & (zb == 1),
-                (za == 0) & (zb == 2),
-                (za == 1) & (zb == 1),
-                (za == 1) & (zb == 2),
-            ],
-            [np.zeros_like(s_arr), v2, v3, v4, v5],
-            default=s_arr - K,            # both edges past the kink zone
-        )
-        theta = np.select(
-            [
-                zb == 0,
-                (za == 0) & (zb == 1),
-                (za == 0) & (zb == 2),
-                (za == 1) & (zb == 1),
-                (za == 1) & (zb == 2),
-            ],
-            [np.zeros_like(s_arr), th2, th3, th4, th5],
-            default=1.0,
-        )
+        cases = [
+            zb == 0,  # both edges below the kink zone
+            (za == 0) & (zb == 1),
+            (za == 0) & (zb == 2),
+            (za == 1) & (zb == 1),
+            (za == 1) & (zb == 2),
+        ]  # otherwise both edges lie past the kink zone
+        zero = np.zeros_like(s_arr)
+        value = np.select(cases, [zero, v2, v3, v4, v5], default=s_arr - K)
+        theta = np.select(cases, [zero, th2, th3, th4, th5], default=1.0)
 
     if scalar:
         return float(value[0]), float(theta[0])
@@ -471,8 +462,7 @@ def asian_tree_price(
     The tree has 2^horizon leaves, so horizons above the fixed cap
     TREE_DEPTH_CAP are refused.
     """
-    if not 0 < s0 < math.inf:
-        raise ValueError(f"s0 must be positive and finite, got {s0}")
+    _check_scalar(s0, "s0")
     require_tree_depth(model.horizon)
     require_aip(model)
     return float(_tree_value(payoff, model, (float(s0),), 0))
@@ -513,8 +503,7 @@ def asian_call_payoff(strike: float) -> Callable[[Sequence[float]], float]:
     Takes a path of floats (returns a float) or a tuple of equal-length
     arrays, one lane per path (returns an array).
     """
-    if not 0 < strike < math.inf:
-        raise ValueError(f"strike must be positive and finite, got {strike}")
+    _check_scalar(strike, "strike")
 
     def payoff(path: Sequence[float]) -> float:
         excess = sum(path) / len(path) - strike

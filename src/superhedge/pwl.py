@@ -97,12 +97,19 @@ def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, den) for n in nums)
 
 
-def _check_points(x: np.ndarray):
-    """Refuse negative, infinite and NaN evaluation points."""
-    # NaN fails every comparison, so the chain refuses it too.
-    if x.size and not 0.0 <= x.min() <= x.max() < math.inf:
-        bad = x[~((0.0 <= x) & (x < math.inf))][0]
-        raise ValueError(f"evaluation point must be nonnegative and finite, got {bad}")
+def _check_scalar(x, name: str, nonnegative: bool = False):
+    """Refuse NaN, infinite and negative x, and 0 unless ``nonnegative``."""
+    # NaN fails every comparison, so these tests refuse it too.
+    if not ((0.0 <= x if nonnegative else 0.0 < x) and x < math.inf):
+        sign = "nonnegative" if nonnegative else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {x}")
+
+
+def _check_array(x: np.ndarray, name: str, nonnegative: bool = False):
+    """`_check_scalar` on the first refused entry of x, if any."""
+    above = np.greater_equal if nonnegative else np.greater
+    if x.size and not (above(x.min(), 0.0) and x.max() < math.inf):
+        _check_scalar(x[~(above(x, 0.0) & (x < math.inf))][0], name, nonnegative)
 
 
 def piece_index(table: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:
@@ -247,14 +254,11 @@ class PwlFunction:
     def __call__(self, x):
         """Evaluate at a nonnegative finite float or array of floats."""
         if isinstance(x, np.ndarray):
-            _check_points(x)
+            _check_array(x, "evaluation point", nonnegative=True)
             idx = piece_index(self._bps_f, x)
             return self._slopes_f[idx] * x + self._icepts_f[idx]
         xf = float(x)
-        if not 0.0 <= xf < math.inf:
-            raise ValueError(
-                f"evaluation point must be nonnegative and finite, got {xf}"
-            )
+        _check_scalar(xf, "evaluation point", nonnegative=True)
         idx = int(np.searchsorted(self._bps_f, xf, side="left"))
         return float(self._slopes_f[idx] * xf + self._icepts_f[idx])
 
@@ -291,7 +295,7 @@ class PwlFunction:
         if not isinstance(x, np.ndarray):  # a scalar is the array rule at n=1
             left, right = self.slopes_at(np.array([x], dtype=float))
             return float(left[0]), float(right[0])
-        _check_points(x)
+        _check_array(x, "evaluation point", nonnegative=True)
         bps = self._bps_f
         i = piece_index(bps, x)
         on_kink = x == bps[np.minimum(i, bps.size - 1)]  # x > bps[-1] at i == K

@@ -40,9 +40,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .pricing import MarketModel, PricingResult, StepSpec, _tree_value
-from .pricing import require_aip, require_tree_depth
-from .pwl import PwlFunction, _scaled_pieces, piece_index
+from .pricing import MarketModel, PricingResult, StepSpec, _require_horizon
+from .pricing import _tree_value, require_aip, require_tree_depth
+from .pwl import PwlFunction, _check_array, _scaled_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
 TILE = 1 << 15  # lanes each step's elementwise chain runs at a time
@@ -106,10 +106,7 @@ def draw_step(step: StepSpec, rng: np.random.Generator, size: int = 1, out=None)
 def mid_execute(s_prev, m, M, k):
     """Executed price s_prev * (m + k (M - m)) inside the drawn interval."""
     s = np.asarray(s_prev, dtype=float)
-    # NaN fails every comparison, so the chain refuses it too.
-    if s.size and not 0.0 < s.min() <= s.max() < math.inf:
-        bad = s[~((0.0 < s) & (s < math.inf))].flat[0]
-        raise ValueError(f"s_prev must be positive and finite, got {bad}")
+    _check_array(s, "s_prev")
     out = s * (m + k * (M - m))
     return float(out) if out.ndim == 0 else out
 
@@ -615,8 +612,10 @@ def simulate_one(
     call, so a sink that keeps them copies them.  A caller that writes them
     out holds one batch, whatever n_paths.  Collected, single-path and sink
     columns share one format: in both engines the mid-step bid/ask entries
-    are None.
+    are None.  A pricing of another horizon than the model's is refused
+    before any draw.
     """
+    _require_horizon(pricing, model)
     batch_size = BATCH_SIZE
 
     def batches():

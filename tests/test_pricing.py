@@ -60,6 +60,21 @@ class TestStepSpec:
         with pytest.raises(ValueError):
             StepSpec(k_down=0.7, k_up=1.3, m_lo=0.7, m_hi=1.0, spr_lo=0.0, spr_hi=0.4)
 
+    @pytest.mark.parametrize(
+        "k_down, k_up", [(0.7, 1.2999999999995), (0.7000000000005, 1.3)]
+    )
+    def test_bounds_are_the_draws_exact_support(self, k_down, k_up):
+        # both lie within 1e-12 of the draws' support [0.7, 0.9 + 0.4], so they
+        # are accepted, and the step prices on that support: no draw lies outside
+        step = StepSpec(k_down, k_up, 0.7, 0.9, 0.0, 0.4)
+        assert (step.k_down, step.k_up) == (0.7, 0.9 + 0.4)
+        assert step == StepSpec.from_uniform(0.7, 0.9, 0.0, 0.4)
+
+    def test_draws_must_stay_positive(self):
+        # k_down lies within 1e-12 of m_lo, but the draws could reach 0
+        with pytest.raises(ValueError, match="need 0 < m_lo <= m_hi"):
+            StepSpec(1e-13, 1.0, -1e-13, 0.6, 0.0, 0.4)
+
     def test_partial_distribution_rejected(self):
         with pytest.raises(ValueError):
             StepSpec(k_down=0.7, k_up=1.4, m_lo=0.7)
@@ -154,6 +169,9 @@ class TestOneStepPrice:
     def test_nonpositive_price_rejected(self):
         with pytest.raises(ValueError):
             one_step_price(call_payoff(100), 0.0, StepSpec(0.7, 1.4))
+        msg = "s_prev must be positive and finite, got inf"
+        with pytest.raises(ValueError, match=msg):
+            one_step_price(call_payoff(100), math.inf, StepSpec(0.7, 1.4))
 
     def test_nonconvex_payoff_via_envelope(self):
         tent = PwlFunction([80, 100, 120], [0, 10, 0], left_slope=0, right_slope=0)

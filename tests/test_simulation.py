@@ -148,6 +148,10 @@ class TestMidExecute:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             mid_execute(0.0, 0.8, 1.0, 0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            msg = f"s_prev must be positive and finite, got {bad}"
+            with pytest.raises(ValueError, match=msg):
+                mid_execute(np.array([90.0, bad, 110.0]), 0.8, 1.0, 0.5)
 
 
 def two_root_sstar(cross: OrderSignChange, theta_prev: np.ndarray):
@@ -431,6 +435,24 @@ def test_aip_gate_names_first_bad_step(entry):
     with pytest.raises(AipViolationError, match="fails at step 1") as err:
         entry(AIP_BAD)
     assert (err.value.step, err.value.k_down) == (1, 1.05)
+
+
+@pytest.mark.parametrize("model_horizon, pricing_horizon", [(2, 3), (3, 2)])
+def test_pricing_of_another_horizon_refused(model_horizon, pricing_horizon):
+    model = uniform_bid_ask_model(horizon=model_horizon)
+    pricing = _pricing(model=uniform_bid_ask_model(horizon=pricing_horizon))
+    msg = f"pricing horizon {pricing_horizon} != model's {model_horizon}"
+    seen = []
+    with pytest.raises(ValueError, match=msg):
+        simulate_one(
+            model, pricing, 100.0, 10, np.random.SeedSequence(1), sink=seen.append
+        )
+    assert seen == []
+    with pytest.raises(ValueError, match=msg):
+        simulate(model, [pricing], [100.0], 10, RngConfig(1))
+    for t in range(pricing_horizon):
+        with pytest.raises(ValueError, match=msg):
+            pricing.strategy(t, model)
 
 
 @pytest.mark.parametrize(
