@@ -323,7 +323,9 @@ def _simulate_strike(
     of n_paths floats allocated up front, so memory holds one batch plus
     those series.  The dump is written under a temporary name and renamed
     when the strike succeeds: a failed run leaves no partial dump.  The
-    histograms are written from the full series afterwards.
+    histograms are written from the full series afterwards.  A run that
+    neither dumps nor bins passes no sink, so a European engine holds only
+    the workspace rows its statistics read.
     """
     names = [f"S_{t}" for t in range(min(horizon, 2) + 1)] + ["eps_R"]
     series = {name: np.empty(cfg.n_paths) for name in names} if cfg.histograms else {}
@@ -346,7 +348,7 @@ def _simulate_strike(
 
     try:
         with fh:
-            stats, _ = simulate(sink=sink)
+            stats, _ = simulate(sink=sink if cfg.dump_paths or cfg.histograms else None)
     except BaseException:
         if cfg.dump_paths:
             part.unlink(missing_ok=True)
@@ -419,6 +421,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print(f"error: out of memory with n_paths = {cfg.n_paths}", file=sys.stderr)
         return EXIT_ERROR
 
     if cfg.write_stats:

@@ -32,7 +32,6 @@ from .pwl import (
     _check_array,
     _check_scalar,
     piece_index,
-    scale_compose,
     scaled_combine,
     upper_concave_envelope,
 )
@@ -338,8 +337,8 @@ def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
         step = model.steps[t]
         kd, ku = Fraction(step.k_down), Fraction(step.k_up)
         g_t = fns[t]
-        if kd == ku:  # AIP forces kd == ku == 1 here
-            fns[t - 1] = scale_compose(g_t, kd)
+        if kd == ku:  # AIP forces kd == ku == 1: g_{t-1}(x) = g_t(x)
+            fns[t - 1] = g_t
         else:
             lam = (ku - 1) / (ku - kd)
             fns[t - 1] = scaled_combine(g_t, kd, g_t, ku, lam)

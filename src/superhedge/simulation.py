@@ -26,7 +26,10 @@ and reused by every batch.  A step draws the whole batch into it in stream
 order, then runs its elementwise chain (execution, value, holding, V, eps)
 over TILE lanes at a time, so the chain's temporaries stay cache-sized.
 Every operation is elementwise, so tiling leaves every float unchanged; the
-statistics reduce over whole batch columns.
+statistics reduce over whole batch columns.  A run whose batches go to a
+sink or are collected keeps every step's row, 5T+1 rows with eps; a
+stats-only European run keeps the rows the statistics read and reuses two
+rows per series for the later steps, at most 16 rows at any horizon.
 """
 
 from __future__ import annotations
@@ -279,17 +282,38 @@ def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
 # ---------------------------------------------------------------------- #
 
 
-def _workspace(horizon: int, size: int, draw_shape: Optional[tuple] = None) -> dict:
+# (kept, cycle) per key of _PATH_KEYS in a compact workspace.  The first
+# ``kept`` entries of a series (one per step; bid and ask one per interior
+# step) keep rows of their own: _Aggregator reads s_0..s_2, v_0..v_1 and
+# theta_0..theta_1.  Each later entry takes one of ``cycle`` rows in turn: a
+# step reads only its own entry and the previous one.
+_COMPACT = {"s": (3, 2), "bid": (0, 1), "ask": (0, 1), "theta": (2, 2), "v": (2, 2)}
+
+
+def _workspace(
+    horizon: int, size: int, draw_shape: Optional[tuple] = None, compact: bool = False
+) -> dict:
     """Batch columns for up to ``size`` paths, reused by every batch of a run:
-    s and v with T+1 rows, theta with T, bid and ask with T-1 (interior
-    steps only) and eps, 5T+1 rows of ``size`` floats, plus a draw block of
-    ``draw_shape``, by default the three rows (m, M, k)."""
+    one block per key of _PATH_KEYS, the eps row, and a draw block of
+    ``draw_shape``, by default the three rows (m, M, k).  ``rows`` maps each
+    key to the block row of each entry.  The full layout gives every entry
+    its own row (s and v T+1 rows, theta T, bid and ask T-1), 5T+1 rows with
+    eps; the compact one (_COMPACT) at most 16, whatever the horizon."""
     T = horizon
-    s, v, theta, bid, ask, eps = np.split(
-        np.empty((5 * T + 1, size)), np.cumsum([T + 1, T + 1, T, T - 1, T - 1])
-    )
+    rows = {}
+    for key, n in dict(s=T + 1, bid=T - 1, ask=T - 1, theta=T, v=T + 1).items():
+        kept, cycle = _COMPACT[key] if compact else (n, 1)
+        rows[key] = tuple(j if j < kept else kept + (j - kept) % cycle for j in range(n))
+    heights = [max(rows[key], default=-1) + 1 for key in _PATH_KEYS]
+    *blocks, eps = np.split(np.empty((sum(heights) + 1, size)), np.cumsum(heights))
     draw = np.empty(draw_shape or (3, size))
-    return dict(draw=draw, s=s, v=v, theta=theta, bid=bid, ask=ask, eps=eps[0])
+    return dict(zip(_PATH_KEYS, blocks), eps=eps[0], draw=draw, rows=rows)
+
+
+def _held(views: list, rows: tuple) -> list:
+    """``views`` with None for each entry whose row a later entry reused."""
+    last = {r: j for j, r in enumerate(rows)}
+    return [view if last[r] == j else None for j, (view, r) in enumerate(zip(views, rows))]
 
 
 def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, ws):
@@ -305,46 +329,47 @@ def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, w
     stop solving once it knows which quote executes: any S* in the same
     ``_region`` as the exact one executes the same quote.  Each step runs
     tile by tile, TILE lanes at a time, and every map must act on each lane
-    alone.  Mid steps quote no bid/ask: their entries are None.
+    alone.  Every entry is reached through the workspace's row map.  In a
+    compact workspace the prefix entries past s_2, but for the last two,
+    share rows with later steps, so only claims that read prefix[-1] run
+    there, and the returned columns hold None for each entry a later step
+    overwrote.  Mid steps quote no bid/ask: their entries are None.
     """
     value, theta, sstar, payoff = claim
     T = model.horizon
-    s, bid, ask, th, v = (ws[key][:, :n] for key in _PATH_KEYS)
+    maps = ws["rows"]
+    s, bid, ask, th, v = ([ws[key][r, :n] for r in maps[key]] for key in _PATH_KEYS)
     eps = ws["eps"][:n]
     for t, (m, M, k) in enumerate(draws):
         for lo in range(0, n, TILE):
             sl = slice(lo, lo + TILE)
             if t == 0:
-                s_prev = np.full(len(s[0, sl]), float(model.s_init))
+                s_prev = np.full(len(s[0][sl]), float(model.s_init))
             else:
-                s_prev = s[t - 1, sl]
+                s_prev = s[t - 1][sl]
             if t == 0 or t == T:
-                s[t, sl] = mid_execute(s_prev, m[sl], M[sl], k[sl])
+                s[t][sl] = mid_execute(s_prev, m[sl], M[sl], k[sl])
             else:
-                bid_t = np.multiply(s_prev, m[sl], out=bid[t - 1, sl])
-                ask_t = np.multiply(s_prev, M[sl], out=ask[t - 1, sl])
+                bid_t = np.multiply(s_prev, m[sl], out=bid[t - 1][sl])
+                ask_t = np.multiply(s_prev, M[sl], out=ask[t - 1][sl])
                 _check_quotes(bid_t, ask_t)
                 pre = tuple(row[sl] for row in s[:t])
-                order = sstar(pre, t, th[t - 1, sl], s_prev, bid_t, ask_t)
-                s[t, sl] = _execute_vec(bid_t, ask_t, *order, straddle_to_ask)
+                order = sstar(pre, t, th[t - 1][sl], s_prev, bid_t, ask_t)
+                s[t][sl] = _execute_vec(bid_t, ask_t, *order, straddle_to_ask)
             prefix = tuple(row[sl] for row in s[: t + 1])
             if t == 0:
-                v[0, sl] = value(prefix, 0)
+                v[0][sl] = value(prefix, 0)
             else:
-                gain = th[t - 1, sl] * (prefix[-1] - s_prev)
-                np.add(v[t - 1, sl], gain, out=v[t, sl])
+                gain = th[t - 1][sl] * (prefix[-1] - s_prev)
+                np.add(v[t - 1][sl], gain, out=v[t][sl])
             if t < T:
-                th[t, sl] = theta(prefix, t)
+                th[t][sl] = theta(prefix, t)
             else:
-                np.divide(v[T, sl] - payoff(prefix), prefix[-1], out=eps[sl])
-    return {
-        "s": list(s),
-        "bid": [None, *bid, None],
-        "ask": [None, *ask, None],
-        "theta": list(th),
-        "v": list(v),
-        "eps": eps,
-    }
+                np.divide(v[T][sl] - payoff(prefix), prefix[-1], out=eps[sl])
+    cols = {key: _held(c, maps[key]) for key, c in zip(_PATH_KEYS, (s, bid, ask, th, v))}
+    for key in ("bid", "ask"):
+        cols[key] = [None, *cols[key], None]
+    return dict(cols, eps=eps)
 
 
 def _simulate_batch(
@@ -604,7 +629,10 @@ def simulate_one(
     seeded by a child spawned from ``seed_seq`` as it starts (the children
     of one ``spawn(k)``, in order); the batch layout depends only on
     n_paths, so a given seed gives bit-identical results.  Every batch runs
-    in one workspace of (5T+4) rows of min(BATCH_SIZE, n_paths) floats.
+    in one workspace of min(BATCH_SIZE, n_paths) lanes.  A stats-only run
+    (no ``collect``, no ``sink``) lays it out compactly: at most 16 path
+    rows plus the 3 draw rows, whatever the horizon.  A run that collects
+    or has a sink keeps every step's row: 5T+1 path rows plus 3.
     ``collect=True`` additionally returns the per-path columns of the whole
     run, copied batch by batch: 5T+1 floats per path.  ``sink``, if given,
     is called with each batch's columns in path order once they are
@@ -620,7 +648,8 @@ def simulate_one(
 
     def batches():
         crossings = _build_crossings(model, pricing)
-        ws = _workspace(model.horizon, min(batch_size, n_paths))
+        compact = sink is None and not collect  # no consumer reads whole paths
+        ws = _workspace(model.horizon, min(batch_size, n_paths), compact=compact)
         for done in range(0, n_paths, batch_size):
             nb = min(batch_size, n_paths - done)
             rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -406,6 +407,23 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_names_n_paths(self, tmp_path, capsys, monkeypatch):
+        # the histogram series of 10^11 floats cannot be allocated: the
+        # allocator is patched to fail as the system's would, at once
+        n_paths, real = 100_000_000_000, np.empty
+
+        def empty(shape, *args, **kwargs):
+            if shape == n_paths:
+                raise MemoryError(f"cannot allocate {8 * n_paths} bytes")
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        argv = ["--paths", str(n_paths), "--histograms", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: out of memory with n_paths = {n_paths}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["effective_config.txt"]
+
     def test_bad_config_content(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("bogus_key = 1\n")
@@ -456,6 +474,25 @@ class TestStreamedOutputs:
             _write_histogram(oracle / f"hist_K100_{name}.csv", data, cfg.hist_bins)
         for path in sorted(oracle.iterdir()):
             assert (tmp_path / "run" / path.name).read_bytes() == path.read_bytes()
+
+    def test_stats_only_run_holds_compact_rows(self, tmp_path, monkeypatch):
+        """Without a dump or histograms the engine gets no sink and lays out
+        its workspace compactly; the stats bytes are those of a binned run."""
+        layouts, real = [], simulation._workspace
+
+        def spy(*args, compact=False, **kwargs):
+            layouts.append(compact)
+            return real(*args, compact=compact, **kwargs)
+
+        monkeypatch.setattr(simulation, "_workspace", spy)
+        text = "horizon = 12\nn_paths = 300\nstrikes = 90, 110\nseed = 5\n"
+        cfg = parse_config(text)
+        assert run_experiment(cfg, tmp_path / "stats") == EXIT_OK
+        binned = replace(cfg, histograms=True)
+        assert run_experiment(binned, tmp_path / "binned") == EXIT_OK
+        assert layouts == [True, True, False, False]
+        stats = [(tmp_path / d / "stats.csv").read_bytes() for d in ("stats", "binned")]
+        assert stats[0] == stats[1]
 
     def test_memory_is_one_batch_plus_histogram_series(self, tmp_path):
         """Keeping every batch and joining them before writing peaked at 95 MB

@@ -265,6 +265,16 @@ class TestBackwardInduce:
         assert res.lambdas == (0.5, 0.5)  # continuity limit at k_up == k_down
         assert res.value_fns[0](10.0) == 2.0
 
+    def test_degenerate_step_carries_value_over(self):
+        # k_down == k_up == 1 at step 2: the next price is the current one,
+        # so g_1 is g_2 itself, in the same canonical form
+        steps = (StepSpec(0.7, 1.4), StepSpec(0.8, 1.2), StepSpec(1, 1), StepSpec(0.9, 1.1))
+        model = MarketModel(s_init=100.0, horizon=3, steps=steps)
+        for payoff in (call_payoff(100), put_payoff(90)):
+            fns = backward_induce(payoff, model).value_fns
+            assert fns[1] == fns[2]
+            assert fns[2] != fns[3] and fns[0] != fns[1]
+
     def test_convexity_and_nonnegativity_propagate(self):
         rng = np.random.default_rng(13)
         xs = np.linspace(0.1, 500, 300)

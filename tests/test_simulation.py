@@ -587,6 +587,96 @@ class TestTiles:
         assert got[1] == want[1]
 
 
+# One convex payoff per claim kind for the layout tests.
+LAYOUT_PAYOFFS = {
+    "call": call_payoff(100),
+    "put": put_payoff(110),
+    "custom-pwl": PwlFunction([80, 100, 130], [10, 0, 15], -1, 1),
+}
+
+
+def _layout_model(horizon, mixed):
+    """The reference model, or a per-step mix of TILE_STEPS with a degenerate
+    step at t = 1 (the last step at T = 1)."""
+    picks = [(2 * t) % 3 if mixed else 0 for t in range(horizon + 1)]
+    return MarketModel(100.0, horizon, tuple(TILE_STEPS[i] for i in picks))
+
+
+def _workspace_floats(ws: dict) -> int:
+    """Floats held by the arrays of a workspace, each allocation once."""
+    owners = {}
+    for x in ws.values():
+        if isinstance(x, np.ndarray):
+            owner = x if x.base is None else x.base
+            owners[id(owner)] = owner.size
+    return sum(owners.values())
+
+
+class TestCompactWorkspace:
+    """A stats-only simulate_one runs in the compact row layout (at most 16
+    path rows); with a sink or collect it keeps every step's row (5T+1).
+    Both layouts give the same floats on every entry they both hold."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("claim", sorted(LAYOUT_PAYOFFS))
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 5, 12, 40])
+    def test_stats_equal_full_layout(self, monkeypatch, horizon, claim, mixed):
+        # 2 batches of 16 and one of 3 paths, in tiles of 5 lanes
+        monkeypatch.setattr(simulation, "TILE", 5)
+        monkeypatch.setattr(simulation, "BATCH_SIZE", 16)
+        model = _layout_model(horizon, mixed)
+        pricing = backward_induce(LAYOUT_PAYOFFS[claim], model)
+        run = partial(simulate_one, model, pricing, 100.0, 35)
+        compact, _ = run(np.random.SeedSequence(horizon))
+        full, _ = run(np.random.SeedSequence(horizon), sink=lambda cols: None)
+        np.testing.assert_array_equal(compact.row_values(), full.row_values())
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 5, 12])
+    def test_held_entries_equal_full_layout(self, monkeypatch, horizon, mixed):
+        monkeypatch.setattr(simulation, "TILE", 5)
+        model = _layout_model(horizon, mixed)
+        pricing = backward_induce(call_payoff(100), model)
+        crossings = _build_crossings(model, pricing)
+
+        def batch(compact):
+            ws = simulation._workspace(horizon, 23, compact=compact)
+            return _simulate_batch(model, pricing, 23, _batch_gen(3), crossings, ws=ws)
+
+        compact, full = batch(True), batch(False)
+        assert compact["eps"].tobytes() == full["eps"].tobytes()
+        for key in PATH_KEYS:
+            assert len(compact[key]) == len(full[key])
+            for c, f in zip(compact[key], full[key]):
+                assert c is None or c.tobytes() == f.tobytes()
+        held = {key: [c is not None for c in compact[key]] for key in PATH_KEYS}
+        assert all(held["s"][: min(3, horizon + 1)]) and held["s"][-1]
+        assert all(held["v"][:2]) and all(held["theta"][: min(2, horizon)])
+
+    @pytest.mark.parametrize(
+        "sink, path_rows",
+        [(None, 16), (lambda cols: None, 5 * 60 + 1)],
+        ids=["stats-only", "sink"],
+    )
+    def test_workspace_floats_bound(self, monkeypatch, sink, path_rows):
+        monkeypatch.setattr(simulation, "BATCH_SIZE", 64)
+        model = uniform_bid_ask_model(horizon=60)
+        made, real = [], simulation._workspace
+
+        def spy(*args, **kwargs):
+            ws = real(*args, **kwargs)
+            made.append(_workspace_floats(ws))
+            return ws
+
+        monkeypatch.setattr(simulation, "_workspace", spy)
+        simulate_one(
+            model, _pricing(model=model), 100.0, 100, np.random.SeedSequence(2), sink=sink
+        )
+        (floats,) = made  # one workspace per run
+        bound = (path_rows + 3) * 64  # path rows and draw rows of 64 lanes
+        assert floats <= bound if sink is None else floats == bound
+
+
 class TestSimulate:
     def test_row_values_pinned_horizon_one(self):
         # pinned floats: any change to the merge order or arithmetic of the
