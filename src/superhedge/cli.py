@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -36,6 +37,7 @@ from .pricing import (
 )
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
+    BATCH_SIZE,
     RngConfig,
     SimStats,
     simulate_functional,
@@ -102,6 +104,16 @@ class ExperimentConfig:
                     raise ConfigError(f"strikes share the column label {label!r}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
+        # The largest price any layer forms, and a batch's sum of such prices.
+        k_up = self.m_hi + self.spr_hi
+        top = math.prod(itertools.repeat(k_up, self.horizon + 1), start=self.s_prev)
+        lanes = min(BATCH_SIZE, self.n_paths)
+        if not math.isfinite(top * lanes):
+            raise ConfigError(
+                f"s_prev = {self.s_prev!r} over horizon {self.horizon} overflows "
+                f"float64: prices reach s_prev * k_up^{self.horizon + 1} = {top!r}, "
+                f"and a batch sums {lanes} of them"
+            )
         if self.payoff not in PAYOFF_TAGS:
             raise ConfigError(
                 f"payoff must be one of {', '.join(PAYOFF_TAGS)}, got {self.payoff!r}"
@@ -293,8 +305,9 @@ def _write_histogram(path: Path, data: np.ndarray, bins: int):
             fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
 
 
-def _export_strategy_tables(out_dir, label, pricing, model):
-    """Per-step sampled order mappings z -> theta_t(z)."""
+def _export_strategy_tables(out_dir, label, pricing, model, written: list):
+    """Per-step sampled order mappings z -> theta_t(z); each file is added to
+    ``written`` before it is opened."""
     lo_mult = 1.0
     hi_mult = 1.0
     for t in range(model.horizon):
@@ -306,6 +319,7 @@ def _export_strategy_tables(out_dir, label, pricing, model):
         grid = np.linspace(lo, hi, STRATEGY_SAMPLES)
         theta = pricing.strategy(t, model)(grid)
         path = out_dir / f"strategy_{label}_t{t}.csv"
+        written.append(path)
         with path.open("w", encoding="utf-8") as fh:
             fh.write("s,theta\n")
             for s_val, th in zip(grid, theta):
@@ -313,10 +327,11 @@ def _export_strategy_tables(out_dir, label, pricing, model):
 
 
 def _simulate_strike(
-    simulate, cfg: ExperimentConfig, out_dir: Path, label: str, horizon: int
+    simulate, cfg: ExperimentConfig, out_dir: Path, label: str, horizon: int,
+    written: list,
 ) -> SimStats:
     """Stats of ``simulate(sink=...)`` for one strike, writing its dump and
-    histograms.
+    histograms; each file is added to ``written`` once it exists.
 
     The sink appends each batch to the path dump while the simulation runs
     and copies the histogram series (S_0..S_min(T,2) and eps_R) into arrays
@@ -355,8 +370,10 @@ def _simulate_strike(
         raise
     if cfg.dump_paths:
         part.replace(dump)
+        written.append(dump)
     for name, data in series.items():
-        _write_histogram(out_dir / f"hist_{label}_{name}.csv", data, cfg.hist_bins)
+        written.append(out_dir / f"hist_{label}_{name}.csv")
+        _write_histogram(written[-1], data, cfg.hist_bins)
     return stats
 
 
@@ -385,10 +402,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         return EXIT_ERROR
 
     out_dir = Path(out_dir)
+    # The directories this run makes, deepest first, and the files it writes:
+    # a run refused after it started removes them all.
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "effective_config.txt").write_text(
-        render_config(cfg), encoding="utf-8"
-    )
+    written = [out_dir / "effective_config.txt"]
+    written[0].write_text(render_config(cfg), encoding="utf-8")
 
     if cfg.payoff == "custom-pwl":
         columns = [math.nan]
@@ -412,18 +431,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 premium = initial_premium(claim, model)
                 print(f"{label}: initial premium P0 = {premium:.6g}")
                 if cfg.export_strategy:
-                    _export_strategy_tables(out_dir, label, claim, model)
+                    _export_strategy_tables(out_dir, label, claim, model, written)
             simulate = partial(
                 engine, model, claim, strike, cfg.n_paths, child, cfg.straddle_to_ask
             )
             stats_list.append(
-                _simulate_strike(simulate, cfg, out_dir, label, model.horizon)
+                _simulate_strike(simulate, cfg, out_dir, label, model.horizon, written)
             )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except MemoryError:
-        print(f"error: out of memory with n_paths = {cfg.n_paths}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        oom = isinstance(exc, MemoryError)
+        print(
+            f"error: out of memory with n_paths = {cfg.n_paths}" if oom else f"error: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_ERROR
 
     if cfg.write_stats:

@@ -20,8 +20,10 @@ one-step value is minus infinity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -62,6 +64,10 @@ class StepSpec:
     upper edge M = m + spr.  When they are given they must be consistent with
     the essential bounds, k_down == m_lo and k_up == m_hi + spr_hi up to 1e-12,
     and the step keeps the draws' exact support [m_lo, m_hi + spr_hi].
+
+    `exact` holds the step's exact data for the recursion, derived once per
+    instance on first read; it is not a field, so ``==``, ``hash`` and
+    ``repr`` see only the six floats above.
     """
 
     k_down: float
@@ -115,6 +121,14 @@ class StepSpec:
     @property
     def has_distribution(self) -> bool:
         return self.m_lo is not None
+
+    @cached_property
+    def exact(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(k_down, k_up, lam) as exact rationals, with the chord weight
+        lam = (k_up - 1) / (k_up - k_down); 1/2 on a degenerate step
+        (k_down == k_up), whose two chord ends coincide."""
+        kd, ku = Fraction(self.k_down), Fraction(self.k_up)
+        return kd, ku, Fraction(1, 2) if kd == ku else (ku - 1) / (ku - kd)
 
 
 def _close(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -297,11 +311,12 @@ class StrategyFn:
             left, right = g.slopes_at(kd * s)
             return 0.5 * (left + right) * kd
         a, b = kd * s, ku * s
-        ia = piece_index(g._bps_f, a)
-        ib = piece_index(g._bps_f, b)
-        slope_a = g._slopes_f[ia]
-        g_a = slope_a * a + g._icepts_f[ia]
-        g_b = g._slopes_f[ib] * b + g._icepts_f[ib]
+        bps, slopes, icepts = g._float_views()
+        ia = piece_index(bps, a)
+        ib = piece_index(bps, b)
+        slope_a = slopes[ia]
+        g_a = slope_a * a + icepts[ia]
+        g_b = slopes[ib] * b + icepts[ib]
         chord = (g_b - g_a) / ((ku - kd) * s)
         return np.where(ia == ib, slope_a, chord)
 
@@ -334,13 +349,11 @@ def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
     fns: list[Optional[PwlFunction]] = [None] * (T + 1)
     fns[T] = payoff
     for t in range(T, 0, -1):
-        step = model.steps[t]
-        kd, ku = Fraction(step.k_down), Fraction(step.k_up)
+        kd, ku, lam = model.steps[t].exact
         g_t = fns[t]
         if kd == ku:  # AIP forces kd == ku == 1: g_{t-1}(x) = g_t(x)
             fns[t - 1] = g_t
         else:
-            lam = (ku - 1) / (ku - kd)
             fns[t - 1] = scaled_combine(g_t, kd, g_t, ku, lam)
     lambdas = tuple(_chord_weight(s) for s in model.steps)
     return PricingResult(value_fns=tuple(fns), lambdas=lambdas)
@@ -357,12 +370,20 @@ def initial_premium(result: PricingResult, model: MarketModel) -> float:
 
     The time-0 value is revealed only with the first execution, so the
     quoted premium must dominate it over the whole step-0 support interval.
+    g_0 is evaluated on plain floats, a piece lookup and one multiply-add
+    each: the bits of ``g0(x)``.
     """
     g0 = result.value_fns[0]
     step = model.steps[0]
     lo, hi = step.k_down * model.s_init, step.k_up * model.s_init
-    xs = [lo, hi] + [b for b in g0._bps_f.tolist() if lo < b < hi]
-    return max(g0(x) for x in xs)
+    _check_scalar(hi, "evaluation point", nonnegative=True)
+    bps, slopes, icepts = (a.tolist() for a in g0._float_views())
+
+    def value(x: float) -> float:
+        i = bisect_left(bps, x)
+        return slopes[i] * x + icepts[i]
+
+    return max(map(value, [lo, hi] + [b for b in bps if lo < b < hi]))
 
 
 # ---------------------------------------------------------------------- #

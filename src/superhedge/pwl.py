@@ -15,10 +15,12 @@ checks run on integers with one gcd per list instead of one per operation.
 `fractions.Fraction` views are built from the lists only when a slow path
 reads them, and are not kept.
 
-Evaluation is vectorised: each function caches per-piece slope/intercept
-float arrays, so evaluating on a million-element numpy array is one piece
-lookup (`piece_index`: counted comparisons on short tables, a binary search
-on long ones) plus one multiply-add.
+Evaluation is vectorised: on its first float use each function builds, once,
+float arrays of its breakpoints and of every piece's slope and intercept, so
+evaluating on a million-element numpy array is one piece lookup
+(`piece_index`: counted comparisons on short tables, a binary search on long
+ones) plus one multiply-add.  The exact algebra never reads them, so the
+value functions a recursion passes through build none.
 """
 
 from __future__ import annotations
@@ -173,12 +175,12 @@ class PwlFunction:
     denominators: the form is canonical, so ``==`` and ``hash`` compare
     integers.  The lists are the only exact form kept: the ``Fraction``
     views (`breakpoints`, `values`, the extension slopes, `piece_slopes`)
-    are built from them each time they are read.
+    are built from them each time they are read.  The float arrays
+    (`_bps_f`, `_slopes_f`, `_icepts_f`) are built from them on the first
+    float evaluation, all three at once, and kept read-only.
     """
 
-    __slots__ = (
-        "_bn", "_bd", "_sn", "_sd", "_cn", "_cd", "_bps_f", "_slopes_f", "_icepts_f"
-    )
+    __slots__ = ("_bn", "_bd", "_sn", "_sd", "_cn", "_cd", "_floats")
 
     def __init__(
         self,
@@ -217,10 +219,36 @@ class PwlFunction:
     def _init(self, bps, slopes, icepts):
         (bn, bd), (sn, sd), (cn, cd) = bps, slopes, icepts
         self._bn, self._bd, self._sn, self._sd, self._cn, self._cd = bn, bd, sn, sd, cn, cd
-        # Int true division is correctly rounded, so n / d is float(Fraction(n, d)).
-        self._bps_f = np.array([n / bd for n in bn])
-        self._slopes_f = np.array([n / sd for n in sn])
-        self._icepts_f = np.array([n / cd for n in cn])
+        self._floats = None
+
+    # ------------------------------------------------------------------ #
+    # float views, built from the integer lists on first use
+    # ------------------------------------------------------------------ #
+
+    def _float_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(breakpoints, piece slopes, piece intercepts) as float arrays,
+        shared by every caller and therefore read-only."""
+        if self._floats is None:
+            lists = ((self._bn, self._bd), (self._sn, self._sd), (self._cn, self._cd))
+            views = []
+            for nums, den in lists:
+                # Int true division is correctly rounded: n / d is float(Fraction(n, d)).
+                views.append(np.array([n / den for n in nums]))
+                views[-1].flags.writeable = False
+            self._floats = tuple(views)
+        return self._floats
+
+    @property
+    def _bps_f(self) -> np.ndarray:
+        return self._float_views()[0]
+
+    @property
+    def _slopes_f(self) -> np.ndarray:
+        return self._float_views()[1]
+
+    @property
+    def _icepts_f(self) -> np.ndarray:
+        return self._float_views()[2]
 
     # ------------------------------------------------------------------ #
     # exact views, built from the integer lists when read
@@ -253,14 +281,15 @@ class PwlFunction:
 
     def __call__(self, x):
         """Evaluate at a nonnegative finite float or array of floats."""
+        bps, slopes, icepts = self._float_views()
         if isinstance(x, np.ndarray):
             _check_array(x, "evaluation point", nonnegative=True)
-            idx = piece_index(self._bps_f, x)
-            return self._slopes_f[idx] * x + self._icepts_f[idx]
+            idx = piece_index(bps, x)
+            return slopes[idx] * x + icepts[idx]
         xf = float(x)
         _check_scalar(xf, "evaluation point", nonnegative=True)
-        idx = int(np.searchsorted(self._bps_f, xf, side="left"))
-        return float(self._slopes_f[idx] * xf + self._icepts_f[idx])
+        idx = int(np.searchsorted(bps, xf, side="left"))
+        return float(slopes[idx] * xf + icepts[idx])
 
     def eval_exact(self, x: Scalar) -> Fraction:
         """Evaluate with exact rational arithmetic."""
@@ -296,10 +325,10 @@ class PwlFunction:
             left, right = self.slopes_at(np.array([x], dtype=float))
             return float(left[0]), float(right[0])
         _check_array(x, "evaluation point", nonnegative=True)
-        bps = self._bps_f
+        bps, slopes, _ = self._float_views()
         i = piece_index(bps, x)
         on_kink = x == bps[np.minimum(i, bps.size - 1)]  # x > bps[-1] at i == K
-        return self._slopes_f[i], self._slopes_f[i + on_kink]
+        return slopes[i], slopes[i + on_kink]
 
     # ------------------------------------------------------------------ #
     # dunder plumbing

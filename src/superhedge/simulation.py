@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -162,7 +161,7 @@ class OrderSignChange:
     """
 
     def __init__(self, g_next: PwlFunction, step: StepSpec):
-        kd, ku = Fraction(step.k_down), Fraction(step.k_up)
+        kd, ku, _ = step.exact
         self.degenerate = kd == ku
         if self.degenerate:
             return

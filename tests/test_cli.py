@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from superhedge import simulation
+from superhedge import cli, simulation
 from superhedge.cli import (
     EXIT_ERROR,
     EXIT_INFINITE_PRICE,
@@ -407,6 +407,32 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_prices_refused_before_any_file(self, tmp_path, capsys):
+        # s_prev * 1.4^3 is inf: this run used to write E(S0) = inf to stats.csv
+        f = tmp_path / "cfg.txt"
+        f.write_text("s_prev = 1e308\nhorizon = 2\nstrikes = 100\nn_paths = 50\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(f), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "s_prev = 1e+308 over horizon 2 overflows float64" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            ("s_prev = 1e304\nn_paths = 50\n", False),  # 1e304 * 1.4^3 * 50 is finite
+            ("s_prev = 1e304\nn_paths = 1000000\n", True),  # a batch sums 2^17 prices
+            ("horizon = 2200\n", True),  # 100 * 1.4^2201 is inf
+            ("horizon = 2200\nm_hi = 1\nspr_hi = 0\n", False),
+        ],
+    )
+    def test_overflow_rule_reads_prices_and_batch_sums(self, text, refused):
+        if refused:
+            with pytest.raises(ConfigError, match="overflows float64"):
+                parse_config(text)
+        else:
+            parse_config(text)
+
     def test_out_of_memory_names_n_paths(self, tmp_path, capsys, monkeypatch):
         # the histogram series of 10^11 floats cannot be allocated: the
         # allocator is patched to fail as the system's would, at once
@@ -422,7 +448,7 @@ class TestMain:
         assert main(argv) == EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: out of memory with n_paths = {n_paths}"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["effective_config.txt"]
+        assert list(tmp_path.iterdir()) == []  # nothing written, not even the config
 
     def test_bad_config_content(self, tmp_path):
         f = tmp_path / "cfg.txt"
@@ -532,7 +558,39 @@ class TestStreamedOutputs:
         assert run_experiment(_streamed_cfg(claim), tmp_path) == EXIT_ERROR
         assert len(calls) == 2
         assert part_sizes[0] > 0  # the first batch was being written out
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["effective_config.txt"]
+        assert list(tmp_path.iterdir()) == []  # nothing written, not even the config
+
+    @pytest.mark.parametrize("out_exists", [True, False], ids=["existing_out", "new_out"])
+    def test_failure_in_second_strike_removes_the_first(
+        self, tmp_path, capsys, monkeypatch, out_exists
+    ):
+        """The first strike's dump, histograms and strategy tables, and the
+        echoed config, go when the second strike fails; so does --out if the
+        run made it.  A file the run did not write stays."""
+        out = tmp_path / "out" / "nested"
+        if out_exists:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        real, strikes, seen = cli.simulate_one, [], []
+
+        def failing(model, pricing, strike, *args, **kwargs):
+            strikes.append(strike)
+            if strike == 110.0:
+                seen.extend(p.name for p in out.iterdir())
+                raise ValueError("injected failure in the second strike")
+            return real(model, pricing, strike, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_one", failing)
+        cfg = replace(_streamed_cfg("call", n_paths=500), strikes=(90.0, 110.0))
+        assert run_experiment(replace(cfg, export_strategy=True), out) == EXIT_ERROR
+        assert capsys.readouterr().err.endswith("injected failure in the second strike\n")
+        assert strikes == [90.0, 110.0]
+        wrote = {"effective_config.txt", "paths_K90.csv", "hist_K90_eps_R.csv"}
+        assert wrote | {"strategy_K90_t1.csv", "strategy_K110_t0.csv"} <= set(seen)
+        if out_exists:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestFormatting:

@@ -147,6 +147,32 @@ def test_value_functions_equal_plain_scan_recursion(payoff, model):
         assert fns[t - 1]._icepts_f.tobytes() == g._icepts_f.tobytes()
 
 
+@st.composite
+def nonnegative_convex_payoffs(draw):
+    """Convex PWL payoffs that are >= 0 on [0, inf): a convex payoff with a
+    right slope >= 0, lifted so its least value, at 0 or at a breakpoint, is
+    a drawn lift >= 0 (often exactly 0)."""
+    f = draw(convex_payoffs().filter(lambda f: f.right_slope >= 0))
+    lift = Fraction(draw(st.integers(0, 3)), 10) - min(f.eval_exact(0), *f.values)
+    return PwlFunction(f.breakpoints, [v + lift for v in f.values], f.left_slope, f.right_slope)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payoff=nonnegative_convex_payoffs(), model=models())
+@example(payoff=put_payoff(100), model=HETEROGENEOUS)
+@example(payoff=PwlFunction([0, 100], [0, 0], 0, 1), model=HETEROGENEOUS)
+def test_nonnegative_claims_have_nonnegative_prices(payoff, model):
+    """The paper's AIP statement: under k_down <= 1 <= k_up the prices of
+    nonnegative European claims are nonnegative.  Every g_t is convex, so it
+    is >= 0 on [0, inf) iff it is at 0, at every breakpoint, and its right
+    tail slope is; all three are read off the integer lists."""
+    for g in backward_induce(payoff, model).value_fns:
+        # piece i ends at breakpoint i: sn/sd * bn/bd + cn/cd, times sd*bd*cd > 0
+        at_bps = [s * b * g._cd + c * g._sd * g._bd for s, b, c in zip(g._sn, g._bn, g._cn)]
+        assert min(at_bps) >= 0 and g._cn[0] >= 0 and g._sn[-1] >= 0
+        assert g._floats is None  # decided without a float
+
+
 @settings(max_examples=60, deadline=None)
 @given(payoff=convex_payoffs(), model=models())
 @example(payoff=call_payoff(100), model=HETEROGENEOUS)

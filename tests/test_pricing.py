@@ -83,6 +83,29 @@ class TestStepSpec:
         with pytest.raises(ValueError):
             MarketModel(s_init=100, horizon=2, steps=(StepSpec(0.7, 1.4),) * 2)
 
+    @pytest.mark.parametrize(
+        "step",
+        [StepSpec(0.7, 1.4), StepSpec.from_uniform(0.7, 0.9, 0.0, 0.4), StepSpec(1.0, 1.0)],
+        ids=["bounds", "draws", "degenerate"],
+    )
+    def test_exact_data_is_the_fraction_forms(self, step):
+        kd, ku, lam = step.exact
+        assert (kd, ku) == (Fraction(step.k_down), Fraction(step.k_up))
+        assert all(type(q) is Fraction for q in step.exact)
+        if kd == ku:  # both chord ends coincide: the weight's continuity convention
+            assert lam == Fraction(1, 2)
+        else:
+            assert lam == (ku - 1) / (ku - kd)
+        assert step.exact is step.exact  # derived once per instance
+
+    def test_exact_data_is_no_field(self):
+        fresh, read = StepSpec(0.7, 1.4), StepSpec(0.7, 1.4)
+        read.exact
+        assert fresh == read and hash(fresh) == hash(read)
+        assert repr(read) == repr(fresh) == (
+            "StepSpec(k_down=0.7, k_up=1.4, m_lo=None, m_hi=None, spr_lo=None, spr_hi=None)"
+        )
+
 
 @pytest.mark.parametrize(
     "build, bad",
@@ -294,6 +317,30 @@ class TestBackwardInduce:
                 vals = g(xs)
                 assert np.all(vals >= -0.0)
                 assert np.all(vals >= payoff(xs) - 1e-9)  # price above claim
+
+    def test_price_call_builds_no_float_view_past_g0(self):
+        # pricing reads the floats of g_0 only; g_1..g_T keep just their
+        # integer lists until a simulation evaluates them
+        model = uniform_bid_ask_model(horizon=40)
+        res = backward_induce(call_payoff(100), model)
+        initial_premium(res, model)
+        assert [g._floats for g in res.value_fns[1:]] == [None] * 40
+        assert res.value_fns[0]._floats is not None
+
+    @pytest.mark.parametrize(
+        "payoff",
+        [call_payoff(100), put_payoff(90), PwlFunction([80, 95, 110, 130], [15, 5, 3, 10], -1, 2)],
+        ids=["call", "put", "four_kinks"],
+    )
+    @pytest.mark.parametrize("s_init", [100.0, 70.0, 137.5])
+    def test_initial_premium_has_the_bits_of_g0(self, payoff, s_init):
+        steps = (StepSpec(0.7, 1.4), StepSpec(0.8, 1.2), StepSpec(1, 1), StepSpec(0.9, 1.1))
+        model = MarketModel(s_init=s_init, horizon=3, steps=steps)
+        res = backward_induce(payoff, model)
+        g0 = res.value_fns[0]
+        lo, hi = 0.7 * s_init, 1.4 * s_init
+        xs = [lo, hi] + [b for b in g0._bps_f.tolist() if lo < b < hi]
+        assert initial_premium(res, model).hex() == max(g0(x) for x in xs).hex()
 
     def test_put_payoff_supported(self):
         model = uniform_bid_ask_model()

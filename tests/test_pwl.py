@@ -213,6 +213,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PwlFunction([1.0], [np.inf])
 
+    def test_float_views_built_on_first_use_once(self):
+        f = PwlFunction([Fraction(1, 3), 2, 7], [5, Fraction(1, 7), 3], -2, Fraction(5, 3))
+        g = scale_compose(convex_combine(f, f, Fraction(1, 3)), Fraction(7, 5))
+        assert f._floats is None and g._floats is None  # only the integer lists
+        f(1.0)
+        views = f._bps_f, f._slopes_f, f._icepts_f
+        lists = (f._bn, f._bd), (f._sn, f._sd), (f._cn, f._cd)
+        for view, (nums, den) in zip(views, lists):
+            assert view.tobytes() == np.array([n / den for n in nums]).tobytes()
+            assert view.tobytes() == np.array([float(Fraction(n, den)) for n in nums]).tobytes()
+        assert all(a is b for a, b in zip(views, (f._bps_f, f._slopes_f, f._icepts_f)))
+        assert g._floats is None
+        with pytest.raises(AttributeError):
+            f._bps_f = views[0]
+        with pytest.raises(ValueError, match="read-only"):
+            f._slopes_f[0] = 0.0
+
     def test_convexity_flags(self):
         assert call_payoff(10).is_convex()
         assert put_payoff(10).is_convex()
