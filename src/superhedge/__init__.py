@@ -10,10 +10,7 @@ from .pwl import (
     Interval,
     PwlFunction,
     call_payoff,
-    constant_function,
-    convex_combine,
     put_payoff,
-    scale_compose,
     upper_concave_envelope,
 )
 from .pricing import (
@@ -25,19 +22,15 @@ from .pricing import (
     asian_tree_price,
     backward_induce,
     check_aip,
-    closed_form_call,
     initial_premium,
     one_step_price,
     uniform_bid_ask_model,
 )
 from .simulation import (
-    RngConfig,
     SimStats,
     draw_step,
-    execute_delayed_order,
     mid_execute,
     run_path_functional,
-    simulate,
     simulate_functional,
     simulate_one,
 )
@@ -49,7 +42,6 @@ __all__ = [
     "Interval",
     "MarketModel",
     "PwlFunction",
-    "RngConfig",
     "SimStats",
     "StepSpec",
     "StrategyFn",
@@ -58,18 +50,12 @@ __all__ = [
     "backward_induce",
     "call_payoff",
     "check_aip",
-    "closed_form_call",
-    "constant_function",
-    "convex_combine",
     "draw_step",
-    "execute_delayed_order",
     "initial_premium",
     "mid_execute",
     "one_step_price",
     "put_payoff",
     "run_path_functional",
-    "scale_compose",
-    "simulate",
     "simulate_functional",
     "simulate_one",
     "uniform_bid_ask_model",

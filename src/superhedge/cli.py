@@ -38,7 +38,6 @@ from .pricing import (
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
     BATCH_SIZE,
-    RngConfig,
     SimStats,
     simulate_functional,
     simulate_one,
@@ -136,12 +135,13 @@ class ExperimentConfig:
             )
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be at least 1")
-        try:
-            RngConfig(self.seed)
-            if self.payoff == "asian-call":  # its tree walks have 2^horizon leaves
+        if not 0 <= self.seed < 2**64:  # the root of every spawned stream
+            raise ConfigError("seed must fit in 64 unsigned bits")
+        if self.payoff == "asian-call":  # its tree walks have 2^horizon leaves
+            try:
                 require_tree_depth(self.horizon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     def custom_payoff(self) -> PwlFunction:
         """The ``custom-pwl`` payoff from the payoff_* keys."""
@@ -414,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         columns = [float(k) for k in cfg.strikes]
 
-    children = RngConfig(cfg.seed).root_sequence().spawn(len(columns))
+    children = np.random.SeedSequence(cfg.seed).spawn(len(columns))
 
     stats_list: list[SimStats] = []
     try:

@@ -10,8 +10,8 @@ path come out as exactly zero instead of +/- 1e-14 noise.
 
 Each of the three lists is stored as Python int numerators over one
 positive denominator, reduced by the gcd of all of them, so the algebra
-(`scale_compose`, `scaled_combine`, `convex_combine`) and the convexity
-checks run on integers with one gcd per list instead of one per operation.
+(`scaled_combine`) and the convexity check run on integers with one gcd per
+list instead of one per operation.
 `fractions.Fraction` views are built from the lists only when a slow path
 reads them, and are not kept.
 
@@ -95,10 +95,6 @@ def _times(nums: Sequence[int], k: int) -> list[int]:
     return [k * n for n in nums]
 
 
-def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(n, den) for n in nums)
-
-
 def _check_scalar(x, name: str, nonnegative: bool = False):
     """Refuse NaN, infinite and negative x, and 0 unless ``nonnegative``."""
     # NaN fails every comparison, so these tests refuse it too.
@@ -174,10 +170,10 @@ class PwlFunction:
     numerators, which makes its denominator the lcm of the elements' reduced
     denominators: the form is canonical, so ``==`` and ``hash`` compare
     integers.  The lists are the only exact form kept: the ``Fraction``
-    views (`breakpoints`, `values`, the extension slopes, `piece_slopes`)
-    are built from them each time they are read.  The float arrays
-    (`_bps_f`, `_slopes_f`, `_icepts_f`) are built from them on the first
-    float evaluation, all three at once, and kept read-only.
+    views (`breakpoints`, `values`, the extension slopes) are built from
+    them each time they are read.  The float arrays (`_float_views`) are
+    built from them on the first float evaluation, all three at once, and
+    kept read-only.
     """
 
     __slots__ = ("_bn", "_bd", "_sn", "_sd", "_cn", "_cd", "_floats")
@@ -238,25 +234,13 @@ class PwlFunction:
             self._floats = tuple(views)
         return self._floats
 
-    @property
-    def _bps_f(self) -> np.ndarray:
-        return self._float_views()[0]
-
-    @property
-    def _slopes_f(self) -> np.ndarray:
-        return self._float_views()[1]
-
-    @property
-    def _icepts_f(self) -> np.ndarray:
-        return self._float_views()[2]
-
     # ------------------------------------------------------------------ #
     # exact views, built from the integer lists when read
     # ------------------------------------------------------------------ #
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return _fractions(self._bn, self._bd)
+        return tuple(Fraction(n, self._bd) for n in self._bn)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -305,18 +289,10 @@ class PwlFunction:
     # structure queries
     # ------------------------------------------------------------------ #
 
-    def piece_slopes(self) -> tuple[Fraction, ...]:
-        """All slopes left to right, extensions included."""
-        return _fractions(self._sn, self._sd)
-
     def is_convex(self) -> bool:
         """Exact check: slopes nondecreasing left to right."""
         sn = self._sn
         return all(a <= b for a, b in zip(sn, sn[1:]))
-
-    def is_concave(self) -> bool:
-        sn = self._sn
-        return all(a >= b for a, b in zip(sn, sn[1:]))
 
     def slopes_at(self, x):
         """(left slope, right slope) at x, which differ only at a kink: two
@@ -377,10 +353,6 @@ def put_payoff(strike: Scalar) -> PwlFunction:
     return PwlFunction([k], [0], left_slope=-1, right_slope=0)
 
 
-def constant_function(c: Scalar = 0) -> PwlFunction:
-    return PwlFunction([0], [c], left_slope=0, right_slope=0)
-
-
 # ---------------------------------------------------------------------- #
 # operations
 # ---------------------------------------------------------------------- #
@@ -391,7 +363,9 @@ def scale_compose(f: PwlFunction, k: Scalar) -> PwlFunction:
 
     Each piece s*y + c of f becomes (s*k)*x + c, so the intercepts carry
     over and, with k = p/q, the other two lists only multiply their
-    numerators and denominator by p or q.
+    numerators and denominator by p or q.  No engine calls it: it is kept
+    for the ``pwl.algebra`` hook of ``perfbench/tracer.py`` until ROADMAP
+    item 11 replaces those hooks.
     """
     p, q = _ratio(k, "scale factor")
     return PwlFunction._from_ints(
@@ -428,7 +402,11 @@ def _drop_collinear(xs, slopes, icepts):
 
 
 def convex_combine(f: PwlFunction, g: PwlFunction, lam: Scalar) -> PwlFunction:
-    """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1]."""
+    """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1].
+
+    No engine calls it: it is kept for the ``pwl.algebra`` hook of
+    ``perfbench/tracer.py`` until ROADMAP item 11 replaces those hooks.
+    """
     return scaled_combine(f, 1, g, 1, lam)
 
 

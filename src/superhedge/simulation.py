@@ -38,7 +38,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,25 +51,6 @@ TILE = 1 << 15  # lanes each step's elementwise chain runs at a time
 DUMP_ROWS = 2048  # path-dump rows formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RngConfig:
-    """Root seed of a run, a 64-bit unsigned integer.
-
-    The stream is PCG64 as shipped by numpy; per-strike and per-batch
-    substreams are spawned from ``SeedSequence(seed)``, so a given seed
-    reproduces the same paths bit for bit on any platform.
-    """
-
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-
-    def root_sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(int(self.seed))
 
 
 # ---------------------------------------------------------------------- #
@@ -128,6 +109,10 @@ def execute_delayed_order(
     closer quote, and the bid otherwise; ``straddle_to_ask=False`` flips it.
     With ``sstar=None`` the order's sign is constant on the bracket and
     ``delta_sign`` decides: <= 0 bid, > 0 ask.
+
+    The engines call `_execute_vec` on whole batches: this scalar wrapper is
+    kept for the ``simulation.execute`` hook of ``perfbench/tracer.py``
+    until ROADMAP item 11 replaces those hooks.
     """
     bid, ask = np.array([bid], dtype=float), np.array([ask], dtype=float)
     _check_quotes(bid, ask)
@@ -415,25 +400,29 @@ def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
 @dataclass
 class RunningMoments:
     """Streaming count/mean/M2 with order-robust pairwise batch merging; the
-    mean and variance of no values are NaN."""
+    mean and variance of no values are NaN.  With ``m2=None`` only the mean
+    is kept: a series whose spread is never reported never squares its
+    values."""
 
     count: int = 0
     mean: float = math.nan
-    m2: float = 0.0
+    m2: Optional[float] = 0.0
 
-    def merge(self, n: int, mean: float, m2: float):
+    def merge(self, n: int, mean: float, m2: Optional[float]):
         if self.count == 0:
             self.count, self.mean, self.m2 = n, mean, m2
             return
         total = self.count + n
         delta = mean - self.mean
         self.mean += delta * n / total
-        self.m2 += m2 + delta * delta * self.count * n / total
+        if self.m2 is not None:
+            self.m2 += m2 + delta * delta * self.count * n / total
         self.count = total
 
     def add_batch(self, x: np.ndarray):
         if x.size:
-            self.merge(x.size, float(np.mean(x)), float(np.var(x) * x.size))
+            m2 = None if self.m2 is None else float(np.var(x) * x.size)
+            self.merge(x.size, float(np.mean(x)), m2)
 
     @property
     def variance(self) -> float:
@@ -507,17 +496,17 @@ def _theta_frac(theta: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Aggregator:
     """Fold batches of path columns into SimStats.
 
-    One RunningMoments per named per-batch series, merged in batch order; the
-    series in EXTREMA also keep their running min and max.  A series that saw
-    no path (S2 and theta1 at T=1, a theta fraction where every V_t is 0) has
-    a NaN mean.
+    One RunningMoments per named per-batch series, merged in batch order;
+    only eps, whose std is reported, keeps an M2.  The series in EXTREMA
+    also keep their running min and max.  A series that saw no path (S2 and
+    theta1 at T=1, a theta fraction where every V_t is 0) has a NaN mean.
     """
 
     EXTREMA = ("v0", "v0/s0", "eps")
 
     def __init__(self, s_prev: float):
         self.s_prev = s_prev
-        self.moments = defaultdict(RunningMoments)
+        self.moments = defaultdict(partial(RunningMoments, m2=None), eps=RunningMoments())
         self.lo = dict.fromkeys(self.EXTREMA, math.inf)
         self.hi = dict.fromkeys(self.EXTREMA, -math.inf)
 
@@ -657,31 +646,6 @@ def simulate_one(
             )
 
     return _fold(model, strike, n_paths, batches(), collect, sink)
-
-
-def simulate(
-    model: MarketModel,
-    pricings: Sequence[PricingResult],
-    strikes: Sequence[float],
-    n_paths: int,
-    rng_config: RngConfig,
-    straddle_to_ask: bool = True,
-) -> list[SimStats]:
-    """Per-strike statistics over n_paths scenarios each.
-
-    Each strike gets an independent substream spawned from the root seed, so
-    columns are independent across strikes but fully reproducible.
-    """
-    if len(pricings) != len(strikes):
-        raise ValueError("need one pricing result per strike")
-    children = rng_config.root_sequence().spawn(len(strikes))
-    out = []
-    for pricing, strike, child in zip(pricings, strikes, children):
-        stats, _ = simulate_one(
-            model, pricing, strike, n_paths, child, straddle_to_ask
-        )
-        out.append(stats)
-    return out
 
 
 # ---------------------------------------------------------------------- #

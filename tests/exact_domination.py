@@ -10,6 +10,12 @@ from fractions import Fraction
 from superhedge.pwl import PwlFunction
 
 
+def piece_slopes(f: PwlFunction) -> tuple[Fraction, ...]:
+    """f's slopes left to right, extensions included, read off its integer
+    numerators over their one denominator."""
+    return tuple(Fraction(n, f._sd) for n in f._sn)
+
+
 def check_points(dom, *fns):
     """dom's ends and the breakpoints of every fn strictly inside it."""
     lo, hi = Fraction(dom.lo), Fraction(dom.hi)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -30,7 +31,6 @@ from superhedge.pwl import call_payoff
 from superhedge.simulation import (
     BATCH_SIZE,
     FUNCTIONAL_CHUNK,
-    RngConfig,
     SimStats,
     simulate_functional,
     simulate_one,
@@ -83,6 +83,14 @@ class TestParseConfig:
         for seed in (-1, 2**64):
             with pytest.raises(ConfigError, match="seed"):
                 parse_config(f"seed = {seed}\n")
+
+    def test_seed_range(self, tmp_path):
+        # the root seed is any 64-bit unsigned integer, both ends included
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed must fit in 64 unsigned bits"):
+                ExperimentConfig(seed=seed)
+        cfg = ExperimentConfig(seed=2**64 - 1, n_paths=10, strikes=(100.0,))
+        assert run_experiment(cfg, tmp_path) == EXIT_OK
 
     def test_empty_strikes_rejected(self):
         with pytest.raises(ConfigError, match="strikes"):
@@ -417,6 +425,21 @@ class TestMain:
         assert "s_prev = 1e+308 over horizon 2 overflows float64" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("s_prev", ["1e300", "1e200"])
+    def test_huge_prices_run_under_warnings_as_errors(self, tmp_path, s_prev):
+        # Only eps_R's spread is reported, so only eps_R is squared: the
+        # squares of S_t ~ s_prev overflow float64.
+        f = tmp_path / "cfg.txt"
+        f.write_text(f"s_prev = {s_prev}\nhorizon = 2\nstrikes = 100\nn_paths = 50\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(f), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "stats.csv").read_text().splitlines()]
+        means = {label: float(v) for label, v in rows if label.startswith("E(S")}
+        assert list(means) == ["E(S0)", "E(S1)", "E(S2)"]
+        assert all(math.isfinite(v) and v > 0 for v in means.values())
+
     @pytest.mark.parametrize(
         "text, refused",
         [
@@ -482,7 +505,7 @@ class TestStreamedOutputs:
         cfg = _streamed_cfg(claim)
         assert run_experiment(cfg, tmp_path / "run") == EXIT_OK
         model = cfg.build_model()
-        child = RngConfig(cfg.seed).root_sequence().spawn(1)[0]
+        child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
         if claim == "call":
             pricing = backward_induce(call_payoff(100.0), model)
             simulate = partial(simulate_one, model, pricing)

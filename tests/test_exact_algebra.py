@@ -21,6 +21,13 @@ from superhedge.pricing import MarketModel, StepSpec, backward_induce
 from superhedge.pwl import PwlFunction, call_payoff, put_payoff, scale_compose
 from superhedge.simulation import OrderSignChange
 
+from exact_domination import piece_slopes
+
+
+def view_bytes(f: PwlFunction) -> tuple[bytes, ...]:
+    """The bytes of f's float breakpoints, piece slopes and intercepts."""
+    return tuple(view.tobytes() for view in f._float_views())
+
 
 def scanner(f: PwlFunction):
     """x -> f(x) exactly, by a linear scan and a fresh slope per piece, on
@@ -143,8 +150,7 @@ def test_value_functions_equal_plain_scan_recursion(payoff, model):
     for t in range(model.horizon, 0, -1):
         g = reference_step(g, model.steps[t])
         assert fns[t - 1] == g
-        assert fns[t - 1]._slopes_f.tobytes() == g._slopes_f.tobytes()
-        assert fns[t - 1]._icepts_f.tobytes() == g._icepts_f.tobytes()
+        assert view_bytes(fns[t - 1])[1:] == view_bytes(g)[1:]
 
 
 @st.composite
@@ -262,8 +268,7 @@ def test_twelve_steps_equal_plain_scan_oracles(payoff):
     for t in range(TWELVE_STEPS.horizon, 0, -1):
         g = reference_step(g, TWELVE_STEPS.steps[t])
         assert fns[t - 1] == g
-        for key in ("_bps_f", "_slopes_f", "_icepts_f"):
-            assert getattr(fns[t - 1], key).tobytes() == getattr(g, key).tobytes(), key
+        assert view_bytes(fns[t - 1]) == view_bytes(g)
     assert_crossings_equal_oracle(fns, TWELVE_STEPS)
     g0 = fns[0]
     assert g0._bd > max(b.denominator for b in g0.breakpoints)
@@ -275,10 +280,10 @@ def stored_lists(f: PwlFunction):
     min(i, n - 1)."""
     bps, vals, n = f.breakpoints, f.values, len(f.breakpoints)
     anchors = (*range(n), n - 1)
-    icepts = tuple(vals[a] - s * bps[a] for s, a in zip(f.piece_slopes(), anchors))
+    icepts = tuple(vals[a] - s * bps[a] for s, a in zip(piece_slopes(f), anchors))
     return (
         (f._bn, f._bd, bps),
-        (f._sn, f._sd, f.piece_slopes()),
+        (f._sn, f._sd, piece_slopes(f)),
         (f._cn, f._cd, icepts),
     )
 
@@ -322,29 +327,49 @@ def test_eval_exact_equals_plain_scan(f, x, pick):
     assert f.eval_exact(float(x)) == scan_eval(Fraction(float(x)))
 
 
+def corner_tree(model: MarketModel, v0: Fraction, holding) -> list[tuple]:
+    """(S_T, V_T, weight) of every corner path, in exact rationals.
+
+    The portfolio starts at V_0 = v0 and S_0 = s_init.  At node j of step t
+    (nodes numbered left to right) it holds holding(t, j, S_t), and the
+    price moves to k_down S_t or k_up S_t.  The weight of a path is the
+    product of its chord weights: lam = (k_up - 1) / (k_up - k_down) for the
+    down move and 1 - lam for the up move, 1/2 each on a degenerate step
+    (k_down == k_up == 1), whose two children coincide.
+    """
+    nodes = [(Fraction(model.s_init), Fraction(v0), Fraction(1))]
+    for t in range(model.horizon):
+        step = model.steps[t + 1]
+        kd, ku = Fraction(step.k_down), Fraction(step.k_up)
+        lam = (ku - 1) / (ku - kd) if kd != ku else Fraction(1, 2)
+        grown = []
+        for j, (s, v, w) in enumerate(nodes):
+            theta = holding(t, j, s)
+            grown += [(k * s, v + theta * (k * s - s), w * p) for k, p in ((kd, lam), (ku, 1 - lam))]
+        nodes = grown
+    assert len(nodes) == 2**model.horizon
+    return nodes
+
+
 def corner_tree_errors(payoff: PwlFunction, model: MarketModel) -> list[Fraction]:
     """V_T - payoff(S_T) on every corner path, in exact rationals.
 
     V_0 = g_0(S_0) at S_0 = s_init; at each step the portfolio holds the
-    chord slope of g_{t+1} over [k_down S_t, k_up S_t] and the price moves to
-    one of the two ends.  A degenerate step (k_down == k_up == 1) does not
-    move the price, so any holding does; it holds 0.
+    chord slope of g_{t+1} over [k_down S_t, k_up S_t].  A degenerate step
+    (k_down == k_up == 1) does not move the price, so any holding does; it
+    holds 0.
     """
     fns = backward_induce(payoff, model).value_fns
-    s0 = Fraction(model.s_init)
-    nodes = [(s0, fns[0].eval_exact(s0))]
-    for t in range(model.horizon):
+
+    def chord_slope(t, j, s):
         step, g = model.steps[t + 1], fns[t + 1]
         kd, ku = Fraction(step.k_down), Fraction(step.k_up)
-        grown = []
-        for s, v in nodes:
-            theta = 0
-            if kd != ku:
-                theta = (g.eval_exact(ku * s) - g.eval_exact(kd * s)) / ((ku - kd) * s)
-            grown += [(k * s, v + theta * (k * s - s)) for k in (kd, ku)]
-        nodes = grown
-    assert len(nodes) == 2**model.horizon
-    return [v - payoff.eval_exact(s) for s, v in nodes]
+        if kd == ku:
+            return 0
+        return (g.eval_exact(ku * s) - g.eval_exact(kd * s)) / ((ku - kd) * s)
+
+    nodes = corner_tree(model, fns[0].eval_exact(Fraction(model.s_init)), chord_slope)
+    return [v - payoff.eval_exact(s) for s, v, _ in nodes]
 
 
 def uniform_steps(horizon: int, step=StepSpec(0.7, 1.4)) -> MarketModel:
@@ -356,6 +381,8 @@ def uniform_steps(horizon: int, step=StepSpec(0.7, 1.4)) -> MarketModel:
 @example(payoff=call_payoff(100), model=uniform_steps(1))
 @example(payoff=call_payoff(100), model=uniform_steps(2))
 @example(payoff=call_payoff(100), model=uniform_steps(6))
+@example(payoff=call_payoff(100), model=uniform_steps(7))
+@example(payoff=put_payoff(100), model=uniform_steps(8, StepSpec(0.8, 1.25)))
 @example(payoff=put_payoff(90), model=uniform_steps(5))
 @example(payoff=put_payoff(100), model=uniform_steps(3, StepSpec(0.99, 1.02)))
 @example(
@@ -366,6 +393,41 @@ def test_corner_tree_hedge_is_tight(payoff, model):
     # The minimal price replicates the claim exactly on the two-point tree:
     # no corner path ends with a surplus or a shortfall.
     assert corner_tree_errors(payoff, model) == [0] * 2**model.horizon
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+@st.composite
+def hedged_trees(draw):
+    """A model, homogeneous or not, and a rational holding at every node of
+    its corner tree."""
+    model = draw(st.one_of(models(), st.integers(1, 6).map(uniform_steps)))
+    sizes = [2**t for t in range(model.horizon)]
+    return model, [draw(st.lists(rationals, min_size=n, max_size=n)) for n in sizes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payoff=convex_payoffs(),
+    tree=hedged_trees(),
+    gap=st.one_of(st.just(Fraction(-1, 2**60)), rationals),
+)
+def test_no_premium_below_g0_hedges_every_corner(payoff, tree, gap):
+    """Minimality of g_0: whatever the holdings, the chord-weighted mean of
+    V_T - payoff(S_T) over the corner paths is V_0 - g_0(s_0).  The weights
+    are >= 0 and sum to 1, so a V_0 below g_0(s_0), by one part in 2^60
+    included, leaves some corner path short."""
+    model, holdings = tree
+    g0 = backward_induce(payoff, model).value_fns[0].eval_exact(Fraction(model.s_init))
+    for v0 in (g0 + gap, g0 - abs(g0) / 2**60):
+        nodes = corner_tree(model, v0, lambda t, j, s: holdings[t][j])
+        weights = [w for _, _, w in nodes]
+        assert min(weights) >= 0 and sum(weights) == 1
+        errors = [v - payoff.eval_exact(s) for s, v, _ in nodes]
+        assert sum(w * e for w, e in zip(weights, errors)) == v0 - g0
+        if v0 < g0:
+            assert any(e < 0 for w, e in zip(weights, errors) if w > 0)
 
 
 def test_long_horizon_bytes_pinned(tmp_path):

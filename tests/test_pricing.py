@@ -16,22 +16,24 @@ from superhedge.pricing import (
     asian_tree_price,
     backward_induce,
     check_aip,
-    closed_form_call,
     initial_premium,
     one_step_price,
+    require_aip,
     uniform_bid_ask_model,
 )
 from superhedge.pwl import (
     Interval,
     PwlFunction,
     call_payoff,
-    constant_function,
     put_payoff,
     upper_concave_envelope,
 )
 from superhedge.simulation import mid_execute
 
-from exact_domination import check_points, dominates, sampled_affine
+from closed_form import closed_form_call
+from exact_domination import check_points, dominates, piece_slopes, sampled_affine
+
+ZERO = PwlFunction([0], [0])
 
 
 def two_step_model(b1=(0.7, 1.4), b2=(0.7, 1.4), s_init=100.0):
@@ -142,18 +144,17 @@ def test_non_finite_model_inputs_refused(build, bad):
 
 class TestCheckAip:
     def test_reference_model_passes(self):
-        assert bool(check_aip(uniform_bid_ask_model())) is True
+        assert check_aip(uniform_bid_ask_model()) == (True, True, True)
 
     def test_deterministic_unit_step(self):
         m = MarketModel(s_init=1.0, horizon=1, steps=(StepSpec(1, 1),) * 2)
-        assert bool(check_aip(m)) is True
+        assert check_aip(m) == (True, True)
 
     def test_upward_drift_fails(self):
         m = two_step_model(b1=(1.1, 1.4), b2=(1.1, 1.4))
-        res = check_aip(m)
-        assert not res.ok
-        assert res.first_violation == 0
-        assert res.step_ok == (False, False, False)
+        assert check_aip(m) == (False, False, False)
+        with pytest.raises(AipViolationError, match="fails at step 0"):
+            require_aip(m)
 
     def test_single_bad_step_named(self):
         m = MarketModel(
@@ -161,8 +162,9 @@ class TestCheckAip:
             horizon=2,
             steps=(StepSpec(0.7, 1.4), StepSpec(1.1, 1.4), StepSpec(0.7, 1.4)),
         )
-        res = check_aip(m)
-        assert not res.ok and res.first_violation == 1
+        assert check_aip(m) == (True, False, True)
+        with pytest.raises(AipViolationError, match="fails at step 1"):
+            require_aip(m)
 
 
 class TestOneStepPrice:
@@ -173,7 +175,7 @@ class TestOneStepPrice:
 
     def test_zero_claim_prices_to_zero(self):
         for s in (10.0, 100.0, 250.0):
-            q = one_step_price(constant_function(0), s, StepSpec(0.7, 1.4))
+            q = one_step_price(ZERO, s, StepSpec(0.7, 1.4))
             assert q.price == 0.0
             assert q.theta == 0.0
 
@@ -232,7 +234,7 @@ class TestOneStepPrice:
             )
             assert dominates(slope, icept, g, pts)
             assert slope * s + icept >= price
-        theta = h.piece_slopes()[bisect_left(h.breakpoints, s)]
+        theta = piece_slopes(h)[bisect_left(h.breakpoints, s)]
         assert dominates(theta, price - theta * s, g, pts)
         assert q.theta == float(theta)
         assert abs(q.price - float(price)) <= 1e-12
@@ -257,7 +259,7 @@ class TestBackwardInduce:
 
     def test_zero_payoff_stays_zero(self):
         model = uniform_bid_ask_model(horizon=4)
-        res = backward_induce(constant_function(0), model)
+        res = backward_induce(ZERO, model)
         xs = np.linspace(0, 400, 100)
         for g in res.value_fns:
             assert np.all(g(xs) == 0.0)
@@ -339,7 +341,7 @@ class TestBackwardInduce:
         res = backward_induce(payoff, model)
         g0 = res.value_fns[0]
         lo, hi = 0.7 * s_init, 1.4 * s_init
-        xs = [lo, hi] + [b for b in g0._bps_f.tolist() if lo < b < hi]
+        xs = [lo, hi] + [b for b in g0._float_views()[0].tolist() if lo < b < hi]
         assert initial_premium(res, model).hex() == max(g0(x) for x in xs).hex()
 
     def test_put_payoff_supported(self):

@@ -14,7 +14,6 @@ from superhedge.pwl import (
     Interval,
     PwlFunction,
     call_payoff,
-    constant_function,
     convex_combine,
     piece_index,
     put_payoff,
@@ -22,7 +21,7 @@ from superhedge.pwl import (
     upper_concave_envelope,
 )
 
-from exact_domination import check_points, chord, dominates, sampled_affine
+from exact_domination import check_points, chord, dominates, piece_slopes, sampled_affine
 
 
 def random_pwl(rng, max_pts=7, allow_negative_slopes=True):
@@ -120,7 +119,7 @@ class TestEval:
         mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
         xs = np.array([float(x) for x in bps + mids + [bps[-1] + 1]])
         left, right = f.slopes_at(xs)
-        slopes = f.piece_slopes()
+        slopes = piece_slopes(f)
         for x, lv, rv in zip(xs, left, right):
             xq = Fraction(float(x))
             want = (
@@ -218,22 +217,20 @@ class TestConstruction:
         g = scale_compose(convex_combine(f, f, Fraction(1, 3)), Fraction(7, 5))
         assert f._floats is None and g._floats is None  # only the integer lists
         f(1.0)
-        views = f._bps_f, f._slopes_f, f._icepts_f
+        views = f._float_views()
         lists = (f._bn, f._bd), (f._sn, f._sd), (f._cn, f._cd)
         for view, (nums, den) in zip(views, lists):
             assert view.tobytes() == np.array([n / den for n in nums]).tobytes()
             assert view.tobytes() == np.array([float(Fraction(n, den)) for n in nums]).tobytes()
-        assert all(a is b for a, b in zip(views, (f._bps_f, f._slopes_f, f._icepts_f)))
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+        assert all(a is b for a, b in zip(views, f._float_views()))
         assert g._floats is None
-        with pytest.raises(AttributeError):
-            f._bps_f = views[0]
-        with pytest.raises(ValueError, match="read-only"):
-            f._slopes_f[0] = 0.0
 
     def test_convexity_flags(self):
         assert call_payoff(10).is_convex()
         assert put_payoff(10).is_convex()
-        assert constant_function(3).is_convex()
+        assert PwlFunction([0], [3]).is_convex()
         tent = PwlFunction([1, 2, 3], [0, 1, 0], left_slope=0, right_slope=0)
         assert not tent.is_convex()
 
@@ -252,7 +249,7 @@ class TestScaleCompose:
         assert scale_compose(f, 1) == f
 
     def test_zero_function(self):
-        z = constant_function(0)
+        z = PwlFunction([0], [0])
         g = scale_compose(z, 2.5)
         assert g(np.linspace(0, 100, 11)) == pytest.approx(0.0, abs=0.0)
 
@@ -326,7 +323,8 @@ class TestEnvelope:
 
     def test_concave_input_unchanged(self):
         h0 = PwlFunction([50, 100], [10, 20], left_slope=0.5, right_slope=0.0)
-        assert h0.is_concave()
+        slopes = piece_slopes(h0)
+        assert all(a >= b for a, b in zip(slopes, slopes[1:]))
         env = upper_concave_envelope(h0, Interval(20, 150))
         xs = np.linspace(20, 150, 200)
         assert env(xs) == pytest.approx(h0(xs), abs=1e-12)
@@ -428,7 +426,7 @@ class TestSuperdifferential:
 
     def test_outside_domain_rejected(self):
         # 30 lies outside [1.05 * 30, 1.1 * 30]: no envelope, no finite price
-        q = one_step_price(constant_function(1), 30.0, StepSpec(1.05, 1.1))
+        q = one_step_price(PwlFunction([0], [1]), 30.0, StepSpec(1.05, 1.1))
         assert q.price == -math.inf and math.isnan(q.theta)
 
 
@@ -485,7 +483,7 @@ class TestEnvelopeProperties:
             env = upper_concave_envelope(f, dom)
             pts = check_points(dom, f, env)
             assert all(env.eval_exact(x) >= f.eval_exact(x) for x in pts)
-            slopes = env.piece_slopes()[1:-1]
+            slopes = piece_slopes(env)[1:-1]
             assert all(a >= b for a, b in zip(slopes, slopes[1:]))
 
     def test_minimality_vs_sampled_dominating_affines(self):

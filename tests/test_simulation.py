@@ -23,11 +23,10 @@ from superhedge.pricing import (
     backward_induce,
     uniform_bid_ask_model,
 )
-from superhedge.pwl import PwlFunction, call_payoff, constant_function, put_payoff
+from superhedge.pwl import PwlFunction, call_payoff, put_payoff
 from superhedge.simulation import (
     DUMP_ROWS,
     OrderSignChange,
-    RngConfig,
     RunningMoments,
     _build_crossings,
     _simulate_batch,
@@ -36,7 +35,6 @@ from superhedge.simulation import (
     mid_execute,
     path_dump_header,
     run_path_functional,
-    simulate,
     simulate_functional,
     simulate_one,
     write_path_dump,
@@ -66,13 +64,6 @@ def _collected(model, pricing, n, seed):
     return simulate_one(
         model, pricing, 0.0, n, np.random.SeedSequence(seed), collect=True
     )[1]
-
-
-class TestRngConfig:
-    def test_seed_range(self):
-        with pytest.raises(ValueError):
-            RngConfig(seed=-1)
-        RngConfig(seed=2**64 - 1)
 
 
 class TestDrawStep:
@@ -384,7 +375,7 @@ class TestRunPath:
         assert raw["eps"][0] == 0.0
 
     def test_zero_payoff(self):
-        pricing = backward_induce(constant_function(0), REF_MODEL)
+        pricing = backward_induce(PwlFunction([0], [0]), REF_MODEL)
         raw = _collected(REF_MODEL, pricing, 1, 13)
         assert np.all(np.array(raw["v"]) == 0.0)
         assert raw["eps"][0] == 0.0
@@ -449,7 +440,7 @@ def test_pricing_of_another_horizon_refused(model_horizon, pricing_horizon):
         )
     assert seen == []
     with pytest.raises(ValueError, match=msg):
-        simulate(model, [pricing], [100.0], 10, RngConfig(1))
+        simulate_one(model, pricing, 100.0, 10, np.random.SeedSequence(1))
     for t in range(pricing_horizon):
         with pytest.raises(ValueError, match=msg):
             pricing.strategy(t, model)
@@ -712,16 +703,20 @@ class TestSimulate:
         assert stats.min_eps == stats.max_eps == cols["eps"][0]
 
     def test_determinism(self):
-        pricings = [_pricing(k) for k in (75.0, 100.0)]
-        a = simulate(REF_MODEL, pricings, [75.0, 100.0], 20_000, RngConfig(5))
-        b = simulate(REF_MODEL, pricings, [75.0, 100.0], 20_000, RngConfig(5))
-        assert a == b
+        # one strike per child of the root seed, as the CLI runs them
+        def run(seed):
+            children = np.random.SeedSequence(seed).spawn(2)
+            return [
+                simulate_one(REF_MODEL, _pricing(k), k, 20_000, child)[0]
+                for k, child in zip((75.0, 100.0), children)
+            ]
+
+        assert run(5) == run(5)
 
     def test_different_seeds_differ(self):
-        pricing = [_pricing()]
-        a = simulate(REF_MODEL, pricing, [100.0], 5_000, RngConfig(5))
-        b = simulate(REF_MODEL, pricing, [100.0], 5_000, RngConfig(6))
-        assert a[0].mean_eps != b[0].mean_eps
+        a, _ = simulate_one(REF_MODEL, _pricing(), 100.0, 5_000, np.random.SeedSequence(5))
+        b, _ = simulate_one(REF_MODEL, _pricing(), 100.0, 5_000, np.random.SeedSequence(6))
+        assert a.mean_eps != b.mean_eps
 
     def test_batch_split_invariance(self, monkeypatch):
         # same seed, different batch sizes: the per-batch substreams differ,
@@ -780,10 +775,6 @@ class TestSimulate:
         d_ask = theta_fn(ask) - theta0
         assert np.all(d_bid[at_bid & ~straddle] <= 1e-9)
         assert np.all(d_ask[at_ask & ~straddle] >= -1e-9)
-
-    def test_strike_pricing_count_mismatch(self):
-        with pytest.raises(ValueError):
-            simulate(REF_MODEL, [_pricing()], [100.0, 125.0], 10, RngConfig(1))
 
     def test_npaths_validated(self):
         with pytest.raises(ValueError):
@@ -961,6 +952,19 @@ class TestRunningMoments:
         rm.add_batch(np.array([]))
         assert rm.count == 0
         assert math.isnan(rm.variance)
+
+    def test_mean_only_merges_the_same_means(self):
+        # values whose squares overflow: only the series that keeps M2 squares them
+        x = np.random.default_rng(44).uniform(1e200, 1e201, 1000)
+        both, mean_only = RunningMoments(), RunningMoments(m2=None)
+        with np.errstate(over="raise"):
+            for chunk in np.array_split(x, 7):
+                mean_only.add_batch(chunk)
+        with np.errstate(over="ignore"):
+            for chunk in np.array_split(x, 7):
+                both.add_batch(chunk)
+        assert mean_only.mean.hex() == both.mean.hex()
+        assert mean_only.count == both.count and mean_only.m2 is None
 
 
 def _dump_oracle_columns(raw: dict, horizon: int) -> list[np.ndarray]:
