@@ -403,11 +403,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     out_dir = Path(out_dir)
     # The directories this run makes, deepest first, and the files it writes:
-    # a run refused after it started removes them all.
+    # a run that stops after it started, refused or interrupted, removes
+    # them all.
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "effective_config.txt"]
-    written[0].write_text(render_config(cfg), encoding="utf-8")
 
     if cfg.payoff == "custom-pwl":
         columns = [math.nan]
@@ -418,6 +418,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     stats_list: list[SimStats] = []
     try:
+        written[0].write_text(render_config(cfg), encoding="utf-8")
         for strike, child in zip(columns, children):
             label = _column_label(strike)
             if cfg.payoff == "asian-call":
@@ -438,11 +439,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             stats_list.append(
                 _simulate_strike(simulate, cfg, out_dir, label, model.horizon, written)
             )
-    except (ValueError, MemoryError) as exc:
+        if cfg.write_stats:
+            text = format_stats_text(stats_list)
+            tables = {"stats.txt": text, "stats.csv": format_stats_csv(stats_list)}
+            for name, body in tables.items():
+                written.append(out_dir / name)
+                written[-1].write_text(body, encoding="utf-8")
+    except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
         for d in made:
             d.rmdir()
+        if not isinstance(exc, (ValueError, MemoryError)):
+            raise  # an interrupt, or a warning promoted to an error
         oom = isinstance(exc, MemoryError)
         print(
             f"error: out of memory with n_paths = {cfg.n_paths}" if oom else f"error: {exc}",
@@ -451,11 +460,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         return EXIT_ERROR
 
     if cfg.write_stats:
-        text = format_stats_text(stats_list)
-        (out_dir / "stats.txt").write_text(text, encoding="utf-8")
-        (out_dir / "stats.csv").write_text(
-            format_stats_csv(stats_list), encoding="utf-8"
-        )
         print(text, end="")
     return EXIT_OK
 

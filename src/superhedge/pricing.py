@@ -287,15 +287,16 @@ class StrategyFn:
     def __call__(self, s):
         if not isinstance(s, np.ndarray):  # a scalar is the array rule at n=1
             return float(self(np.array([s], dtype=float))[0])
-        _check_array(s, "price")
+        lo, hi = _check_array(s, "price")
         g, kd, ku = self.g_next, self.k_down, self.k_up
         if kd == ku:
             left, right = g.slopes_at(kd * s)
             return 0.5 * (left + right) * kd
         a, b = kd * s, ku * s
         bps, slopes, icepts = g._float_views()
-        ia = piece_index(bps, a)
-        ib = piece_index(bps, b)
+        # k * min(s) is min(k * s): rounding a product by k > 0 is monotone.
+        ia = piece_index(bps, a, lo=kd * lo, hi=kd * hi)
+        ib = piece_index(bps, b, lo=ku * lo, hi=ku * hi)
         slope_a = slopes[ia]
         g_a = slope_a * a + icepts[ia]
         g_b = slopes[ib] * b + icepts[ib]

@@ -17,9 +17,11 @@ reads them, and are not kept.
 
 Evaluation is vectorised: on its first float use each function builds, once,
 float arrays of its breakpoints and of every piece's slope and intercept, so
-evaluating on a million-element numpy array is one piece lookup
-(`piece_index`: counted comparisons on short tables, a binary search on long
-ones) plus one multiply-add.  The exact algebra never reads them, so the
+evaluating on a million-element numpy array is one piece lookup plus one
+multiply-add.  The lookup (`piece_index`) counts comparisons against only the
+breakpoints between the points' min and max, which the input check has
+already taken, and binary-searches when that range holds more than
+_COUNT_MAX of them.  The exact algebra never reads the float arrays, so the
 value functions a recursion passes through build none.
 """
 
@@ -35,14 +37,18 @@ import numpy as np
 
 Scalar = Union[int, float, Fraction]
 
-# Tables up to this length are searched by counting comparisons.  With random
-# needles (executed prices), np.searchsorted mispredicts a branch at every
-# level of its binary search; one comparison pass per entry does not.  On a
-# 2-core x86-64 with numpy 2.4, a lookup plus one gather over 2^17 needles is
-# ~3x faster counted at 1-64 entries and ~2x at 128; at 2*10^4 needles the two
-# meet near 200-250 entries.  The count is held in uint8, so the cut-over must
-# stay below 256.
+# Up to this many entries in the needles' range are counted: one comparison
+# pass per entry.  With random needles (executed prices), np.searchsorted
+# mispredicts a branch at every level of its binary search; a counted pass
+# does not.  On a 2-core x86-64 with numpy 2.4, a lookup plus one gather over
+# 2^17 needles is ~3x faster counted at 1-64 entries and ~2x at 128; at 2*10^4
+# needles the two meet near 200-250 entries.  The count is held in uint8, so
+# the cut-over must stay below 256.
 _COUNT_MAX = 128
+# Tables up to this length are counted whole: finding the needles' range
+# costs two searches, plus a min and a max where the caller has not taken
+# them, about as much as the one or two comparison passes it could skip.
+_RANGE_MIN = 8
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -104,28 +110,52 @@ def _check_scalar(x, name: str, nonnegative: bool = False):
 
 
 def _check_array(x: np.ndarray, name: str, nonnegative: bool = False):
-    """`_check_scalar` on the first refused entry of x, if any."""
+    """`_check_scalar` on the first refused entry of x, if any.  Returns
+    (min(x), max(x)), which `piece_index` takes as its needles' range; NaN
+    for an empty x."""
+    if not x.size:
+        return math.nan, math.nan
+    lo, hi = x.min(), x.max()
     above = np.greater_equal if nonnegative else np.greater
-    if x.size and not (above(x.min(), 0.0) and x.max() < math.inf):
+    if not (above(lo, 0.0) and hi < math.inf):
         _check_scalar(x[~(above(x, 0.0) & (x < math.inf))][0], name, nonnegative)
+    return lo, hi
 
 
-def piece_index(table: np.ndarray, x: np.ndarray, side: str = "left") -> np.ndarray:
+def piece_index(
+    table: np.ndarray, x: np.ndarray, side: str = "left", lo=None, hi=None
+) -> np.ndarray:
     """The indices ``np.searchsorted(table, x, side)`` returns, for any floats.
 
-    ``table`` is strictly increasing.  Up to ``_COUNT_MAX`` entries the index
-    is K - #{b : x <= b} ("left") or K - #{b : x < b} ("right"), counted in
-    uint8 and returned as intp like searchsorted's, so each gather it feeds
-    needs no cast; NaN compares false with every entry, so it lands at K as
-    it does in searchsorted.  Longer tables are searched.
+    ``table`` is strictly increasing.  Only the entries in [lo, hi], the range
+    of the needles, are compared: every entry below lo lies below each needle
+    and counts on both sides, one offset for all lanes, and no entry above hi
+    counts.  ``lo`` and ``hi`` are min(x) and max(x), taken here when not
+    given; tables of up to _RANGE_MIN entries are compared whole without
+    them.  When the range is not finite (NaN or +/-inf in x, or x empty),
+    the whole table is compared.  Up to ``_COUNT_MAX`` compared entries the
+    index is K - #{b : x <= b} ("left") or K - #{b : x < b} ("right") over
+    them, counted in uint8 and returned as intp like searchsorted's, so each
+    gather it feeds needs no cast; NaN compares false with every entry, so it
+    lands at K as it does in searchsorted.  More are searched.
     """
-    if table.size > _COUNT_MAX:
+    first, stop = 0, table.size
+    if stop > _RANGE_MIN:
+        if lo is None and x.size:
+            lo, hi = x.min(), x.max()
+        if lo is not None and -math.inf < lo and hi < math.inf:  # NaN fails both
+            first = int(np.searchsorted(table, lo, side="left"))
+            stop = int(np.searchsorted(table, hi, side="right"))
+    if stop - first > _COUNT_MAX:
         return np.searchsorted(table, x, side=side)
     below = {"left": np.less_equal, "right": np.less}[side]
-    idx = np.full(np.shape(x), table.size, dtype=np.uint8)
-    for b in table:
+    idx = np.full(np.shape(x), stop - first, dtype=np.uint8)
+    for b in table[first:stop]:
         idx -= below(x, b).view(np.uint8)
-    return idx.astype(np.intp)
+    out = idx.astype(np.intp)
+    if first:
+        out += first
+    return out
 
 
 @dataclass(frozen=True)
@@ -267,8 +297,8 @@ class PwlFunction:
         """Evaluate at a nonnegative finite float or array of floats."""
         bps, slopes, icepts = self._float_views()
         if isinstance(x, np.ndarray):
-            _check_array(x, "evaluation point", nonnegative=True)
-            idx = piece_index(bps, x)
+            lo, hi = _check_array(x, "evaluation point", nonnegative=True)
+            idx = piece_index(bps, x, lo=lo, hi=hi)
             return slopes[idx] * x + icepts[idx]
         xf = float(x)
         _check_scalar(xf, "evaluation point", nonnegative=True)
@@ -300,9 +330,9 @@ class PwlFunction:
         if not isinstance(x, np.ndarray):  # a scalar is the array rule at n=1
             left, right = self.slopes_at(np.array([x], dtype=float))
             return float(left[0]), float(right[0])
-        _check_array(x, "evaluation point", nonnegative=True)
+        lo, hi = _check_array(x, "evaluation point", nonnegative=True)
         bps, slopes, _ = self._float_views()
-        i = piece_index(bps, x)
+        i = piece_index(bps, x, lo=lo, hi=hi)
         on_kink = x == bps[np.minimum(i, bps.size - 1)]  # x > bps[-1] at i == K
         return slopes[i], slopes[i + on_kink]
 

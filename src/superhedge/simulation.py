@@ -177,6 +177,11 @@ class OrderSignChange:
         self.t_vals = np.array(
             [(b_n[j] * b_w * z + a_n[j] * a_w) / (t_d * z) for j, z in enumerate(cuts)]
         )
+        # t_vals with a NaN past its end, which equals no held position, and
+        # each entry's "right" index: where th == t_ext[jl], searchsorted's
+        # "right" index is t_ends[jl], else jl.
+        self.t_ext = np.append(self.t_vals, np.nan)
+        self.t_ends = np.searchsorted(self.t_vals, self.t_vals, side="right")
         self.a = np.array([n / ad for n in a_n])
         self.b = np.array([n / bd for n in b_n])
         # theta = b/c near 0 and at infinity
@@ -192,11 +197,10 @@ class OrderSignChange:
         if self.theta_lo == self.theta_hi or self.cuts.size == 0:
             return np.full(n, np.nan), self.theta_lo - th
 
-        sign = np.zeros(n)
         all_buy = th < self.theta_lo
         all_sell = th > self.theta_hi
-        sign[all_buy] = 1.0
-        sign[all_sell] = -1.0
+        # 1 where the order buys throughout, -1 where it sells, else 0
+        sign = (all_buy.view(np.int8) - all_sell.view(np.int8)).astype(float)
         root = ~(all_buy | all_sell)
         if root.all():
             return self._zero_set_point(th), sign
@@ -205,48 +209,75 @@ class OrderSignChange:
             out[root] = self._zero_set_point(th[root])
         return out, sign
 
+    def _piece_root(self, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The zero of theta - held on piece j, clipped to the piece."""
+        z = theta * self.c
+        z -= self.b[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self.a[j], z, out=z)
+        # np.clip(z, lo, hi), which numpy defines as this pair, in two
+        # passes that cost less than its one
+        np.maximum(z, self.cut_lo[j], out=z)
+        return np.minimum(z, self.cut_hi[j], out=z)
+
     def _zero_set_point(self, th: np.ndarray) -> np.ndarray:
         """S* on lanes where the order changes sign (neither all-buy nor all-sell)."""
-        m = self.cuts.size
         jl = piece_index(self.t_vals, th, side="left")
-        jr = piece_index(self.t_vals, th, side="right")
-
-        def piece_root(j, theta):
-            denom = theta * self.c - self.b[j]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = self.a[j] / denom
-            return np.clip(z, self.cut_lo[j], self.cut_hi[j])
-
-        # zero-set endpoints; +/- sentinels mark plateaus reaching 0 / infinity.
-        # The two ends solve the same piece unless th equals a t_vals entry.
-        z = piece_root(np.maximum(jl, 1), th)
+        # Zero-set endpoints; +/- sentinels mark plateaus reaching 0 / infinity.
+        # The left end solves piece max(jl, 1) and the right end piece
+        # max(jr, 1), jr the "right" index: the same piece unless th equals
+        # t_vals[jl] and jr > max(jl, 1).
+        jl1 = np.maximum(jl, 1)
+        z = self._piece_root(jl1, th)
         z_left = np.where(jl == 0, 0.0, z)
-        split = np.flatnonzero(jl != jr)
+        split = np.flatnonzero(self.t_ext[jl] == th)
         if split.size:
-            z[split] = piece_root(np.maximum(jr[split], 1), th[split])
-        at_top = (jr == m) & (th == self.theta_hi)
-        return _sstar_from_ends(z_left, np.where(at_top, np.inf, z))
+            jr = self.t_ends[jl[split]]
+            later = jr != jl1[split]
+            split, jr = split[later], jr[later]
+            z[split] = self._piece_root(jr, th[split])
+        # jr == m, past the last entry, iff th >= t_vals[-1]
+        at_top = (th == self.theta_hi) & (th >= self.t_vals[-1])
+        if at_top.any():
+            z = np.where(at_top, np.inf, z)
+        return _sstar_from_ends(z_left, z)
 
 
 def _sstar_from_ends(z_left, z_right):
     """The reported point of the zero set [z_left, z_right]: the finite end
     when it reaches 0 (z_left == 0) or infinity, else the midpoint."""
-    inner = np.where(np.isinf(z_right), z_left, 0.5 * (z_left + z_right))
+    inner = 0.5 * (z_left + z_right)
+    right_inf = np.isinf(z_right)
+    if right_inf.any():
+        inner = np.where(right_inf, z_left, inner)
     return np.where(z_left == 0.0, z_right, inner)
-
-
-_REGIONS = tuple(np.int8(i) for i in range(4))  # _region's indices
 
 
 def _region(bid, ask, sstar):
     """Where S* lies against the quotes, as an int8 index nondecreasing in
     S*: 0 at or below the bid, 1 inside and closer to the bid (ties
     included), 2 inside and closer to the ask, 3 at or above the ask (tested
-    first).  The index is monotone because rounded differences are."""
+    first).  The index is monotone because rounded differences are.  It is
+    formed from the three comparisons with no branch per lane: 2 - closer,
+    zeroed at or below the bid, or-ed with 3 at or above the ask."""
     closer_bid = np.abs(sstar - bid) <= np.abs(sstar - ask)
-    lo, in_bid, in_ask, hi = _REGIONS
-    inside = np.where(closer_bid, in_bid, in_ask)
-    return np.where(ask <= sstar, hi, np.where(sstar <= bid, lo, inside))
+    region = np.subtract(2, closer_bid, dtype=np.int8)
+    region *= ~(sstar <= bid)  # not sstar > bid: a NaN S* stays inside
+    region |= (ask <= sstar) * np.int8(3)
+    return region
+
+
+def _select(cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.where(cond, a, b)`` for float64 arrays a and b, bit for bit, as
+    a blend of their uint64 views.  np.where branches on every lane, which
+    costs a misprediction wherever the mask changes from lane to lane; the
+    blend costs the same on any mask."""
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    mask = cond.astype(np.uint64)
+    np.negative(mask, out=mask)  # all ones where cond, else zero
+    mask &= a ^ b
+    mask ^= b
+    return mask.view(np.float64)
 
 
 def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
@@ -254,11 +285,13 @@ def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
     bid in region 3; inside, ``straddle_to_ask`` executes the ask when the
     bid is closer (so regions 2 and 3 execute the bid), and False the
     reverse (regions 1 and 3).  Where S* is NaN the sign decides: <= 0 bid,
-    > 0 ask."""
+    > 0 ask.  The quote is picked with `_select`, no branch per lane."""
     region = _region(bid, ask, sstar)
     to_bid = region >= 2 if straddle_to_ask else region % 2 == 1
-    to_bid = np.where(np.isnan(sstar), sign <= 0.0, to_bid)
-    return np.where(to_bid, bid, ask)
+    no_root = np.isnan(sstar)
+    to_bid &= ~no_root
+    to_bid |= no_root & (sign <= 0.0)
+    return _select(to_bid, bid, ask)
 
 
 # ---------------------------------------------------------------------- #
@@ -327,10 +360,9 @@ def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, w
     for t, (m, M, k) in enumerate(draws):
         for lo in range(0, n, TILE):
             sl = slice(lo, lo + TILE)
-            if t == 0:
-                s_prev = np.full(len(s[0][sl]), float(model.s_init))
-            else:
-                s_prev = s[t - 1][sl]
+            # MarketModel checked s_init; a scalar times each lane gives the
+            # products of a full row of it.
+            s_prev = float(model.s_init) if t == 0 else s[t - 1][sl]
             if t == 0 or t == T:
                 s[t][sl] = mid_execute(s_prev, m[sl], M[sl], k[sl])
             else:

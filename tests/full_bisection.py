@@ -1,7 +1,8 @@
 """The path-dependent engine's S* solve and execution rule before the solve
 stopped early: every lane is bisected until ROOT_WIDTH_TOL, on every lane
-each step, and the rule is written out with nested np.where.  The engine's
-executed quotes are compared with these."""
+each step, and the rule is written out with nested np.where, as is the
+region index the engine's rule reads.  The engine's executed quotes and
+regions are compared with these."""
 
 import math
 
@@ -60,3 +61,12 @@ def execute(bid, ask, sstar, sign, straddle_to_ask=True):
             ask <= sstar, bid, np.where(sstar <= bid, ask, np.where(straddle, ask, bid))
         )
     return np.where(no_root, np.where(sign <= 0.0, bid, ask), ruled)
+
+
+def region(bid, ask, sstar):
+    """simulation._region written with nested np.where: 3 at or above the ask
+    (tested first), 0 at or below the bid, else 1 where S* is at least as
+    close to the bid as to the ask and 2 otherwise, as int8."""
+    closer_bid = np.abs(sstar - bid) <= np.abs(sstar - ask)
+    inside = np.where(closer_bid, np.int8(1), np.int8(2))
+    return np.where(ask <= sstar, np.int8(3), np.where(sstar <= bid, np.int8(0), inside))

@@ -615,6 +615,34 @@ class TestStreamedOutputs:
         else:
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("stop", ["interrupt", "warning"])
+    def test_stopped_run_removes_its_files_and_propagates(
+        self, tmp_path, capsys, monkeypatch, stop
+    ):
+        """A run stopped in its second strike by a KeyboardInterrupt, or by a
+        RuntimeWarning promoted to an error, removes every file and directory
+        it made, as a refused run does, and lets the exception through."""
+        out = tmp_path / "out" / "nested"
+        real, seen = cli.simulate_one, []
+
+        def stopping(model, pricing, strike, *args, **kwargs):
+            if strike == 110.0:
+                seen.extend(p.name for p in out.iterdir())
+                if stop == "interrupt":
+                    raise KeyboardInterrupt
+                warnings.warn("overflow encountered in square", RuntimeWarning)
+            return real(model, pricing, strike, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_one", stopping)
+        cfg = replace(_streamed_cfg("call", n_paths=500), strikes=(90.0, 110.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(KeyboardInterrupt if stop == "interrupt" else RuntimeWarning):
+                run_experiment(cfg, out)
+        assert {"effective_config.txt", "paths_K90.csv", "hist_K90_eps_R.csv"} <= set(seen)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == ""  # propagated, not reported as refused
+
 
 class TestFormatting:
     def test_csv_full_precision(self):

@@ -181,18 +181,82 @@ def _cut_over_case(size):
     return table, np.concatenate((table, table + 0.5, SPECIAL_NEEDLES))
 
 
+@st.composite
+def ranged_needles(draw):
+    """A table of up to twice _COUNT_MAX entries, and needles inside the
+    range between two of its entries: the entries themselves, above all the
+    two edges, the floats next to them and between them, optionally all
+    equal, with NaN or +/-inf mixed in, or none at all."""
+    size = draw(st.integers(1, 2 * pwl._COUNT_MAX + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = np.cumsum(rng.uniform(0.5, 2.0, size)) - draw(st.floats(0, 3 * size))
+    i = draw(st.integers(0, size - 1))
+    width = draw(st.sampled_from([0, 1, 3, pwl._COUNT_MAX + 2]))
+    j = draw(st.integers(i, min(size - 1, i + width)))
+    lo, hi = table[i], table[j]
+    inside = table[i : j + 1].tolist()
+    needle = st.one_of(
+        st.sampled_from([lo, hi, np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf)]),
+        st.sampled_from(inside),
+        st.floats(lo, hi),
+    )
+    count = draw(st.sampled_from([0, 1, 2, 40]))
+    if draw(st.booleans()):  # all needles equal
+        x = [draw(needle)] * count
+    else:
+        x = draw(st.lists(needle, min_size=count, max_size=count))
+    if count and draw(st.booleans()):
+        x[draw(st.integers(0, count - 1))] = draw(st.sampled_from(SPECIAL_NEEDLES))
+    return table, np.array(x, dtype=float)
+
+
+def _assert_searchsorted(table, x, **bounds):
+    for side in ("left", "right"):
+        got = piece_index(table, x, side=side, **bounds)
+        want = np.searchsorted(table, x, side=side)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist(), side
+
+
 class TestPieceIndex:
     @settings(max_examples=150, deadline=None)
     @given(case=tables_and_needles())
     @example(case=_cut_over_case(pwl._COUNT_MAX))
     @example(case=_cut_over_case(pwl._COUNT_MAX + 1))
     def test_equals_searchsorted(self, case):
+        _assert_searchsorted(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ranged_needles())
+    @example(case=(np.arange(300.0), np.array([150.0] * 5)))  # all equal, long table
+    @example(case=(np.arange(300.0), np.array([])))  # no needles
+    @example(case=(np.arange(300.0), np.array([7.0, 7.0 + pwl._COUNT_MAX])))  # edges
+    @example(case=(np.arange(300.0), np.array([7.0, 8.0 + pwl._COUNT_MAX])))
+    @example(case=(np.arange(300.0), np.array([20.5, math.nan, 30.0])))
+    @example(case=(np.arange(300.0), np.array([20.5, math.inf, -math.inf])))
+    def test_ranged_needles_equal_searchsorted(self, case):
+        """Only the entries between the needles' min and max are compared,
+        whether the range is taken from the needles or given as the callers
+        give it, the min and max of their input check (NaN when empty)."""
         table, x = case
-        for side in ("left", "right"):
-            got = piece_index(table, x, side=side)
-            want = np.searchsorted(table, x, side=side)
-            assert got.dtype == want.dtype
-            assert got.tolist() == want.tolist(), side
+        _assert_searchsorted(table, x)
+        lo, hi = (x.min(), x.max()) if x.size else (math.nan, math.nan)
+        _assert_searchsorted(table, x, lo=lo, hi=hi)
+
+    def test_compares_only_entries_in_range(self, monkeypatch):
+        """A lane is compared with the table entries in [min, max] of the
+        needles, not with the whole table."""
+        compared = []
+        real = np.less_equal
+
+        def counting(x, b, *args, **kwargs):
+            compared.append(float(b))
+            return real(x, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "less_equal", counting)
+        table, x = np.arange(100.0), np.array([40.5, 42.0, 44.5])
+        assert piece_index(table, x).tolist() == [41, 42, 45]
+        assert compared == [41.0, 42.0, 43.0, 44.0]
 
 
 class TestConstruction:

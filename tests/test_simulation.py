@@ -8,8 +8,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import full_bisection
 
 from superhedge import simulation
 from superhedge.pricing import (
@@ -29,6 +31,8 @@ from superhedge.simulation import (
     OrderSignChange,
     RunningMoments,
     _build_crossings,
+    _execute_vec,
+    _region,
     _simulate_batch,
     draw_step,
     execute_delayed_order,
@@ -213,6 +217,11 @@ SSTAR_CASES = [
     (_many_kinks(70), StepSpec(0.8, 1.25)),  # > _COUNT_MAX cuts: searchsorted
     (PwlFunction([0], [1], 2, 2), StepSpec(0.7, 1.4)),  # affine: constant theta
     (call_payoff(100), StepSpec(1.0, 1.0)),  # degenerate step
+    # theta is 1 on [200, 250], where both chord ends lie in [100, 500]:
+    # t_vals is [0, 1, 1, 2], with a plateau inside the table
+    (PwlFunction([100, 500], [0, 400], 0, 2), StepSpec(0.5, 2.0)),
+    # theta is 1 at the cuts 200, 400, 800 and 1600: t_vals repeats its last entry
+    (PwlFunction([100, 400, 800], [0, 300, 700], 0, 1), StepSpec(0.5, 2.0)),
 ]
 
 
@@ -316,6 +325,35 @@ class TestOrderSignChange:
             assert got[1].tobytes() == want[1].tobytes()
 
 
+    @pytest.mark.parametrize("g, step", SSTAR_CASES)
+    def test_held_positions_on_table_entries(self, g, step):
+        """Held positions equal to every t_vals entry and to theta_lo and
+        theta_hi exactly, alone and mixed, give the two-lookup oracle's bytes,
+        on tables with distinct entries and on one with repeated entries."""
+        cross = OrderSignChange(g, step)
+        if cross.degenerate or cross.cuts.size == 0:
+            return
+        ends = [cross.theta_lo, cross.theta_hi]
+        for th in (
+            cross.t_vals,
+            np.array([cross.theta_hi] * 3),
+            np.repeat(np.concatenate((cross.t_vals, ends)), 2),
+            np.concatenate((cross.t_vals[::-1], ends, [0.5 * sum(ends)])),
+        ):
+            got, want = cross.sstar(th), two_root_sstar(cross, th)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_right_index_from_left_index(self):
+        """t_ends holds searchsorted's "right" index of each entry, on tables
+        with equal entries inside and at the end."""
+        inside, end = OrderSignChange(*SSTAR_CASES[-2]), OrderSignChange(*SSTAR_CASES[-1])
+        assert inside.t_vals.tolist() == [0.0, 1.0, 1.0, 2.0]
+        assert inside.t_ends.tolist() == [1, 3, 3, 4]
+        assert end.t_vals.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert end.t_ends.tolist() == [1, 5, 5, 5, 5]
+
+
 class TestExecuteDelayedOrder:
     def test_both_below_sign_change(self):
         assert execute_delayed_order(80.0, 90.0, 101.15) == 80.0
@@ -340,6 +378,62 @@ class TestExecuteDelayedOrder:
     def test_crossed_quotes_rejected(self):
         with pytest.raises(ValueError):
             execute_delayed_order(90.0, 80.0, 85.0)
+
+
+@st.composite
+def quotes_and_sstars(draw):
+    """n quotes 0 < bid <= ask, equal on some lanes, and per lane an S* drawn
+    from the quotes, their midpoint, the floats next to them, NaN, +/-inf and
+    +/-0; one S* row, or a (2, n) block as the path-dependent solve passes."""
+    n = draw(st.integers(1, 12))
+    price = st.floats(1e-3, 1e6)
+    bid = np.array(draw(st.lists(price, min_size=n, max_size=n)))
+    gap = st.sampled_from([0.0, 0.0, 1e-12, 0.5, 1.0, 3.0])
+    ask = bid * (1.0 + np.array(draw(st.lists(gap, min_size=n, max_size=n))))
+    rows = draw(st.sampled_from([(), (2,)]))
+
+    def sstar(b, a):
+        near = [np.nextafter(q, to) for q in (b, a) for to in (0.0, math.inf)]
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+        return draw(st.sampled_from([b, a, 0.5 * (b + a), *near, *special]) | price)
+
+    z = np.array([[sstar(b, a) for b, a in zip(bid, ask)] for _ in range(max(rows, default=1))])
+    return bid, ask, z if rows else z[0]
+
+
+class TestExecutionRule:
+    """`_region` and `_execute_vec` against the nested np.where oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=quotes_and_sstars())
+    @example(case=(np.full(2, 100.0), np.full(2, 100.0), np.array([100.0, -0.0])))
+    @example(case=(np.full(2, 99.0), np.full(2, 101.0), np.array([[100.0, math.nan], [99, 101]])))
+    def test_region_equals_nested_where(self, case):
+        bid, ask, sstar = case
+        got, want = _region(bid, ask, sstar), full_bisection.region(bid, ask, sstar)
+        assert got.dtype == want.dtype == np.int8
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=quotes_and_sstars(),
+        straddle_to_ask=st.booleans(),
+        signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=12),
+    )
+    @example(  # no sign change: the sign alone decides
+        case=(np.full(3, 99.0), np.full(3, 101.0), np.full(3, math.nan)),
+        straddle_to_ask=True,
+        signs=[-1.0, 0.0, 1.0],
+    )
+    def test_executed_quote_equals_nested_where(self, case, straddle_to_ask, signs):
+        bid, ask, sstar = case
+        sstar = sstar if sstar.ndim == 1 else sstar[0]
+        sign = np.resize(signs, bid.size)
+        got = _execute_vec(bid, ask, sstar, sign, straddle_to_ask)
+        want = full_bisection.execute(bid, ask, sstar, sign, straddle_to_ask)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRunPath:
