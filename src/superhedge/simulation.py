@@ -22,14 +22,17 @@ any order (Chan et al. moment merging).  Path-dependent claims run in
 chunks that share one generator, so their chunks must be drawn in order.
 
 Each run holds one workspace of batch columns, sized for its largest batch
-and reused by every batch.  A step draws the whole batch into it in stream
-order, then runs its elementwise chain (execution, value, holding, V, eps)
-over TILE lanes at a time, so the chain's temporaries stay cache-sized.
-Every operation is elementwise, so tiling leaves every float unchanged; the
-statistics reduce over whole batch columns.  A run whose batches go to a
-sink or are collected keeps every step's row, 5T+1 rows with eps; a
-stats-only European run keeps the rows the statistics read and reuses two
-rows per series for the later steps, at most 16 rows at any horizon.
+and reused by every batch.  A step runs TILE lanes at a time: it draws the
+tile's (m, M, k) from where they lie in the step's stream (PCG64 jumps
+ahead and back between rows), then runs its elementwise chain (execution,
+value, holding, V, eps) on them, so the draws and the chain's temporaries
+stay cache-sized.  Every operation is elementwise, so tiling leaves every
+float unchanged; the statistics reduce over whole batch columns.  A run
+whose batches go to a sink or are collected keeps every step's row, 5T+1
+batch rows with eps.  A stats-only European run keeps batch-wide only the
+rows the statistics read, and two rows per series for the later steps, at
+most 14 (8 at T=2); bid_t, ask_t and V_T, read only in their own step and
+tile, overwrite the tile's draws.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .pricing import _tree_value, require_aip, require_tree_depth
 from .pwl import PwlFunction, _check_array, _scaled_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
-TILE = 1 << 15  # lanes each step's elementwise chain runs at a time
+TILE = 1 << 15  # lanes each step draws and runs its elementwise chain on at a time
 DUMP_ROWS = 2048  # path-dump rows formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
@@ -58,32 +61,59 @@ ROOT_WIDTH_TOL = 1e-12
 # ---------------------------------------------------------------------- #
 
 
-def draw_step(step: StepSpec, rng: np.random.Generator, size: int = 1, out=None):
+def draw_step(
+    step: StepSpec,
+    rng: np.random.Generator,
+    size: int = 1,
+    out=None,
+    lo: int = 0,
+    lanes: Optional[int] = None,
+):
     """Draw (m, M, k): interval edges m, M = m + spread, and mid position k.
 
     m ~ U[m_lo, m_hi], spread ~ U[spr_lo, spr_hi] independent, k ~ U[0, 1].
     The draws fill ``out``, three contiguous float rows of one length, or
-    three new rows of ``size`` floats, and the rows are returned.  Each row is
-    ``rng.random(out=row)`` mapped by ``*= hi - lo; += lo``: the stream and
-    the bits of ``rng.uniform(lo, hi, len(row))``.  A bid/ask step ignores k,
-    so its caller may pass None as the k row of ``out``: the stream then
-    advances past the row's draws without making them, and the stream layout
-    stays the same for every protocol.
+    three new rows of ``size`` floats, and the rows are returned.  A row of
+    U[a, b] is ``rng.random(out=row)`` mapped by ``*= b - a; += a``: the
+    stream and the bits of ``rng.uniform(a, b, len(row))``.  A bid/ask step
+    ignores k, so its caller may pass None as the k row of ``out``: the
+    stream then advances past the row's draws without making them, and the
+    stream layout stays the same for every protocol.
+
+    The rows may be one tile, the lanes [lo, lo + len) of a step of ``lanes``
+    draws per row (by default the whole step, lo = 0).  Row i then starts at
+    offset i * lanes + lo from where the step's stream starts, reached by
+    PCG64's jump-ahead, and the stream is left where the next tile starts, or
+    3 * lanes past the step's start after its last tile.  Tiles drawn in
+    order from lo = 0 give the bits of one whole-row draw and leave the
+    stream where it would.
     """
     if not step.has_distribution:
         raise ValueError("step has no draw distribution attached")
     m, M, k = np.empty((3, size)) if out is None else out
+    width = len(m)
+    lanes = width if lanes is None else lanes
     bounds = ((step.m_lo, step.m_hi), (step.spr_lo, step.spr_hi), (0, 1))
-    for row, (lo, hi) in zip((m, M, k), bounds):
-        if row is None:  # one 64-bit output per double, as random() takes
-            rng.bit_generator.advance(len(m))
+    at = lo  # the stream's offset from the step's start, in doubles
+    for i, (row, (a, b)) in enumerate(zip((m, M, k), bounds)):
+        if row is None:
             continue
-        lo, hi = float(lo), float(hi)  # as uniform reads them, before hi - lo
+        _advance(rng, i * lanes + lo - at)
+        a, b = float(a), float(b)  # as uniform reads them, before b - a
         rng.random(out=row)
-        row *= hi - lo
-        row += lo
+        row *= b - a
+        row += a
+        at = i * lanes + lo + width
+    _advance(rng, (lo + width if lo + width < lanes else 3 * lanes) - at)
     M += m  # spread + m, the bits of m + spread
     return m, M, k
+
+
+def _advance(rng: np.random.Generator, doubles: int):
+    """Move the stream past ``doubles`` draws of random(), one 64-bit output
+    each, or back where it is negative: PCG64's period is 2^128."""
+    if doubles:
+        rng.bit_generator.advance(doubles % 2**128)
 
 
 def mid_execute(s_prev, m, M, k):
@@ -299,46 +329,70 @@ def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
 # ---------------------------------------------------------------------- #
 
 
-# (kept, cycle) per key of _PATH_KEYS in a compact workspace.  The first
-# ``kept`` entries of a series (one per step; bid and ask one per interior
-# step) keep rows of their own: _Aggregator reads s_0..s_2, v_0..v_1 and
-# theta_0..theta_1.  Each later entry takes one of ``cycle`` rows in turn: a
-# step reads only its own entry and the previous one.
-_COMPACT = {"s": (3, 2), "bid": (0, 1), "ask": (0, 1), "theta": (2, 2), "v": (2, 2)}
+# (kept, cycle) per series of a compact workspace.  The first ``kept``
+# entries (one per step) keep rows of their own: _Aggregator reads s_0..s_2,
+# v_0..v_1 and theta_0..theta_1.  Each later entry takes one of ``cycle``
+# rows in turn: a step reads only its own entry and the previous one.
+_COMPACT = {"s": (3, 2), "theta": (2, 2), "v": (2, 2)}
+# The draw row (m, M, k) that each entry read only in its own step and tile,
+# bid_t and ask_t (by the S* solve and the execution) and V_T (by eps),
+# overwrites in a compact workspace: bid_t = s m and ask_t = s M are formed
+# from the last read of their draws, and V_T after k has set S_T.
+_OVER_DRAW = {"bid": 0, "ask": 1, "v": 2}
 
 
 def _workspace(
     horizon: int, size: int, draw_shape: Optional[tuple] = None, compact: bool = False
 ) -> dict:
-    """Batch columns for up to ``size`` paths, reused by every batch of a run:
-    one block per key of _PATH_KEYS, the eps row, and a draw block of
-    ``draw_shape``, by default the three rows (m, M, k).  ``rows`` maps each
-    key to the block row of each entry.  The full layout gives every entry
-    its own row (s and v T+1 rows, theta T, bid and ask T-1), 5T+1 rows with
-    eps; the compact one (_COMPACT) at most 16, whatever the horizon."""
+    """Batch columns for up to ``size`` paths, reused by every batch of a run.
+
+    Each key of _PATH_KEYS maps to one row per entry (entries that share a
+    row share its array), ``held`` maps it to whether each entry still holds
+    its values once the batch has run, ``eps`` is a row, and ``draw`` is the
+    draw block: a block of ``draw_shape``, by default the three tile rows
+    (m, M, k) of min(TILE, size) lanes, which hold one tile at a time from
+    lane 0.  Every other row is a batch row of ``size`` lanes.  The full
+    layout gives every entry a batch row of its own (s and v T+1 rows, theta
+    T, bid and ask T-1), 5T+1 with eps.  The compact one puts bid_t, ask_t
+    and V_T in the draw rows (_OVER_DRAW) and the other entries in rows by
+    _COMPACT: at most 14 batch rows whatever the horizon, and 8 at T = 2.
+    """
     T = horizon
-    rows = {}
+    draw = np.empty(draw_shape or (3, min(TILE, size)))
+    rows = {}  # each entry's batch row, None where it overwrites a draw row
     for key, n in dict(s=T + 1, bid=T - 1, ask=T - 1, theta=T, v=T + 1).items():
-        kept, cycle = _COMPACT[key] if compact else (n, 1)
-        rows[key] = tuple(j if j < kept else kept + (j - kept) % cycle for j in range(n))
-    heights = [max(rows[key], default=-1) + 1 for key in _PATH_KEYS]
-    *blocks, eps = np.split(np.empty((sum(heights) + 1, size)), np.cumsum(heights))
-    draw = np.empty(draw_shape or (3, size))
-    return dict(zip(_PATH_KEYS, blocks), eps=eps[0], draw=draw, rows=rows)
+        kept, cycle = _COMPACT.get(key, (n, 1)) if compact else (n, 1)
+        rows[key] = [j if j < kept else kept + (j - kept) % cycle for j in range(n)]
+        if compact:
+            own = [key in ("bid", "ask") or (key, j) == ("v", T) for j in range(n)]
+            rows[key] = [None if o else r for o, r in zip(own, rows[key])]
+    batch = [(key, r) for key, idx in rows.items() for r in sorted(set(idx) - {None})]
+    block = np.empty((len(batch) + 1, size))
+    place = dict(zip(batch, block))
+    ws = {
+        key: tuple(draw[_OVER_DRAW[key]] if r is None else place[key, r] for r in idx)
+        for key, idx in rows.items()
+    }
+    last = {key: {r: j for j, r in enumerate(idx)} for key, idx in rows.items()}
+    held = {
+        key: tuple(r is not None and last[key][r] == j for j, r in enumerate(idx))
+        for key, idx in rows.items()
+    }
+    return dict(ws, held=held, eps=block[-1], draw=draw)
 
 
-def _held(views: list, rows: tuple) -> list:
-    """``views`` with None for each entry whose row a later entry reused."""
-    last = {r: j for j, r in enumerate(rows)}
-    return [view if last[r] == j else None for j, (view, r) in enumerate(zip(views, rows))]
+def _lanes(row: np.ndarray, sl: slice, draw: np.ndarray) -> np.ndarray:
+    """The lanes ``sl`` of a batch row; a draw row holds them from 0."""
+    return row[: sl.stop - sl.start] if row.base is draw else row[sl]
 
 
 def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, ws):
     """The execution protocol over the first n lanes of workspace ``ws``;
     returns the batch columns, views into ``ws``.
 
-    ``draws`` yields (m, M, k) arrays of n lanes per step; bid/ask steps
-    may yield None for k, which they do not read.  ``claim`` holds four maps
+    ``draws(t, lo, hi)`` returns step t's (m, M, k) over lanes [lo, hi),
+    called once per tile in lane order, step after step; bid/ask steps may
+    get None for k, which they do not read.  ``claim`` holds four maps
     of the executed prefix (s_0, ..., s_t): ``value(prefix, t)``,
     ``theta(prefix, t)``, ``sstar(prefix, t, held, s_prev, bid, ask)``, the
     order's (sstar, sign) at interior step t before its execution, and
@@ -346,28 +400,28 @@ def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, w
     stop solving once it knows which quote executes: any S* in the same
     ``_region`` as the exact one executes the same quote.  Each step runs
     tile by tile, TILE lanes at a time, and every map must act on each lane
-    alone.  Every entry is reached through the workspace's row map.  In a
+    alone.  Every entry is reached through the workspace's rows.  In a
     compact workspace the prefix entries past s_2, but for the last two,
     share rows with later steps, so only claims that read prefix[-1] run
     there, and the returned columns hold None for each entry a later step
-    overwrote.  Mid steps quote no bid/ask: their entries are None.
+    or tile overwrote.  Mid steps quote no bid/ask: their entries are None.
     """
     value, theta, sstar, payoff = claim
     T = model.horizon
-    maps = ws["rows"]
-    s, bid, ask, th, v = ([ws[key][r, :n] for r in maps[key]] for key in _PATH_KEYS)
-    eps = ws["eps"][:n]
-    for t, (m, M, k) in enumerate(draws):
+    s, bid, ask, th, v = ([row[:n] for row in ws[key]] for key in _PATH_KEYS)
+    eps, draw = ws["eps"][:n], ws["draw"]
+    for t in range(T + 1):
         for lo in range(0, n, TILE):
-            sl = slice(lo, lo + TILE)
+            sl = slice(lo, min(lo + TILE, n))
+            m, M, k = draws(t, sl.start, sl.stop)
             # MarketModel checked s_init; a scalar times each lane gives the
             # products of a full row of it.
             s_prev = float(model.s_init) if t == 0 else s[t - 1][sl]
             if t == 0 or t == T:
-                s[t][sl] = mid_execute(s_prev, m[sl], M[sl], k[sl])
+                s[t][sl] = mid_execute(s_prev, m, M, k)
             else:
-                bid_t = np.multiply(s_prev, m[sl], out=bid[t - 1][sl])
-                ask_t = np.multiply(s_prev, M[sl], out=ask[t - 1][sl])
+                bid_t = np.multiply(s_prev, m, out=_lanes(bid[t - 1], sl, draw))
+                ask_t = np.multiply(s_prev, M, out=_lanes(ask[t - 1], sl, draw))
                 _check_quotes(bid_t, ask_t)
                 pre = tuple(row[sl] for row in s[:t])
                 order = sstar(pre, t, th[t - 1][sl], s_prev, bid_t, ask_t)
@@ -377,12 +431,15 @@ def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, w
                 v[0][sl] = value(prefix, 0)
             else:
                 gain = th[t - 1][sl] * (prefix[-1] - s_prev)
-                np.add(v[t - 1][sl], gain, out=v[t][sl])
+                v_t = np.add(v[t - 1][sl], gain, out=_lanes(v[t], sl, draw))
             if t < T:
                 th[t][sl] = theta(prefix, t)
             else:
-                np.divide(v[T][sl] - payoff(prefix), prefix[-1], out=eps[sl])
-    cols = {key: _held(c, maps[key]) for key, c in zip(_PATH_KEYS, (s, bid, ask, th, v))}
+                np.divide(v_t - payoff(prefix), prefix[-1], out=eps[sl])
+    cols = {
+        key: [row if kept else None for row, kept in zip(c, ws["held"][key])]
+        for key, c in zip(_PATH_KEYS, (s, bid, ask, th, v))
+    }
     for key in ("bid", "ask"):
         cols[key] = [None, *cols[key], None]
     return dict(cols, eps=eps)
@@ -407,13 +464,13 @@ def _simulate_batch(
         lambda prefix, t, held, s_prev, bid, ask: crossings[t].sstar(held),
         lambda prefix: pricing.payoff(prefix[-1]),
     )
-    mid_rows = tuple(row[:n] for row in ws["draw"])
-    quote_rows = (*mid_rows[:2], None)  # bid/ask steps skip their k draws
     T = model.horizon
-    draws = (
-        draw_step(step, rng, out=mid_rows if t in (0, T) else quote_rows)
-        for t, step in enumerate(model.steps)
-    )
+
+    def draws(t, lo, hi):
+        m, M, k = (row[: hi - lo] for row in ws["draw"])
+        rows = (m, M, k if t in (0, T) else None)  # bid/ask steps skip their k draws
+        return draw_step(model.steps[t], rng, out=rows, lo=lo, lanes=n)
+
     return _protocol(model, n, draws, claim, straddle_to_ask, ws)
 
 
@@ -543,22 +600,24 @@ class _Aggregator:
         self.hi = dict.fromkeys(self.EXTREMA, -math.inf)
 
     def add(self, cols: dict):
+        """Fold one batch; each derived series is folded, and freed, before
+        the next is formed."""
         s, v, theta = cols["s"], cols["v"], cols["theta"]
-        series = {
-            "s0": s[0],
-            "s1": s[1],
-            "v0": v[0],
-            "v0/s0": v[0] / s[0],
-            "eps": cols["eps"],
-            "th0": _theta_frac(theta[0], s[0], v[0]),
-        }
+        self._fold("s0", s[0])
+        self._fold("s1", s[1])
+        self._fold("v0", v[0])
+        self._fold("v0/s0", v[0] / s[0])
+        self._fold("eps", cols["eps"])
+        self._fold("th0", _theta_frac(theta[0], s[0], v[0]))
         if len(s) > 2:
-            series.update(s2=s[2], th1=_theta_frac(theta[1], s[1], v[1]))
-        for key, x in series.items():
-            self.moments[key].add_batch(x)
-        for key in self.EXTREMA:
-            self.lo[key] = min(self.lo[key], float(np.min(series[key])))
-            self.hi[key] = max(self.hi[key], float(np.max(series[key])))
+            self._fold("s2", s[2])
+            self._fold("th1", _theta_frac(theta[1], s[1], v[1]))
+
+    def _fold(self, key: str, x: np.ndarray):
+        self.moments[key].add_batch(x)
+        if key in self.EXTREMA:
+            self.lo[key] = min(self.lo[key], float(np.min(x)))
+            self.hi[key] = max(self.hi[key], float(np.max(x)))
 
     def result(self, strike: float) -> SimStats:
         m, lo, hi = self.moments, self.lo, self.hi
@@ -649,10 +708,11 @@ def simulate_one(
     seeded by a child spawned from ``seed_seq`` as it starts (the children
     of one ``spawn(k)``, in order); the batch layout depends only on
     n_paths, so a given seed gives bit-identical results.  Every batch runs
-    in one workspace of min(BATCH_SIZE, n_paths) lanes.  A stats-only run
-    (no ``collect``, no ``sink``) lays it out compactly: at most 16 path
-    rows plus the 3 draw rows, whatever the horizon.  A run that collects
-    or has a sink keeps every step's row: 5T+1 path rows plus 3.
+    in one workspace of batch rows of min(BATCH_SIZE, n_paths) lanes and 3
+    draw rows of min(TILE, BATCH_SIZE, n_paths).  A stats-only run (no
+    ``collect``, no ``sink``) lays it out compactly: at most 14 batch rows
+    (8 at T=2), whatever the horizon.  A run that collects or has a sink
+    keeps every step's row: 5T+1 batch rows.
     ``collect=True`` additionally returns the per-path columns of the whole
     run, copied batch by batch: 5T+1 floats per path.  ``sink``, if given,
     is called with each batch's columns in path order once they are
@@ -837,7 +897,11 @@ def _functional_batch(
     u = rng.random(out=ws["draw"][:n])
     u *= hi - lo  # the bits of lo + (hi - lo) * u: IEEE * and + commute
     u += lo
-    draws = ((u[:, t, 0], u[:, t, 0] + u[:, t, 1], u[:, t, 2]) for t in range(len(lo)))
+
+    def draws(t, a, b):
+        m = u[a:b, t, 0]
+        return m, m + u[a:b, t, 1], u[a:b, t, 2]
+
     leaf = partial(_payoff_values, payoff)
     claim = (
         partial(_tree_value, leaf, model),

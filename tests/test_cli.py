@@ -547,10 +547,11 @@ class TestStreamedOutputs:
         """Keeping every batch and joining them before writing peaked at 95 MB
         under tracemalloc on this run.  Streaming holds the four histogram
         series of n_paths floats plus one batch's working set: the reused
-        workspace of 5T+4 columns of BATCH_SIZE floats and the aggregation's
-        temporaries, with no column of the previous batch alive.  That
-        measured 21 columns beyond the series; the bound is 26, whatever
-        n_paths."""
+        workspace of 5T+1 columns of BATCH_SIZE floats and 3 draw rows of
+        TILE floats, and the aggregation's temporaries, with no column of the
+        previous batch alive.  That measured 18.8 columns beyond the series
+        (21 while the draw rows spanned the batch); the bound is 26,
+        whatever n_paths."""
         cfg = _streamed_cfg("call", n_paths=3 * BATCH_SIZE + 3)
         tracemalloc.start()
         try:

@@ -219,6 +219,25 @@ def _assert_searchsorted(table, x, **bounds):
 
 
 class TestPieceIndex:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [12.0, 12.5, 20.0, 27.0],  # min and max equal to entries
+            [30.0, 30.0],  # all on one entry
+            [5.25, 9.75, 7.0],  # min and max between entries
+            [39.0, 40.0],  # up to the last entry
+        ],
+    )
+    def test_range_past_entry_zero(self, x):
+        """Needles whose range starts past entry 0 of a table longer than
+        _RANGE_MIN: the range offset and the side each range end is searched
+        from show in every index, so a lookup that gets either wrong fails
+        here at once, before the property tests below."""
+        table, x = np.arange(1.0, 41.0), np.array(x)
+        assert table.size > pwl._RANGE_MIN
+        _assert_searchsorted(table, x)
+        _assert_searchsorted(table, x, lo=x.min(), hi=x.max())
+
     @settings(max_examples=150, deadline=None)
     @given(case=tables_and_needles())
     @example(case=_cut_over_case(pwl._COUNT_MAX))

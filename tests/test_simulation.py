@@ -45,6 +45,7 @@ from superhedge.simulation import (
 )
 
 REF_MODEL = uniform_bid_ask_model()
+TILE = simulation.TILE
 
 
 def _pricing(strike=100.0, model=REF_MODEL):
@@ -121,6 +122,23 @@ class TestDrawStep:
                 assert want.tobytes() == row.tobytes()
         assert ref.random() == rng.random()
 
+
+    @pytest.mark.parametrize("n", [1, TILE - 1, TILE, 3 * TILE + 17])
+    @pytest.mark.parametrize("t", [0, 1], ids=["mid", "bid-ask"])
+    def test_tiles_equal_whole_row_draw(self, n, t):
+        # row i of tile [lo, hi) comes from offset i * n + lo of the step's
+        # stream; the bid/ask step skips its k row, tile by tile
+        step = REF_MODEL.steps[t]
+        ref, rng = _gen(6), _gen(6)
+        want, got = np.empty((3, n)), np.empty((3, n))
+        draw_step(step, ref, out=(want[0], want[1], want[2] if t == 0 else None))
+        for lo in range(0, n, TILE):
+            hi = min(lo + TILE, n)
+            rows = (got[0, lo:hi], got[1, lo:hi], got[2, lo:hi] if t == 0 else None)
+            draw_step(step, rng, out=rows, lo=lo, lanes=n)
+        kept = slice(None) if t == 0 else slice(2)
+        assert got[kept].tobytes() == want[kept].tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_skipped_k_row_advances_the_stream(self):
         # bid/ask steps pass None for k: the stream moves on as if it were drawn
@@ -698,9 +716,10 @@ def _workspace_floats(ws: dict) -> int:
 
 
 class TestCompactWorkspace:
-    """A stats-only simulate_one runs in the compact row layout (at most 16
-    path rows); with a sink or collect it keeps every step's row (5T+1).
-    Both layouts give the same floats on every entry they both hold."""
+    """A stats-only simulate_one runs in the compact row layout (at most 14
+    batch rows; bid_t, ask_t and V_T overwrite the draw rows); with a sink
+    or collect it keeps every step's row (5T+1).  Both layouts give the same
+    floats on every entry they both hold."""
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
     @pytest.mark.parametrize("claim", sorted(LAYOUT_PAYOFFS))
@@ -736,15 +755,21 @@ class TestCompactWorkspace:
                 assert c is None or c.tobytes() == f.tobytes()
         held = {key: [c is not None for c in compact[key]] for key in PATH_KEYS}
         assert all(held["s"][: min(3, horizon + 1)]) and held["s"][-1]
-        assert all(held["v"][:2]) and all(held["theta"][: min(2, horizon)])
+        assert all(held["v"][: min(2, horizon)]) and all(held["theta"][: min(2, horizon)])
+        # bid_t, ask_t and V_T, read only in their own step and tile,
+        # overwrite the draw rows
+        assert not any(held["bid"] + held["ask"]) and not held["v"][-1]
 
     @pytest.mark.parametrize(
-        "sink, path_rows",
-        [(None, 16), (lambda cols: None, 5 * 60 + 1)],
+        "sink, batch_rows, tile_rows",
+        [(None, 14, 3), (lambda cols: None, 5 * 60 + 1, 3)],
         ids=["stats-only", "sink"],
     )
-    def test_workspace_floats_bound(self, monkeypatch, sink, path_rows):
+    def test_workspace_floats_bound(self, monkeypatch, sink, batch_rows, tile_rows):
+        # stats-only at T = 60: s, theta and v in 5, 4 and 4 batch rows, and
+        # eps; the draws in tile rows, which bid_t, ask_t and V_T overwrite
         monkeypatch.setattr(simulation, "BATCH_SIZE", 64)
+        monkeypatch.setattr(simulation, "TILE", 16)
         model = uniform_bid_ask_model(horizon=60)
         made, real = [], simulation._workspace
 
@@ -758,8 +783,27 @@ class TestCompactWorkspace:
             model, _pricing(model=model), 100.0, 100, np.random.SeedSequence(2), sink=sink
         )
         (floats,) = made  # one workspace per run
-        bound = (path_rows + 3) * 64  # path rows and draw rows of 64 lanes
-        assert floats <= bound if sink is None else floats == bound
+        assert floats == batch_rows * 64 + tile_rows * 16
+
+    @pytest.mark.parametrize("n_paths", [100, 2**17 + 2**15 + 17])
+    def test_stats_only_horizon_two_holds_the_aggregated_rows(self, monkeypatch, n_paths):
+        # S_0..S_2, V_0, V_1, theta_0, theta_1 and eps span the batch;
+        # bid_1, ask_1 and V_2 overwrite the draws' tile rows
+        made, real = [], simulation._workspace
+
+        def spy(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(simulation, "_workspace", spy)
+        simulate_one(REF_MODEL, _pricing(), 100.0, n_paths, np.random.SeedSequence(4))
+        (ws,) = made
+        lanes = min(simulation.BATCH_SIZE, n_paths)
+        batch = {id(r): r for key in PATH_KEYS for r in ws[key] if r.base is not ws["draw"]}
+        batch[id(ws["eps"])] = ws["eps"]
+        assert ws["eps"].base.shape == (8, lanes) and len(batch) == 8
+        assert all(r.base is ws["eps"].base for r in batch.values())
+        assert ws["draw"].shape == (3, min(simulation.TILE, lanes))
 
 
 class TestSimulate:
