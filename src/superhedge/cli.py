@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import shutil
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -296,10 +297,54 @@ def format_stats_csv(stats: list[SimStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_histogram(path: Path, data: np.ndarray, bins: int):
-    counts, edges = np.histogram(data, bins=bins)
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Give an OSError that names no file, as a write to a full disk
+    raises, the name ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
+
+
+def _write_text(path: Path, text: str, written: list):
+    """Write ``text`` to ``path``, added to ``written`` before it is opened."""
+    written.append(path)
+    with _naming(path):
+        path.write_text(text, encoding="utf-8")
+
+
+def _histogram(chunks, bins: int, lo: float, hi: float):
+    """np.histogram(series, bins) of a series given in chunks, whose min is
+    ``lo`` and max ``hi``: (counts, edges).
+
+    np.histogram reads a series only through its min and max, which fix the
+    edges (each moved 0.5 out when they are equal), and through each
+    value's bin.  So the chunks' counts over range=(lo, hi) add up to the
+    series' counts, and the edges are the series' edges, bit for bit.
+    """
+    counts, edges = np.histogram((), bins, range=(lo, hi))
+    for chunk in chunks:
+        counts += np.histogram(chunk, bins, range=(lo, hi))[0]
+    return counts, edges
+
+
+def _spilled(spill: Path):
+    """The floats of a spill file, BATCH_SIZE at a time, in one buffer."""
+    buf = np.empty(BATCH_SIZE)
+    with spill.open("rb") as fh:
+        while n := fh.readinto(buf) // buf.itemsize:
+            yield buf[:n]
+
+
+def _write_histogram(path: Path, spill: Path, bins: int, lo: float, hi: float):
+    """Bin the series in the file ``spill``, whose min is ``lo`` and max
+    ``hi``, chunk by chunk into ``bins`` equal bins, and write them."""
+    counts, edges = _histogram(_spilled(spill), bins, lo, hi)
     edges = [float(e) for e in edges]
-    with path.open("w", encoding="utf-8") as fh:
+    with _naming(path), path.open("w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count\n")
         for i, c in enumerate(counts):
             fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
@@ -320,7 +365,7 @@ def _export_strategy_tables(out_dir, label, pricing, model, written: list):
         theta = pricing.strategy(t, model)(grid)
         path = out_dir / f"strategy_{label}_t{t}.csv"
         written.append(path)
-        with path.open("w", encoding="utf-8") as fh:
+        with _naming(path), path.open("w", encoding="utf-8") as fh:
             fh.write("s,theta\n")
             for s_val, th in zip(grid, theta):
                 fh.write(f"{float(s_val)!r},{float(th)!r}\n")
@@ -331,50 +376,71 @@ def _simulate_strike(
     written: list,
 ) -> SimStats:
     """Stats of ``simulate(sink=...)`` for one strike, writing its dump and
-    histograms; each file is added to ``written`` once it exists.
+    histograms; each file is added to ``written`` before it is opened.
 
-    The sink appends each batch to the path dump while the simulation runs
-    and copies the histogram series (S_0..S_min(T,2) and eps_R) into arrays
-    of n_paths floats allocated up front, so memory holds one batch plus
-    those series.  The dump is written under a temporary name and renamed
-    when the strike succeeds: a failed run leaves no partial dump.  The
-    histograms are written from the full series afterwards.  A run that
-    neither dumps nor bins passes no sink, so a European engine holds only
-    the workspace rows its statistics read.
+    The sink appends each batch to the path dump while the simulation runs,
+    and each histogram series (S_0..S_min(T,2) and eps_R) to a spill file of
+    its own, 8 bytes per path, keeping the series' running min and max.  So
+    memory holds one batch, whatever n_paths.  The dump is written under a
+    temporary name and renamed when the strike succeeds: a failed run leaves
+    no partial dump.  Once the strike is done, each spill is binned chunk by
+    chunk into its histogram and deleted.  The histogram series are rows the
+    statistics read, so a run that bins but does not dump keeps the compact
+    workspace; a run that neither dumps nor bins passes no sink.
     """
     names = [f"S_{t}" for t in range(min(horizon, 2) + 1)] + ["eps_R"]
-    series = {name: np.empty(cfg.n_paths) for name in names} if cfg.histograms else {}
+    hists = [out_dir / f"hist_{label}_{name}.csv" for name in names] if cfg.histograms else []
+    spills = [hist.with_suffix(".f64.part") for hist in hists]
+    lo, hi = [math.inf] * len(hists), [-math.inf] * len(hists)
     dump = out_dir / f"paths_{label}.csv"
     part = dump.with_name(dump.name + ".part")
-    fh = contextlib.nullcontext()
-    if cfg.dump_paths:
-        fh = part.open("w", encoding="utf-8")
     done = 0
 
-    def sink(cols):
-        nonlocal done
-        if cfg.dump_paths:
-            write_path_dump(fh, cols, horizon, done)
-        rows = slice(done, done + cols["eps"].size)
-        picks = cols["s"][: len(names) - 1] + [cols["eps"]]
-        for data, col in zip(series.values(), picks):
-            data[rows] = col
-        done = rows.stop
+    with contextlib.ExitStack() as files:
 
-    try:
-        with fh:
-            stats, _ = simulate(sink=sink if cfg.dump_paths or cfg.histograms else None)
-    except BaseException:
-        if cfg.dump_paths:
-            part.unlink(missing_ok=True)
-        raise
+        def create(path: Path):
+            written.append(path)
+            files.enter_context(_naming(path))
+            return files.enter_context(path.open("wb"))
+
+        fh = create(part) if cfg.dump_paths else None
+        outs = [create(spill) for spill in spills]
+
+        def sink(cols):
+            nonlocal done
+            if fh is not None:
+                with _naming(part):
+                    write_path_dump(fh, cols, horizon, done)
+            picks = cols["s"][: len(names) - 1] + [cols["eps"]]
+            for j, (out, col) in enumerate(zip(outs, picks)):
+                with _naming(spills[j]):
+                    out.write(col)
+                # np.minimum keeps a NaN, whose range np.histogram refuses
+                lo[j] = float(np.minimum(lo[j], col.min()))
+                hi[j] = float(np.maximum(hi[j], col.max()))
+            done += cols["eps"].size
+
+        stats, _ = simulate(sink=sink if fh is not None or outs else None)
     if cfg.dump_paths:
         part.replace(dump)
         written.append(dump)
-    for name, data in series.items():
-        written.append(out_dir / f"hist_{label}_{name}.csv")
-        _write_histogram(written[-1], data, cfg.hist_bins)
+    for j, (hist, spill) in enumerate(zip(hists, spills)):
+        written.append(hist)
+        _write_histogram(hist, spill, cfg.hist_bins, lo[j], hi[j])
+        spill.unlink()
     return stats
+
+
+def _require_spill_space(cfg: ExperimentConfig, horizon: int, where: Path):
+    """Refuse histograms whose series spill, 8 bytes per path each, cannot
+    fit in the free space of the file system holding ``where``."""
+    need = 8 * (min(horizon, 2) + 2) * cfg.n_paths
+    free = shutil.disk_usage(where).free
+    if need > free:
+        raise ValueError(
+            f"histograms of n_paths = {cfg.n_paths} spill {need} bytes per "
+            f"strike to disk, and {where} has {free} bytes free"
+        )
 
 
 def _column_label(strike: float) -> str:
@@ -406,8 +472,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     # a run that stops after it started, refused or interrupted, removes
     # them all.
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = [out_dir / "effective_config.txt"]
+    written: list[Path] = []
 
     if cfg.payoff == "custom-pwl":
         columns = [math.nan]
@@ -418,7 +483,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     stats_list: list[SimStats] = []
     try:
-        written[0].write_text(render_config(cfg), encoding="utf-8")
+        if cfg.histograms:  # one strike's series spill at a time
+            _require_spill_space(cfg, model.horizon, made[-1].parent if made else out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_text(out_dir / "effective_config.txt", render_config(cfg), written)
         for strike, child in zip(columns, children):
             label = _column_label(strike)
             if cfg.payoff == "asian-call":
@@ -428,7 +496,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             else:
                 make = {"call": call_payoff, "put": put_payoff}.get(cfg.payoff)
                 payoff = make(strike) if make else cfg.custom_payoff()
-                engine, claim = simulate_one, backward_induce(payoff, model)
+                # the histogram series are rows the statistics read
+                engine = partial(simulate_one, whole_paths=cfg.dump_paths)
+                claim = backward_induce(payoff, model)
                 premium = initial_premium(claim, model)
                 print(f"{label}: initial premium P0 = {premium:.6g}")
                 if cfg.export_strategy:
@@ -443,20 +513,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             text = format_stats_text(stats_list)
             tables = {"stats.txt": text, "stats.csv": format_stats_csv(stats_list)}
             for name, body in tables.items():
-                written.append(out_dir / name)
-                written[-1].write_text(body, encoding="utf-8")
+                _write_text(out_dir / name, body, written)
     except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
         for d in made:
-            d.rmdir()
-        if not isinstance(exc, (ValueError, MemoryError)):
+            if d.is_dir():  # a failed mkdir may have made only some
+                d.rmdir()
+        if not isinstance(exc, (ValueError, MemoryError, OSError)):
             raise  # an interrupt, or a warning promoted to an error
-        oom = isinstance(exc, MemoryError)
-        print(
-            f"error: out of memory with n_paths = {cfg.n_paths}" if oom else f"error: {exc}",
-            file=sys.stderr,
-        )
+        if isinstance(exc, MemoryError):  # the inputs that size memory
+            exc = MemoryError(
+                f"out of memory with n_paths = {cfg.n_paths}, "
+                f"horizon = {cfg.horizon}, hist_bins = {cfg.hist_bins}"
+            )
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     if cfg.write_stats:

@@ -28,11 +28,11 @@ ahead and back between rows), then runs its elementwise chain (execution,
 value, holding, V, eps) on them, so the draws and the chain's temporaries
 stay cache-sized.  Every operation is elementwise, so tiling leaves every
 float unchanged; the statistics reduce over whole batch columns.  A run
-whose batches go to a sink or are collected keeps every step's row, 5T+1
-batch rows with eps.  A stats-only European run keeps batch-wide only the
-rows the statistics read, and two rows per series for the later steps, at
-most 14 (8 at T=2); bid_t, ask_t and V_T, read only in their own step and
-tile, overwrite the tile's draws.
+whose batches are collected or go to a sink that reads whole paths keeps
+every step's row, 5T+1 batch rows with eps.  Any other European run keeps
+batch-wide only the rows the statistics read, and two rows per series for
+the later steps, at most 14 (8 at T=2); bid_t, ask_t and V_T, read only in
+their own step and tile, overwrite the tile's draws.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .pwl import PwlFunction, _check_array, _scaled_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
 TILE = 1 << 15  # lanes each step draws and runs its elementwise chain on at a time
-DUMP_ROWS = 2048  # path-dump rows formatted and written at a time
+DUMP_ROWS = 1024  # path-dump rows formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
 
@@ -701,6 +701,7 @@ def simulate_one(
     straddle_to_ask: bool = True,
     collect: bool = False,
     sink: Optional[Callable[[dict], None]] = None,
+    whole_paths: bool = True,
 ):
     """Simulate one strike; returns (SimStats, raw columns or None).
 
@@ -709,10 +710,12 @@ def simulate_one(
     of one ``spawn(k)``, in order); the batch layout depends only on
     n_paths, so a given seed gives bit-identical results.  Every batch runs
     in one workspace of batch rows of min(BATCH_SIZE, n_paths) lanes and 3
-    draw rows of min(TILE, BATCH_SIZE, n_paths).  A stats-only run (no
-    ``collect``, no ``sink``) lays it out compactly: at most 14 batch rows
-    (8 at T=2), whatever the horizon.  A run that collects or has a sink
-    keeps every step's row: 5T+1 batch rows.
+    draw rows of min(TILE, BATCH_SIZE, n_paths).  A run that collects, or
+    whose sink reads whole paths, keeps every step's row: 5T+1 batch rows.
+    Any other run lays it out compactly: at most 14 batch rows (8 at T=2),
+    whatever the horizon.  A sink that reads only S_0..S_2, V_0, V_1,
+    theta_0, theta_1 and eps passes ``whole_paths=False``; its columns then
+    hold None for the entries a later step or tile overwrote.
     ``collect=True`` additionally returns the per-path columns of the whole
     run, copied batch by batch: 5T+1 floats per path.  ``sink``, if given,
     is called with each batch's columns in path order once they are
@@ -728,7 +731,7 @@ def simulate_one(
 
     def batches():
         crossings = _build_crossings(model, pricing)
-        compact = sink is None and not collect  # no consumer reads whole paths
+        compact = not collect and (sink is None or not whole_paths)
         ws = _workspace(model.horizon, min(batch_size, n_paths), compact=compact)
         for done in range(0, n_paths, batch_size):
             nb = min(batch_size, n_paths - done)
@@ -991,14 +994,16 @@ def path_dump_header(horizon: int) -> str:
 
 
 def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
-    """Write one comma-separated record per path, header row first.
+    """Write one comma-separated record per path, header row first, as
+    ASCII bytes to the binary file ``fh``.
 
     ``path_id`` is an integer and every other column is ``"%.17g" % v``,
     which round-trips every float64.  Rows are read straight from the
     ``raw`` columns in chunks of DUMP_ROWS, with no copy of the whole
-    table, and each chunk is written as one string.  ``raw`` may be one
-    batch of a longer run: its paths get ids from ``first_id`` on, and the
-    header is written only for the batch that starts at 0.
+    table, and each chunk's bytes are written as they are formatted.
+    ``raw`` may be one batch of a longer run: its paths get ids from
+    ``first_id`` on, and the header is written only for the batch that
+    starts at 0.
     """
     # Imported here so that runs which never dump skip building its tables.
     from .floatfmt import CELL, g17_cells
@@ -1008,7 +1013,7 @@ def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
     ]
     n, width = raw["eps"].size, 1 + len(cols)
     if first_id == 0:
-        fh.write(path_dump_header(horizon) + "\n")
+        fh.write((path_dump_header(horizon) + "\n").encode("ascii"))
     block = np.empty((min(n, DUMP_ROWS), width))
     for lo in range(0, n, DUMP_ROWS):
         rows = block[: min(DUMP_ROWS, n - lo)]
@@ -1020,4 +1025,4 @@ def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
         cells = g17_cells(rows).reshape(len(rows), width, CELL)
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
-        fh.write(cells[cells != 0].tobytes().decode("ascii"))
+        fh.write(cells[cells != 0])

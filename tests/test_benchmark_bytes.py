@@ -46,3 +46,22 @@ def test_outputs_path_dump_pinned(tmp_path):
     stats = hashlib.sha256((tmp_path / "stats.csv").read_bytes()).hexdigest()
     reference = json.loads((PERFBENCH / "reference_digests.json").read_text())
     assert stats == reference["outputs"][str(SEED)]
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "59034d0b29438be228fd28b93d4a27ff50fbf9eeeacab57d4df22df0bba4bb95"),
+        (23, "eb4251ea2be8614788033e024c7fd881e484d787184d39bba4ce0ef231a20c3b"),
+    ],
+)
+def test_outputs_histograms_pinned(tmp_path, seed, digest):
+    """The outputs workload's histogram files keep the bytes np.histogram
+    wrote from the whole in-memory series, before the series were spilled to
+    disk and binned chunk by chunk: sha256 over each file's name and bytes."""
+    cfg = parse_config(_workloads().config_text("outputs", seed))
+    assert run_experiment(cfg, tmp_path) == 0
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.glob("hist_*")):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == digest

@@ -1,15 +1,22 @@
 """Config parsing, experiment orchestration, artifact schemas, exit codes."""
 
+import errno
 import hashlib
 import io
 import math
+import os
+import shutil
 import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superhedge import cli, simulation
 from superhedge.cli import (
@@ -19,7 +26,7 @@ from superhedge.cli import (
     EXIT_OK,
     ConfigError,
     ExperimentConfig,
-    _write_histogram,
+    _histogram,
     format_stats_csv,
     main,
     parse_config,
@@ -457,21 +464,104 @@ class TestMain:
             parse_config(text)
 
     def test_out_of_memory_names_n_paths(self, tmp_path, capsys, monkeypatch):
-        # the histogram series of 10^11 floats cannot be allocated: the
-        # allocator is patched to fail as the system's would, at once
-        n_paths, real = 100_000_000_000, np.empty
+        # the edges of 10^12 bins cannot be allocated: np.histogram's
+        # np.linspace is patched to fail as the system's allocator would, at
+        # once; the line names every input that sizes memory
+        bins, real = 10**12, np.linspace
 
-        def empty(shape, *args, **kwargs):
-            if shape == n_paths:
-                raise MemoryError(f"cannot allocate {8 * n_paths} bytes")
-            return real(shape, *args, **kwargs)
+        def linspace(start, stop, num=50, *args, **kwargs):
+            if num > bins:
+                raise MemoryError(f"cannot allocate {8 * num} bytes")
+            return real(start, stop, num, *args, **kwargs)
 
-        monkeypatch.setattr(np, "empty", empty)
-        argv = ["--paths", str(n_paths), "--histograms", "--out", str(tmp_path)]
+        monkeypatch.setattr(np, "linspace", linspace)
+        config, out = tmp_path / "cfg.txt", tmp_path / "out"
+        config.write_text(f"hist_bins = {bins}\n")
+        out.mkdir()
+        argv = ["--config", str(config), "--paths", "100", "--histograms", "--out", str(out)]
         assert main(argv) == EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: out of memory with n_paths = {n_paths}"]
-        assert list(tmp_path.iterdir()) == []  # nothing written, not even the config
+        assert err == [
+            f"error: out of memory with n_paths = 100, horizon = 2, hist_bins = {bins}"
+        ]
+        assert list(out.iterdir()) == []  # nothing left, not even the config
+
+    @pytest.mark.parametrize("paths, spare", [(100_000_000_000, -1), (50, 0)])
+    def test_spill_must_fit_on_disk(self, tmp_path, capsys, monkeypatch, paths, spare):
+        """--histograms spills 8 bytes per path for each of S_0..S_2 and
+        eps_R, one strike at a time: a run whose spill does not fit in the
+        free space of the nearest existing directory is refused before any
+        file is written; one that just fits runs."""
+        need, asked = 8 * 4 * paths, []
+
+        def disk_usage(path):
+            asked.append(path)
+            return SimpleNamespace(free=need + spare)
+
+        monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+        out = tmp_path / "new" / "out"
+        argv = ["--paths", str(paths), "--strikes", "90, 110", "--histograms", "--out", str(out)]
+        code = main(argv)
+        assert asked == [tmp_path]
+        if spare < 0:
+            assert code == EXIT_ERROR
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: histograms of n_paths = {paths} spill {need} bytes per "
+                f"strike to disk, and {tmp_path} has {need - 1} bytes free"
+            ]
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert code == EXIT_OK
+            assert len(list(out.glob("hist_*.csv"))) == 8 and not list(out.glob("*.part"))
+
+    def test_out_naming_a_file_refused(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["--paths", "10", "--strikes", "100", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'"
+        ]
+        assert out.read_text() == "kept" and list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize(
+        "full", ["paths_K100.csv.part", "hist_K100_S_1.f64.part"], ids=["dump", "spill"]
+    )
+    def test_full_disk_mid_write_refused(self, tmp_path, capsys, monkeypatch, full):
+        """A write to a full disk in the second batch, to the dump or to a
+        spill, gives one error line naming the file, and removes every file
+        and directory the run made."""
+        real = Path.open
+
+        class FullDisk:
+            """The file, whose second write fails as a full disk's does."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def open_(path, *args, **kwargs):
+            fh = real(path, *args, **kwargs)
+            return FullDisk(fh) if path.name == full else fh
+
+        monkeypatch.setattr(Path, "open", open_)
+        out = tmp_path / "out"
+        cfg = _streamed_cfg("call")
+        assert run_experiment(cfg, out) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out / full}'"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_content(self, tmp_path):
         f = tmp_path / "cfg.txt"
@@ -514,19 +604,24 @@ class TestStreamedOutputs:
         _, raw = simulate(100.0, cfg.n_paths, child, collect=True)
         oracle = tmp_path / "oracle"
         oracle.mkdir()
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_path_dump(buf, raw, model.horizon)
-        (oracle / "paths_K100.csv").write_bytes(buf.getvalue().encode("ascii"))
+        (oracle / "paths_K100.csv").write_bytes(buf.getvalue())
         series = {f"S_{t}": raw["s"][t] for t in range(3)}
         series["eps_R"] = raw["eps"]
         for name, data in series.items():
-            _write_histogram(oracle / f"hist_K100_{name}.csv", data, cfg.hist_bins)
+            counts, edges = np.histogram(data, cfg.hist_bins)
+            rows = [f"{float(a)!r},{float(b)!r},{c}" for a, b, c in zip(edges, edges[1:], counts)]
+            text = "\n".join(["bin_lo,bin_hi,count", *rows]) + "\n"
+            (oracle / f"hist_K100_{name}.csv").write_text(text)
         for path in sorted(oracle.iterdir()):
             assert (tmp_path / "run" / path.name).read_bytes() == path.read_bytes()
 
     def test_stats_only_run_holds_compact_rows(self, tmp_path, monkeypatch):
-        """Without a dump or histograms the engine gets no sink and lays out
-        its workspace compactly; the stats bytes are those of a binned run."""
+        """Without a dump the engine lays out its workspace compactly: a
+        stats-only run passes no sink, and a binned run a sink that reads
+        only rows the statistics read.  The stats bytes are those of a
+        dumped run, which keeps every step's row."""
         layouts, real = [], simulation._workspace
 
         def spy(*args, compact=False, **kwargs):
@@ -539,19 +634,38 @@ class TestStreamedOutputs:
         assert run_experiment(cfg, tmp_path / "stats") == EXIT_OK
         binned = replace(cfg, histograms=True)
         assert run_experiment(binned, tmp_path / "binned") == EXIT_OK
-        assert layouts == [True, True, False, False]
-        stats = [(tmp_path / d / "stats.csv").read_bytes() for d in ("stats", "binned")]
-        assert stats[0] == stats[1]
+        dumped = replace(cfg, dump_paths=True)
+        assert run_experiment(dumped, tmp_path / "dumped") == EXIT_OK
+        assert layouts == [True, True, True, True, False, False]
+        runs = ("stats", "binned", "dumped")
+        stats = [(tmp_path / d / "stats.csv").read_bytes() for d in runs]
+        assert stats[0] == stats[1] == stats[2]
 
-    def test_memory_is_one_batch_plus_histogram_series(self, tmp_path):
+    @pytest.mark.parametrize("horizon, rows", [(2, 8), (40, 14)])
+    def test_binned_run_holds_compact_rows(self, tmp_path, monkeypatch, horizon, rows):
+        """A run that bins but does not dump holds at most 14 batch rows
+        (8 at T=2) and 3 tile rows, whatever the horizon, not 5T+1."""
+        made, real = [], simulation._workspace
+
+        def spy(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(simulation, "_workspace", spy)
+        text = f"horizon = {horizon}\nn_paths = 300\nstrikes = 100\nhistograms = true\n"
+        assert run_experiment(parse_config(text), tmp_path) == EXIT_OK
+        (ws,) = made
+        assert ws["eps"].base.shape == (rows, 300) and ws["draw"].shape == (3, 300)
+
+    def test_memory_is_one_batch_whatever_n_paths(self, tmp_path):
         """Keeping every batch and joining them before writing peaked at 95 MB
-        under tracemalloc on this run.  Streaming holds the four histogram
-        series of n_paths floats plus one batch's working set: the reused
+        under tracemalloc on this run, and holding the four histogram series
+        in memory 29.9 columns of BATCH_SIZE floats.  Streaming the dump
+        and spilling the series holds one batch's working set: the reused
         workspace of 5T+1 columns of BATCH_SIZE floats and 3 draw rows of
-        TILE floats, and the aggregation's temporaries, with no column of the
-        previous batch alive.  That measured 18.8 columns beyond the series
-        (21 while the draw rows spanned the batch); the bound is 26,
-        whatever n_paths."""
+        TILE floats, the aggregation's temporaries and the dump's chunk,
+        with no column of the previous batch alive.  That measured 14.9
+        columns, the same at 6 batches; the bound is 18, whatever n_paths."""
         cfg = _streamed_cfg("call", n_paths=3 * BATCH_SIZE + 3)
         tracemalloc.start()
         try:
@@ -559,8 +673,7 @@ class TestStreamedOutputs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        series_bytes = 4 * 8 * cfg.n_paths
-        assert peak < series_bytes + 26 * 8 * BATCH_SIZE
+        assert peak < 18 * 8 * BATCH_SIZE
 
     @pytest.mark.parametrize("claim", sorted(STREAMED_RUNS))
     def test_failure_in_second_batch_leaves_no_dump(
@@ -643,6 +756,80 @@ class TestStreamedOutputs:
         assert {"effective_config.txt", "paths_K90.csv", "hist_K90_eps_R.csv"} <= set(seen)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().err == ""  # propagated, not reported as refused
+
+
+def _hist_digest(out) -> str:
+    """sha256 over the names and bytes of a run's histogram files."""
+    h = hashlib.sha256()
+    for path in sorted(out.glob("hist_*")):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+# Values a series draws from: ties, and lanes equal to its max, are common.
+HIST_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.1, 1.0, 99.99999999999999, 100.0, 1e-300]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+class TestChunkedHistogram:
+    """A histogram series spilled to disk is binned chunk by chunk over its
+    min and max: the counts and edges of np.histogram of the whole series."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(HIST_VALUES, min_size=1, max_size=200),
+        cuts=st.lists(st.integers(0, 200), max_size=6),
+        bins=st.integers(1, 40),
+    )
+    @example(values=[3.5] * 7, cuts=[2, 2, 5], bins=4)  # constant: edges 3.0 .. 4.0
+    @example(values=[1.0, 2.0, 2.0, 0.5, 2.0], cuts=[1, 3], bins=3)  # max at chunk edges
+    def test_equals_whole_series(self, values, cuts, bins):
+        data = np.array(values)
+        # repeated cuts and cuts at 0 or len(data) make empty chunks
+        chunks = np.split(data, sorted(min(c, data.size) for c in cuts))
+
+        def outcome(histogram):
+            """(counts' dtype, counts, edges' bytes), or the refusal's text
+            when the range is too narrow for the bins."""
+            try:
+                counts, edges = histogram()
+            except ValueError as exc:
+                return str(exc)
+            return counts.dtype, counts.tolist(), edges.tobytes()
+
+        lo, hi = float(data.min()), float(data.max())
+        got = outcome(partial(_histogram, chunks, bins, lo, hi))
+        assert got == outcome(partial(np.histogram, data, bins))
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (
+                "horizon = 1\nn_paths = 5000\nstrikes = 90, 110\nseed = 3\n",
+                "bc2bf7897c86cbffa94b5b5a57341ad7fa8486c88cb7d0f8a7c1cac1dd1e2145",
+            ),
+            (
+                "payoff = asian-call\nhorizon = 3\nstrikes = 100\nn_paths = 2000\nseed = 5\n",
+                "41e71f25cf33dea463fa16c9e4c3579d25049b0611e97b1992c31d135ea8e67b",
+            ),
+            (  # a batch boundary, in the compact workspace
+                "strikes = 100\nn_paths = 131075\nseed = 42\n",
+                "e9beca0ffdc5e899d928b898271c11b909c98c4428711c1d211187057a0e3c33",
+            ),
+            (  # every series constant: np.histogram's +-0.5 edges
+                "k_down = 1\nk_up = 1\nstrikes = 100\nn_paths = 300\nseed = 8\n",
+                "8586c6113986163fbe186fa04d367964e4120f4b9373cb2d51a26505ba2ead1c",
+            ),
+        ],
+        ids=["horizon-one", "asian-call", "batches", "constant"],
+    )
+    def test_files_pinned(self, tmp_path, text, digest):
+        """The bytes np.histogram wrote from whole in-memory series."""
+        assert run_experiment(parse_config(text + "histograms = true\n"), tmp_path) == EXIT_OK
+        assert _hist_digest(tmp_path) == digest
+        assert not list(tmp_path.glob("*.part"))
 
 
 class TestFormatting:

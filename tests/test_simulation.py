@@ -633,7 +633,7 @@ TILE_STEPS = (
 def _tiled_run(simulate, model, n, seed, tile, sizes):
     """(stats rows, streamed path dump) of one run with TILE = ``tile`` and
     the batch sizes ``sizes`` patched in."""
-    buf, done = io.StringIO(), 0
+    buf, done = io.BytesIO(), 0
 
     def sink(cols):
         nonlocal done
@@ -1128,9 +1128,9 @@ class TestPathDump:
         _, raw = simulate_one(
             REF_MODEL, _pricing(), 100.0, 50, np.random.SeedSequence(47), collect=True
         )
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_path_dump(buf, raw, 2)
-        lines = buf.getvalue().strip().splitlines()
+        lines = buf.getvalue().decode("ascii").strip().splitlines()
         assert len(lines) == 51
         table = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
         assert table.shape == (50, 12)
@@ -1158,8 +1158,9 @@ class TestPathDump:
             np.random.SeedSequence(59),
             collect=True,
         )
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_path_dump(buf, raw, horizon)
+        dump = buf.getvalue().decode("ascii")
         oracle = io.StringIO()
         oracle.write(path_dump_header(horizon) + "\n")
         cols = _dump_oracle_columns(raw, horizon)
@@ -1169,6 +1170,6 @@ class TestPathDump:
             fmt=["%d"] + ["%.17g"] * len(cols),
             delimiter=",",
         )
-        assert buf.getvalue() == oracle.getvalue()
+        assert dump == oracle.getvalue()
         if claim == "put":  # negative holdings print their sign
-            assert np.any(raw["theta"][0] < 0) and ",-" in buf.getvalue()
+            assert np.any(raw["theta"][0] < 0) and ",-" in dump
