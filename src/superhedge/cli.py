@@ -383,8 +383,9 @@ def _simulate_strike(
     its own, 8 bytes per path, keeping the series' running min and max.  So
     memory holds one batch, whatever n_paths.  The dump is written under a
     temporary name and renamed when the strike succeeds: a failed run leaves
-    no partial dump.  Once the strike is done, each spill is binned chunk by
-    chunk into its histogram and deleted.  The histogram series are rows the
+    no partial dump.  Once the strike is done, a series whose range cannot
+    hold ``hist_bins`` finite-sized bins is refused before any is binned;
+    then each spill is binned chunk by chunk into its histogram and deleted.  The histogram series are rows the
     statistics read, so a run that bins but does not dump keeps the compact
     workspace; a run that neither dumps nor bins passes no sink.
     """
@@ -421,6 +422,14 @@ def _simulate_strike(
             done += cols["eps"].size
 
         stats, _ = simulate(sink=sink if fh is not None or outs else None)
+    for j, hist in enumerate(hists):
+        try:
+            np.histogram_bin_edges((), cfg.hist_bins, range=(lo[j], hi[j]))
+        except ValueError:
+            raise ValueError(
+                f"{hist.name}: the range [{lo[j]!r}, {hi[j]!r}] cannot hold "
+                f"hist_bins = {cfg.hist_bins} finite-sized bins"
+            ) from None
     if cfg.dump_paths:
         part.replace(dump)
         written.append(dump)

@@ -33,8 +33,8 @@ from .pwl import (
     PwlFunction,
     _check_array,
     _check_scalar,
+    convex_combine,
     piece_index,
-    scaled_combine,
     upper_concave_envelope,
 )
 
@@ -337,7 +337,7 @@ def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
         if kd == ku:  # AIP forces kd == ku == 1: g_{t-1}(x) = g_t(x)
             fns[t - 1] = g_t
         else:
-            fns[t - 1] = scaled_combine(g_t, kd, g_t, ku, lam)
+            fns[t - 1] = convex_combine(g_t, g_t, lam, kd, ku)
     lambdas = tuple(_chord_weight(s) for s in model.steps)
     return PricingResult(value_fns=tuple(fns), lambdas=lambdas)
 

@@ -10,7 +10,7 @@ path come out as exactly zero instead of +/- 1e-14 noise.
 
 Each of the three lists is stored as Python int numerators over one
 positive denominator, reduced by the gcd of all of them, so the algebra
-(`scaled_combine`) and the convexity check run on integers with one gcd per
+(`convex_combine`) and the convexity check run on integers with one gcd per
 list instead of one per operation.
 `fractions.Fraction` views are built from the lists only when a slow path
 reads them, and are not kept.
@@ -431,19 +431,11 @@ def _drop_collinear(xs, slopes, icepts):
     )
 
 
-def convex_combine(f: PwlFunction, g: PwlFunction, lam: Scalar) -> PwlFunction:
-    """lam*f + (1-lam)*g on the merged breakpoint set, lam in [0, 1].
-
-    No engine calls it: it is kept for the ``pwl.algebra`` hook of
-    ``perfbench/tracer.py`` until ROADMAP item 11 replaces those hooks.
-    """
-    return scaled_combine(f, 1, g, 1, lam)
-
-
-def scaled_combine(
-    f: PwlFunction, kf: Scalar, g: PwlFunction, kg: Scalar, lam: Scalar
+def convex_combine(
+    f: PwlFunction, g: PwlFunction, lam: Scalar, kf: Scalar = 1, kg: Scalar = 1
 ) -> PwlFunction:
-    """x -> lam*f(kf*x) + (1-lam)*g(kg*x) for kf, kg > 0 and lam in [0, 1].
+    """x -> lam*f(kf*x) + (1-lam)*g(kg*x) for kf, kg > 0 and lam in [0, 1],
+    on the merged breakpoint set: the chord recursion's step.
 
     With lam = ln/ld this is the integer-weighted combination of
     `_scaled_pieces` with weights ln and ld - ln, over ld.

@@ -21,18 +21,14 @@ own seed spawned from the root, so batches could be drawn and aggregated in
 any order (Chan et al. moment merging).  Path-dependent claims run in
 chunks that share one generator, so their chunks must be drawn in order.
 
-Each run holds one workspace of batch columns, sized for its largest batch
-and reused by every batch.  A step runs TILE lanes at a time: it draws the
-tile's (m, M, k) from where they lie in the step's stream (PCG64 jumps
-ahead and back between rows), then runs its elementwise chain (execution,
-value, holding, V, eps) on them, so the draws and the chain's temporaries
-stay cache-sized.  Every operation is elementwise, so tiling leaves every
-float unchanged; the statistics reduce over whole batch columns.  A run
-whose batches are collected or go to a sink that reads whole paths keeps
-every step's row, 5T+1 batch rows with eps.  Any other European run keeps
-batch-wide only the rows the statistics read, and two rows per series for
-the later steps, at most 14 (8 at T=2); bid_t, ask_t and V_T, read only in
-their own step and tile, overwrite the tile's draws.
+Each run holds one workspace of batch columns (`_workspace`), sized for
+its largest batch and reused by every batch.  A step runs TILE lanes at a
+time: it draws the tile's (m, M, k) from where they lie in the step's
+stream (PCG64 jumps ahead and back between rows), then runs its elementwise
+chain (execution, value, holding, V, eps) on them, so the draws and the
+chain's temporaries stay cache-sized.  Every operation is elementwise, so
+tiling leaves every float unchanged; the statistics reduce over whole batch
+columns.
 """
 
 from __future__ import annotations
@@ -356,6 +352,8 @@ def _workspace(
     T, bid and ask T-1), 5T+1 with eps.  The compact one puts bid_t, ask_t
     and V_T in the draw rows (_OVER_DRAW) and the other entries in rows by
     _COMPACT: at most 14 batch rows whatever the horizon, and 8 at T = 2.
+    A European run takes the full layout only for a sink that reads whole
+    paths; the path-dependent engine always takes it.
     """
     T = horizon
     draw = np.empty(draw_shape or (3, min(TILE, size)))
@@ -451,13 +449,11 @@ def _simulate_batch(
     n: int,
     rng: np.random.Generator,
     crossings: dict,
-    straddle_to_ask: bool = True,
-    ws: Optional[dict] = None,
+    straddle_to_ask: bool,
+    ws: dict,
 ):
     """Vectorised protocol over n paths of a PWL claim; returns the batch
-    columns, views into ``ws`` (a workspace of its own when None)."""
-    if ws is None:
-        ws = _workspace(model.horizon, n)
+    columns, views into the workspace ``ws``."""
     claim = (
         lambda prefix, t: pricing.value_fns[0](prefix[-1]),
         lambda prefix, t: pricing.strategy(t, model)(prefix[-1]),
@@ -642,54 +638,25 @@ class _Aggregator:
         )
 
 
-def _fold(
-    model: MarketModel, label: float, n_paths: int, batches, collect: bool, sink
-):
+def _fold(model: MarketModel, label: float, n_paths: int, batches, sink):
     """Check the run, then fold each batch of path columns into SimStats.
 
     ``batches`` is a generator, so none of its set-up runs before the checks.
     Each batch goes, in path order, to ``sink`` once aggregated.  Its columns
     are views into the run's workspace, valid only during the call: the next
-    batch overwrites them.  ``collect`` is the sink that copies every batch
-    into whole-run columns.  Returns (SimStats, those columns when
-    ``collect`` is set, else None).
+    batch overwrites them.  Returns (SimStats, None): the pair is kept for
+    the ``simulation.collect`` hook of ``perfbench/tracer.py`` until ROADMAP
+    item 11 replaces those hooks.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     require_aip(model)
     agg = _Aggregator(model.s_init)
-    sinks = [agg.add]
-    raw: dict = {}
-    if collect:
-        sinks.append(_collector(raw, n_paths))
-    if sink is not None:
-        sinks.append(sink)
     for cols in batches:
-        for add in sinks:
-            add(cols)
-    return agg.result(label), raw if collect else None
-
-
-def _collector(raw: dict, n_paths: int):
-    """A sink that copies each batch into whole-run columns in ``raw``,
-    allocated at the first batch; the mid-step bid/ask entries stay None."""
-    done = 0
-
-    def keep(cols: dict):
-        nonlocal done
-        if not raw:
-            for key in _PATH_KEYS:
-                raw[key] = [c if c is None else np.empty(n_paths) for c in cols[key]]
-            raw["eps"] = np.empty(n_paths)
-        rows = slice(done, done + cols["eps"].size)
-        for key in _PATH_KEYS:
-            for whole, col in zip(raw[key], cols[key]):
-                if col is not None:
-                    whole[rows] = col
-        raw["eps"][rows] = cols["eps"]
-        done = rows.stop
-
-    return keep
+        agg.add(cols)
+        if sink is not None:
+            sink(cols)
+    return agg.result(label), None
 
 
 def simulate_one(
@@ -699,39 +666,34 @@ def simulate_one(
     n_paths: int,
     seed_seq: np.random.SeedSequence,
     straddle_to_ask: bool = True,
-    collect: bool = False,
     sink: Optional[Callable[[dict], None]] = None,
     whole_paths: bool = True,
 ):
-    """Simulate one strike; returns (SimStats, raw columns or None).
+    """Simulate one strike; returns (SimStats, None).
 
     Paths are generated in batches of BATCH_SIZE (read when called), each
     seeded by a child spawned from ``seed_seq`` as it starts (the children
     of one ``spawn(k)``, in order); the batch layout depends only on
     n_paths, so a given seed gives bit-identical results.  Every batch runs
     in one workspace of batch rows of min(BATCH_SIZE, n_paths) lanes and 3
-    draw rows of min(TILE, BATCH_SIZE, n_paths).  A run that collects, or
-    whose sink reads whole paths, keeps every step's row: 5T+1 batch rows.
-    Any other run lays it out compactly: at most 14 batch rows (8 at T=2),
-    whatever the horizon.  A sink that reads only S_0..S_2, V_0, V_1,
-    theta_0, theta_1 and eps passes ``whole_paths=False``; its columns then
-    hold None for the entries a later step or tile overwrote.
-    ``collect=True`` additionally returns the per-path columns of the whole
-    run, copied batch by batch: 5T+1 floats per path.  ``sink``, if given,
-    is called with each batch's columns in path order once they are
+    draw rows of min(TILE, BATCH_SIZE, n_paths).  ``sink``, if given, is
+    called with each batch's columns in path order once they are
     aggregated; they are views into the workspace, valid only during the
     call, so a sink that keeps them copies them.  A caller that writes them
-    out holds one batch, whatever n_paths.  Collected, single-path and sink
-    columns share one format: in both engines the mid-step bid/ask entries
-    are None.  A pricing of another horizon than the model's is refused
-    before any draw.
+    out holds one batch, whatever n_paths.  A sink that reads only
+    S_0..S_2, V_0, V_1, theta_0, theta_1 and eps passes
+    ``whole_paths=False`` (see `_workspace`); its columns then hold None
+    for the entries a later step or tile overwrote.  Single-path
+    and sink columns share one format: in both engines the mid-step bid/ask
+    entries are None.  A pricing of another horizon than the model's is
+    refused before any draw.
     """
     _require_horizon(pricing, model)
     batch_size = BATCH_SIZE
 
     def batches():
         crossings = _build_crossings(model, pricing)
-        compact = not collect and (sink is None or not whole_paths)
+        compact = sink is None or not whole_paths
         ws = _workspace(model.horizon, min(batch_size, n_paths), compact=compact)
         for done in range(0, n_paths, batch_size):
             nb = min(batch_size, n_paths - done)
@@ -740,7 +702,7 @@ def simulate_one(
                 model, pricing, nb, rng, crossings, straddle_to_ask, ws
             )
 
-    return _fold(model, strike, n_paths, batches(), collect, sink)
+    return _fold(model, strike, n_paths, batches(), sink)
 
 
 # ---------------------------------------------------------------------- #
@@ -940,10 +902,9 @@ def simulate_functional(
     n_paths: int,
     seed_seq: np.random.SeedSequence,
     straddle_to_ask: bool = True,
-    collect: bool = False,
     sink: Optional[Callable[[dict], None]] = None,
 ):
-    """Path-dependent analogue of simulate_one; returns (SimStats, raw or None).
+    """Path-dependent analogue of simulate_one; returns (SimStats, None).
 
     ``payoff`` receives a tuple (s_0, ..., s_T) of equal-shape float arrays,
     one lane per path (tree walks append hypothetical prices), and returns
@@ -970,7 +931,7 @@ def simulate_functional(
             nb = min(FUNCTIONAL_CHUNK, n_paths - done)
             yield _functional_batch(model, payoff, nb, rng, straddle_to_ask, ws)
 
-    return _fold(model, strike_label, n_paths, batches(), collect, sink)
+    return _fold(model, strike_label, n_paths, batches(), sink)
 
 
 # ---------------------------------------------------------------------- #

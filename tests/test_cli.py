@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collected import collect
 from superhedge import cli, simulation
 from superhedge.cli import (
     EXIT_ERROR,
@@ -422,6 +423,64 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("s_prev = 0\n", "s_prev must be positive"),
+            ("horizon = 0\n", "horizon must be at least 1"),
+            ("strikes = 100, -5\n", "strikes must be positive"),
+            (
+                "payoff = custom-pwl\npayoff_breakpoints = 80, 100\npayoff_values = 0\n",
+                "payoff_breakpoints and payoff_values must have equal length",
+            ),
+            ("hist_bins = 0\n", "hist_bins must be at least 1"),
+            ("dump_paths = maybe\n", "line 1: bad value for 'dump_paths': not a boolean"),
+            # parsed, then refused when run_experiment builds the model
+            ("m_lo = -1\n", "need 0 < k_down <= k_up < inf, got (-1.0, 1.4)"),
+            ("spr_lo = 0.5\n", "need 0 <= spr_lo <= spr_hi"),
+            ("m_lo = 1.1\n", "need 0 < m_lo <= m_hi"),
+        ],
+        ids=[
+            "s_prev", "horizon", "strike", "payoff_lists", "hist_bins", "boolean",
+            "m_lo_negative", "spread_reversed", "m_range_reversed",
+        ],
+    )
+    def test_refused_config_writes_nothing(self, tmp_path, capsys, text, message):
+        f = tmp_path / "cfg.txt"
+        f.write_text(text + "n_paths = 10\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(f), "--out", str(out)]) == EXIT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            ("k_down = 1\nk_up = 1.000000000000001\nn_paths = 100\n", True),
+            ("k_down = 1\nk_up = 1\nn_paths = 100\n", False),  # constant: +-0.5 edges
+            ("n_paths = 1\n", False),  # one path: every series constant
+        ],
+        ids=["narrow", "constant", "one_path"],
+    )
+    def test_histogram_range_too_narrow_for_the_bins(self, tmp_path, capsys, text, refused):
+        # S_0 spans 1.1e-13: 100 bins of it are not finite-sized, and the
+        # refusal names the file, the range and hist_bins, not numpy's text
+        f = tmp_path / "cfg.txt"
+        f.write_text(text + "strikes = 100\nhistograms = true\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(f), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if not refused:
+            assert code == EXIT_OK and (out / "hist_K100_S_0.csv").exists()
+            return
+        assert code == EXIT_ERROR
+        assert err == [
+            "error: hist_K100_S_0.csv: the range [100.0, 100.00000000000011] "
+            "cannot hold hist_bins = 100 finite-sized bins"
+        ]
+        assert not out.exists()
+
     def test_overflowing_prices_refused_before_any_file(self, tmp_path, capsys):
         # s_prev * 1.4^3 is inf: this run used to write E(S0) = inf to stats.csv
         f = tmp_path / "cfg.txt"
@@ -601,7 +660,7 @@ class TestStreamedOutputs:
             simulate = partial(simulate_one, model, pricing)
         else:
             simulate = partial(simulate_functional, model, asian_call_payoff(100.0))
-        _, raw = simulate(100.0, cfg.n_paths, child, collect=True)
+        _, raw = collect(simulate, 100.0, cfg.n_paths, child)
         oracle = tmp_path / "oracle"
         oracle.mkdir()
         buf = io.BytesIO()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import full_bisection
 import superhedge
+from collected import collect
 from superhedge import cli, simulation
 from superhedge.pricing import MarketModel, StepSpec, asian_call_payoff
 
@@ -131,6 +132,7 @@ def test_engine_columns_match_full_bisection(
     model = MarketModel(s_init, 3, steps)
     monkeypatch.setattr(simulation, "FUNCTIONAL_CHUNK", 24)
     run = partial(
+        collect,
         simulation.simulate_functional,
         model,
         asian_call_payoff(s_init),
@@ -138,7 +140,6 @@ def test_engine_columns_match_full_bisection(
         60,
         np.random.SeedSequence(7),
         straddle_to_ask,
-        collect=True,
     )
     got = run()
     monkeypatch.setattr(simulation, "_functional_sstar", _oracle_map)

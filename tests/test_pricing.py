@@ -142,6 +142,20 @@ def test_non_finite_model_inputs_refused(build, bad):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StepSpec(0.7, 1.4, 0.7, 1.0, 0.5, 0.4), "need 0 <= spr_lo <= spr_hi"),
+        (lambda: MarketModel(100.0, 0, (StepSpec(0.7, 1.4),)), "horizon must be at least 1"),
+    ],
+    ids=["spread_range_reversed", "horizon_zero"],
+)
+def test_model_refusals_name_the_rule(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestCheckAip:
     def test_reference_model_passes(self):
         assert check_aip(uniform_bid_ask_model()) == (True, True, True)

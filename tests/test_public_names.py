@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import superhedge
-from superhedge import cli
+from superhedge import cli, pricing
+from superhedge.pwl import call_payoff
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +51,21 @@ def test_public_names_are_cli_or_paper_objects():
     assert all(hasattr(superhedge, name) for name in public)
     from_cli = {n for n in public if getattr(cli, n, None) is getattr(superhedge, n)}
     assert public - from_cli == set(PAPER_OBJECTS)
+
+
+def test_backward_induce_combines_once_per_step(monkeypatch):
+    # the recursion's algebra is the function the pwl.algebra hook wraps
+    calls, real = [], pricing.convex_combine
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "convex_combine", counting)
+    pricing.backward_induce(call_payoff(100), pricing.uniform_bid_ask_model(horizon=3))
+    assert len(calls) == 3
+
+
+def test_pwl_algebra_hook_wraps_convex_combine():
+    algebra = {spec for name, spec, _ in TRACER.HOOKS if name == "pwl.algebra"}
+    assert "superhedge.pwl:convex_combine" in algebra

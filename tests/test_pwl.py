@@ -387,6 +387,16 @@ class TestConvexCombine:
             want = lam * f(a * xs) + (1 - lam) * f(b * xs)
             assert h(xs) == pytest.approx(want, abs=1e-12)
 
+    def test_scaled_form_equals_scale_compose(self):
+        # the chord recursion's step, lam*f(kf x) + (1-lam)*g(kg x), exactly
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            f, g = random_pwl(rng), random_pwl(rng)
+            kf, kg = (Fraction(float(k)) for k in rng.uniform(0.3, 2.5, 2))
+            lam = Fraction(float(rng.uniform(0, 1)))
+            want = convex_combine(scale_compose(f, kf), scale_compose(g, kg), lam)
+            assert convex_combine(f, g, lam, kf, kg) == want
+
     def test_convexity_preserved(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -535,6 +545,23 @@ class TestDominates:
     def test_identity_dominates_call_payoff(self):
         f = call_payoff(100)
         assert dominates(1, 0, f, check_points(Interval(0, 200), f))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PwlFunction([], []), "need at least one breakpoint"),
+        (lambda: Interval(0.0, math.inf), "interval endpoints must be finite"),
+        (lambda: call_payoff(100).eval_exact(-1), "evaluation point must be nonnegative"),
+        (lambda: call_payoff(0), "strike must be positive"),
+        (lambda: put_payoff(-5), "strike must be positive"),
+    ],
+    ids=["no_breakpoints", "interval_inf", "eval_exact_negative", "call_strike", "put_strike"],
+)
+def test_refusals_name_the_rule(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 class TestIntervalType:

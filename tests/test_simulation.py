@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import full_bisection
+from collected import PATH_KEYS, Collector, collect
 
 from superhedge import simulation
 from superhedge.pricing import (
@@ -61,14 +62,9 @@ def _batch_gen(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
 
 
-PATH_KEYS = ("s", "bid", "ask", "theta", "v")
-
-
 def _collected(model, pricing, n, seed):
     """The path columns of one collected simulate_one run of n paths."""
-    return simulate_one(
-        model, pricing, 0.0, n, np.random.SeedSequence(seed), collect=True
-    )[1]
+    return collect(simulate_one, model, pricing, 0.0, n, np.random.SeedSequence(seed))[1]
 
 
 class TestDrawStep:
@@ -518,8 +514,8 @@ ASIAN = asian_call_payoff(100.0)
     [
         lambda m: backward_induce(call_payoff(100), m),
         lambda m: asian_tree_price(ASIAN, m, 100.0),
-        lambda m: simulate_one(
-            m, _pricing(), 100.0, 1, np.random.SeedSequence(0), collect=True
+        lambda m: collect(
+            simulate_one, m, _pricing(), 100.0, 1, np.random.SeedSequence(0)
         ),
         lambda m: simulate_one(m, _pricing(), 100.0, 10, np.random.SeedSequence(0)),
         lambda m: run_path_functional(m, ASIAN, _gen(0)),
@@ -569,19 +565,18 @@ def test_pricing_of_another_horizon_refused(model_horizon, pricing_horizon):
 def test_sink_gets_none_mid_step_quotes(engine):
     # one column format for both engines, in a sink and in collected output
     model = uniform_bid_ask_model(horizon=3)
-    seen = []
-    _, raw = engine(model)(100.0, 20, np.random.SeedSequence(3), collect=True, sink=seen.append)
-    (cols,) = seen
+    keep, seen = Collector(), []
+
+    def sink(cols):
+        keep(cols)
+        seen.append(cols)
+
+    engine(model)(100.0, 20, np.random.SeedSequence(3), sink=sink)
+    (cols,), raw = seen, keep.columns()
     for key in ("bid", "ask"):
         assert cols[key][0] is None and cols[key][3] is None
         assert raw[key][0] is None and raw[key][3] is None
         np.testing.assert_array_equal(raw[key][1:3], cols[key][1:3])
-
-
-def _copy_cols(cols):
-    out = {key: [None if c is None else c.copy() for c in cols[key]] for key in PATH_KEYS}
-    out["eps"] = cols["eps"].copy()
-    return out
 
 
 @pytest.mark.parametrize(
@@ -598,18 +593,20 @@ def _copy_cols(cols):
 )
 def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, n):
     # a sink's columns are views into the workspace the next batch reuses:
-    # collect=True must copy every batch, the short last one included
+    # the collector must copy every batch, in path order, the short last one
+    # included
     monkeypatch.setattr(simulation, batch, 1000 if batch == "BATCH_SIZE" else 16)
     monkeypatch.setattr(simulation, "TILE", 300)
     model = uniform_bid_ask_model(horizon=3)
-    copies, seen = [], []
+    keep, seen = Collector(), []
 
     def sink(cols):
-        copies.append(_copy_cols(cols))
+        keep(cols)
         seen.append(cols)
 
-    _, raw = engine(model)(100.0, n, np.random.SeedSequence(8), collect=True, sink=sink)
+    engine(model)(100.0, n, np.random.SeedSequence(8), sink=sink)
     size = getattr(simulation, batch)
+    copies, raw = keep.batches, keep.columns()
     assert [c["eps"].size for c in copies] == [size, size, n - 2 * size]
     assert seen[0]["s"][0].base is seen[1]["s"][0].base  # one reused workspace
     np.testing.assert_array_equal(raw["eps"], np.concatenate([c["eps"] for c in copies]))
@@ -620,6 +617,19 @@ def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, n):
                 assert whole is None
             else:
                 np.testing.assert_array_equal(whole, np.concatenate(parts))
+    # path order: batch i holds the paths that the i-th batch's stream draws
+    if batch == "BATCH_SIZE":
+        pricing = backward_induce(call_payoff(100), model)
+        crossings = _build_crossings(model, pricing)
+        for c, child in zip(copies, np.random.SeedSequence(8).spawn(len(copies))):
+            nb, rng = c["eps"].size, np.random.Generator(np.random.PCG64(child))
+            ws = simulation._workspace(3, nb)
+            want = _simulate_batch(model, pricing, nb, rng, crossings, True, ws)
+            assert want["eps"].tobytes() == c["eps"].tobytes()
+    else:  # one generator feeds the chunks in turn: one chunk draws them all
+        monkeypatch.setattr(simulation, batch, n)
+        whole_run = collect(engine(model), 100.0, n, np.random.SeedSequence(8))[1]
+        assert whole_run["eps"].tobytes() == raw["eps"].tobytes()
 
 
 # Steps mixed per horizon by the tiling tests: wide, narrow, degenerate.
@@ -718,7 +728,7 @@ def _workspace_floats(ws: dict) -> int:
 class TestCompactWorkspace:
     """A stats-only simulate_one runs in the compact row layout (at most 14
     batch rows; bid_t, ask_t and V_T overwrite the draw rows); with a sink
-    or collect it keeps every step's row (5T+1).  Both layouts give the same
+    that reads whole paths it keeps every step's row (5T+1).  Both layouts give the same
     floats on every entry they both hold."""
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
@@ -745,7 +755,7 @@ class TestCompactWorkspace:
 
         def batch(compact):
             ws = simulation._workspace(horizon, 23, compact=compact)
-            return _simulate_batch(model, pricing, 23, _batch_gen(3), crossings, ws=ws)
+            return _simulate_batch(model, pricing, 23, _batch_gen(3), crossings, True, ws)
 
         compact, full = batch(True), batch(False)
         assert compact["eps"].tobytes() == full["eps"].tobytes()
@@ -831,9 +841,9 @@ class TestSimulate:
         stats, _ = simulate_one(
             REF_MODEL, pricing, 100.0, 1, np.random.SeedSequence(7)
         )
-        cols = _simulate_batch(
-            REF_MODEL, pricing, 1, _batch_gen(7), _build_crossings(REF_MODEL, pricing)
-        )
+        crossings = _build_crossings(REF_MODEL, pricing)
+        ws = simulation._workspace(REF_MODEL.horizon, 1)
+        cols = _simulate_batch(REF_MODEL, pricing, 1, _batch_gen(7), crossings, True, ws)
         assert stats.mean_s0 == cols["s"][0][0]
         assert stats.mean_s1 == cols["s"][1][0]
         assert stats.mean_v0 == cols["v"][0][0]
@@ -873,13 +883,13 @@ class TestSimulate:
         assert stats.mean_s0 / REF_MODEL.s_init == pytest.approx(0.95, abs=2e-3)
 
     def test_pathwise_super_hedge_and_support(self):
-        stats, raw = simulate_one(
+        stats, raw = collect(
+            simulate_one,
             REF_MODEL,
             _pricing(),
             100.0,
             100_000,
             np.random.SeedSequence(23),
-            collect=True,
         )
         assert stats.min_eps >= -1e-9
         s = raw["s"]
@@ -891,13 +901,13 @@ class TestSimulate:
 
     def test_execution_rule_consistency(self):
         pricing = _pricing()
-        _, raw = simulate_one(
+        _, raw = collect(
+            simulate_one,
             REF_MODEL,
             pricing,
             100.0,
             50_000,
             np.random.SeedSequence(29),
-            collect=True,
         )
         bid, ask = raw["bid"][1], raw["ask"][1]
         executed = raw["s"][1]
@@ -933,13 +943,13 @@ class TestFunctionalEngine:
         assert fun["eps"][0] == pytest.approx(vec["eps"][0], abs=1e-12)
 
     def test_asian_paths_super_hedge(self):
-        stats, raw = simulate_functional(
+        stats, raw = collect(
+            simulate_functional,
             REF_MODEL,
             asian_call_payoff(100.0),
             100.0,
             1500,
             np.random.SeedSequence(37),
-            collect=True,
         )
         assert stats.min_eps >= -1e-9
         v, s, theta = raw["v"], raw["s"], raw["theta"]
@@ -995,8 +1005,9 @@ class TestFunctionalEngine:
     def test_batch_equals_successive_single_paths(self):
         model = uniform_bid_ask_model(horizon=3)
         payoff = asian_call_payoff(95.0)
-        _, raw = simulate_functional(
-            model, payoff, 95.0, 50, np.random.SeedSequence(53), collect=True
+        _, raw = collect(
+            simulate_functional,
+            model, payoff, 95.0, 50, np.random.SeedSequence(53)
         )
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(53)))
         for i in range(50):
@@ -1018,9 +1029,9 @@ class TestFunctionalEngine:
         assert stats.min_eps >= 0.0
 
     def test_scalar_payoff_broadcast(self):
-        stats, raw = simulate_functional(
+        stats, raw = collect(
+            simulate_functional,
             REF_MODEL, lambda path: 0.0, 0.0, 20, np.random.SeedSequence(61),
-            collect=True,
         )
         assert raw["eps"].shape == (20,)
         assert np.all(raw["v"][0] == 0.0) and stats.max_eps == 0.0
@@ -1044,6 +1055,42 @@ class TestFunctionalEngine:
         hi = np.array([(st.m_hi, st.spr_hi, 1.0) for st in model.steps])
         want = lo + (hi - lo) * _gen(71).random((10, 4, 3))
         assert ws["draw"][:10].tobytes() == want.tobytes()
+
+
+OWN_ERROR = ValueError("the payoff's own refusal")
+NO_DRAWS = MarketModel(100.0, 2, (StepSpec(0.7, 1.4),) * 3)  # no draw ranges
+
+
+def _refusing_payoff(path):
+    raise OWN_ERROR
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (
+            lambda: simulate_functional(
+                REF_MODEL, _refusing_payoff, 100.0, 5, np.random.SeedSequence(1)
+            ),
+            "the payoff's own refusal",
+        ),
+        (
+            lambda: run_path_functional(NO_DRAWS, ASIAN, _gen(0)),
+            "step has no draw distribution attached",
+        ),
+        (
+            lambda: simulate_functional(NO_DRAWS, ASIAN, 100.0, 5, np.random.SeedSequence(1)),
+            "step has no draw distribution attached",
+        ),
+    ],
+    ids=["payoff_error_unchanged", "run_path_no_draws", "simulate_no_draws"],
+)
+def test_functional_engine_refusals(run, message):
+    # a payoff's ValueError that is not numpy's truth-value one passes
+    # through as raised, not as the payoff contract's TypeError
+    with pytest.raises(ValueError) as err:
+        run()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -1125,8 +1172,9 @@ class TestPathDump:
         )
 
     def test_roundtrip_columns(self):
-        _, raw = simulate_one(
-            REF_MODEL, _pricing(), 100.0, 50, np.random.SeedSequence(47), collect=True
+        _, raw = collect(
+            simulate_one,
+            REF_MODEL, _pricing(), 100.0, 50, np.random.SeedSequence(47)
         )
         buf = io.BytesIO()
         write_path_dump(buf, raw, 2)
@@ -1150,13 +1198,13 @@ class TestPathDump:
         }[claim]
         model = uniform_bid_ask_model(horizon=horizon)
         n = DUMP_ROWS + 3  # the last chunk is partial
-        _, raw = simulate_one(
+        _, raw = collect(
+            simulate_one,
             model,
             backward_induce(payoff, model),
             100.0,
             n,
             np.random.SeedSequence(59),
-            collect=True,
         )
         buf = io.BytesIO()
         write_path_dump(buf, raw, horizon)
