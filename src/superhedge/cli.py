@@ -91,6 +91,10 @@ class ExperimentConfig:
                     raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not self.s_prev > 0:
             raise ConfigError("s_prev must be positive")
+        try:  # the draw ranges must build a step, as build_model builds each
+            StepSpec.from_uniform(self.m_lo, self.m_hi, self.spr_lo, self.spr_hi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if not self.strikes:
@@ -378,16 +382,18 @@ def _simulate_strike(
     """Stats of ``simulate(sink=...)`` for one strike, writing its dump and
     histograms; each file is added to ``written`` before it is opened.
 
-    The sink appends each batch to the path dump while the simulation runs,
-    and each histogram series (S_0..S_min(T,2) and eps_R) to a spill file of
-    its own, 8 bytes per path, keeping the series' running min and max.  So
-    memory holds one batch, whatever n_paths.  The dump is written under a
-    temporary name and renamed when the strike succeeds: a failed run leaves
-    no partial dump.  Once the strike is done, a series whose range cannot
-    hold ``hist_bins`` finite-sized bins is refused before any is binned;
-    then each spill is binned chunk by chunk into its histogram and deleted.  The histogram series are rows the
-    statistics read, so a run that bins but does not dump keeps the compact
-    workspace; a run that neither dumps nor bins passes no sink.
+    The sink appends each finished tile to the path dump while the
+    simulation runs, and each histogram series (S_0..S_min(T,2) and eps_R)
+    to a spill file of its own, 8 bytes per path, keeping the series'
+    running min and max.  So memory holds one batch of the statistics' rows
+    and one tile of the others, whatever n_paths.  The dump is written under
+    a temporary name and renamed when the strike succeeds: a failed run
+    leaves no partial dump.  Once the strike is done, a series whose range
+    cannot hold ``hist_bins`` finite-sized bins is refused before any is
+    binned; then each spill is binned chunk by chunk into its histogram and
+    deleted.  The histogram series are rows the statistics read, so a run
+    that bins but does not dump keeps the compact workspace; a run that
+    neither dumps nor bins passes no sink.
     """
     names = [f"S_{t}" for t in range(min(horizon, 2) + 1)] + ["eps_R"]
     hists = [out_dir / f"hist_{label}_{name}.csv" for name in names] if cfg.histograms else []
@@ -472,9 +478,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         # clamping cannot make an arbitrageable model's price finite
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFINITE_PRICE if cfg.clamp_infinite_price else EXIT_NO_ARBITRAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
     out_dir = Path(out_dir)
     # The directories this run makes, deepest first, and the files it writes:

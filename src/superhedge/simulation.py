@@ -21,14 +21,15 @@ own seed spawned from the root, so batches could be drawn and aggregated in
 any order (Chan et al. moment merging).  Path-dependent claims run in
 chunks that share one generator, so their chunks must be drawn in order.
 
-Each run holds one workspace of batch columns (`_workspace`), sized for
-its largest batch and reused by every batch.  A step runs TILE lanes at a
-time: it draws the tile's (m, M, k) from where they lie in the step's
-stream (PCG64 jumps ahead and back between rows), then runs its elementwise
-chain (execution, value, holding, V, eps) on them, so the draws and the
-chain's temporaries stay cache-sized.  Every operation is elementwise, so
-tiling leaves every float unchanged; the statistics reduce over whole batch
-columns.
+Each run holds one workspace (`_workspace`), sized for its largest batch
+and reused by every batch.  A batch runs tile by tile, TILE lanes or fewer
+at a time: each tile runs steps 0..T on its lanes, drawing each step's
+(m, M, k) from where they lie in the batch's stream (PCG64 jumps ahead and
+back between rows), and then goes to the sink, if any.  So the draws, the
+chain's temporaries and every entry that only the sink reads stay
+tile-sized; only the rows the statistics read span the batch, which is
+aggregated after its last tile.  Every operation is elementwise, so tiling
+leaves every float unchanged.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ from .pricing import _tree_value, require_aip, require_tree_depth
 from .pwl import PwlFunction, _check_array, _scaled_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
-TILE = 1 << 15  # lanes each step draws and runs its elementwise chain on at a time
-DUMP_ROWS = 1024  # path-dump rows formatted and written at a time
+TILE = 1 << 15  # lanes each tile runs steps 0..T on at a time
+_PATH_TILE = 1 << 13  # the most lanes per tile when every entry keeps a tile row
+DUMP_CELLS = 12 << 10  # path-dump cells formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
 
@@ -325,11 +327,6 @@ def _execute_vec(bid, ask, sstar, sign, straddle_to_ask=True):
 # ---------------------------------------------------------------------- #
 
 
-# (kept, cycle) per series of a compact workspace.  The first ``kept``
-# entries (one per step) keep rows of their own: _Aggregator reads s_0..s_2,
-# v_0..v_1 and theta_0..theta_1.  Each later entry takes one of ``cycle``
-# rows in turn: a step reads only its own entry and the previous one.
-_COMPACT = {"s": (3, 2), "theta": (2, 2), "v": (2, 2)}
 # The draw row (m, M, k) that each entry read only in its own step and tile,
 # bid_t and ask_t (by the S* solve and the execution) and V_T (by eps),
 # overwrites in a compact workspace: bid_t = s m and ask_t = s M are formed
@@ -340,107 +337,145 @@ _OVER_DRAW = {"bid": 0, "ask": 1, "v": 2}
 def _workspace(
     horizon: int, size: int, draw_shape: Optional[tuple] = None, compact: bool = False
 ) -> dict:
-    """Batch columns for up to ``size`` paths, reused by every batch of a run.
+    """Rows for up to ``size`` paths, reused by every batch of a run.
+
+    The entries _Aggregator reads, S_0..S_2, V_0..V_1 and theta_0..theta_1
+    (never V_T), and eps are batch rows of ``size`` lanes, one block with
+    eps last: 8 rows at T >= 2 and 5 at T = 1.  Every other entry is read
+    only while its tile runs, so it lives in a tile row, which holds one
+    tile at a time from lane 0.  The full layout gives each such entry a
+    tile row of its own and tiles of at most _PATH_TILE lanes.  The compact
+    one tiles TILE lanes, puts bid_t, ask_t and V_T in the draw rows
+    (_OVER_DRAW), and each later s, theta and v entry in one of two tile
+    rows per series in turn (a step reads only its own entry and the
+    previous one): at most 6 tile rows besides the draws at any horizon.  A
+    European run takes the full layout only for a sink that reads whole
+    paths; the path-dependent engine always takes it.
 
     Each key of _PATH_KEYS maps to one row per entry (entries that share a
-    row share its array), ``held`` maps it to whether each entry still holds
-    its values once the batch has run, ``eps`` is a row, and ``draw`` is the
-    draw block: a block of ``draw_shape``, by default the three tile rows
-    (m, M, k) of min(TILE, size) lanes, which hold one tile at a time from
-    lane 0.  Every other row is a batch row of ``size`` lanes.  The full
-    layout gives every entry a batch row of its own (s and v T+1 rows, theta
-    T, bid and ask T-1), 5T+1 with eps.  The compact one puts bid_t, ask_t
-    and V_T in the draw rows (_OVER_DRAW) and the other entries in rows by
-    _COMPACT: at most 14 batch rows whatever the horizon, and 8 at T = 2.
-    A European run takes the full layout only for a sink that reads whole
-    paths; the path-dependent engine always takes it.
+    row share its array), and ``held`` maps it to whether each entry still
+    holds its values once its tile has run.  ``eps`` is its batch row,
+    ``draw`` the draw block, by default the three tile rows (m, M, k), else
+    a block of ``draw_shape``, and ``tiles`` the block of the other tile
+    rows.
     """
     T = horizon
-    draw = np.empty(draw_shape or (3, min(TILE, size)))
-    rows = {}  # each entry's batch row, None where it overwrites a draw row
-    for key, n in dict(s=T + 1, bid=T - 1, ask=T - 1, theta=T, v=T + 1).items():
-        kept, cycle = _COMPACT.get(key, (n, 1)) if compact else (n, 1)
-        rows[key] = [j if j < kept else kept + (j - kept) % cycle for j in range(n)]
-        if compact:
-            own = [key in ("bid", "ask") or (key, j) == ("v", T) for j in range(n)]
-            rows[key] = [None if o else r for o, r in zip(own, rows[key])]
-    batch = [(key, r) for key, idx in rows.items() for r in sorted(set(idx) - {None})]
-    block = np.empty((len(batch) + 1, size))
-    place = dict(zip(batch, block))
+    width = min(TILE, size) if compact else min(TILE, _PATH_TILE, size)
+    wide = dict(s=min(3, T + 1), theta=min(2, T), v=min(2, T))
+
+    def place(key: str, j: int) -> tuple:
+        w = wide.get(key, 0)
+        if j < w:
+            return "batch", key, j
+        if compact and (key in ("bid", "ask") or (key, j) == ("v", T)):
+            return "draw", _OVER_DRAW[key]
+        return "tile", key, w + (j - w) % 2 if compact else j
+
+    sizes = dict(s=T + 1, bid=T - 1, ask=T - 1, theta=T, v=T + 1)
+    rows = {key: [place(key, j) for j in range(n)] for key, n in sizes.items()}
+    labels = list(dict.fromkeys(lab for idx in rows.values() for lab in idx))
+    batch = [lab for lab in labels if lab[0] == "batch"]
+    tile = [lab for lab in labels if lab[0] == "tile"]
+    block, tiles = np.empty((len(batch) + 1, size)), np.empty((len(tile), width))
+    draw = np.empty(draw_shape or (3, width))
+    arrays = dict(zip(batch, block)) | dict(zip(tile, tiles))
     ws = {
-        key: tuple(draw[_OVER_DRAW[key]] if r is None else place[key, r] for r in idx)
+        key: tuple(draw[lab[1]] if lab[0] == "draw" else arrays[lab] for lab in idx)
         for key, idx in rows.items()
     }
-    last = {key: {r: j for j, r in enumerate(idx)} for key, idx in rows.items()}
+    last = {key: {lab: j for j, lab in enumerate(idx)} for key, idx in rows.items()}
     held = {
-        key: tuple(r is not None and last[key][r] == j for j, r in enumerate(idx))
+        key: tuple(lab[0] != "draw" and last[key][lab] == j for j, lab in enumerate(idx))
         for key, idx in rows.items()
     }
-    return dict(ws, held=held, eps=block[-1], draw=draw)
+    return dict(ws, held=held, eps=block[-1], draw=draw, tiles=tiles)
 
 
-def _lanes(row: np.ndarray, sl: slice, draw: np.ndarray) -> np.ndarray:
-    """The lanes ``sl`` of a batch row; a draw row holds them from 0."""
-    return row[: sl.stop - sl.start] if row.base is draw else row[sl]
+def _columns(rows: dict, eps: np.ndarray) -> dict:
+    """The path columns of ``rows`` (a list of rows or None per key of
+    _PATH_KEYS) and ``eps``, with None for the mid steps' bid/ask."""
+    for key in ("bid", "ask"):
+        rows[key] = [None, *rows[key], None]
+    return dict(rows, eps=eps)
 
 
-def _protocol(model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, ws):
-    """The execution protocol over the first n lanes of workspace ``ws``;
-    returns the batch columns, views into ``ws``.
+def _protocol(
+    model: MarketModel, n: int, draws, claim, straddle_to_ask: bool, ws, sink=None
+):
+    """The execution protocol over the first n lanes of workspace ``ws``, one
+    tile at a time; returns the batch columns, views into ``ws``.
 
-    ``draws(t, lo, hi)`` returns step t's (m, M, k) over lanes [lo, hi),
-    called once per tile in lane order, step after step; bid/ask steps may
-    get None for k, which they do not read.  ``claim`` holds four maps
-    of the executed prefix (s_0, ..., s_t): ``value(prefix, t)``,
-    ``theta(prefix, t)``, ``sstar(prefix, t, held, s_prev, bid, ask)``, the
-    order's (sstar, sign) at interior step t before its execution, and
-    ``payoff(prefix)``.  The S* map gets the step's quotes so that it may
-    stop solving once it knows which quote executes: any S* in the same
-    ``_region`` as the exact one executes the same quote.  Each step runs
-    tile by tile, TILE lanes at a time, and every map must act on each lane
-    alone.  Every entry is reached through the workspace's rows.  In a
-    compact workspace the prefix entries past s_2, but for the last two,
-    share rows with later steps, so only claims that read prefix[-1] run
-    there, and the returned columns hold None for each entry a later step
-    or tile overwrote.  Mid steps quote no bid/ask: their entries are None.
+    Each tile, the lanes [lo, hi) of at most the width of ``ws``'s tile
+    rows, runs steps 0..T and then, finished, goes to ``sink``, if given:
+    tiles come in lane order, as columns of hi - lo lanes that are views
+    into ``ws``, valid only during the call, with None for each entry that
+    a later step overwrote.  The batch columns hold the batch rows (the
+    entries the statistics read) over all n lanes, and None for every
+    entry that lives in tile rows.
+
+    ``draws(t, lo, hi)`` returns step t's (m, M, k) over lanes [lo, hi);
+    bid/ask steps may get None for k, which they do not read.  ``claim``
+    holds four maps of the executed prefix (s_0, ..., s_t):
+    ``value(prefix, t)``, ``theta(prefix, t)``, ``sstar(prefix, t, held,
+    s_prev, bid, ask)``, the order's (sstar, sign) at interior step t
+    before its execution, and ``payoff(prefix)``.  The S* map gets the
+    step's quotes so that it may stop solving once it knows which quote
+    executes: any S* in the same ``_region`` as the exact one executes the
+    same quote.  Every map must act on each lane alone.  In a compact
+    workspace the prefix entries past s_2, but for the last two, share rows
+    with later steps, so only claims that read prefix[-1] run there.  Mid
+    steps quote no bid/ask: their entries are None.
     """
     value, theta, sstar, payoff = claim
     T = model.horizon
-    s, bid, ask, th, v = ([row[:n] for row in ws[key]] for key in _PATH_KEYS)
-    eps, draw = ws["eps"][:n], ws["draw"]
-    for t in range(T + 1):
-        for lo in range(0, n, TILE):
-            sl = slice(lo, min(lo + TILE, n))
-            m, M, k = draws(t, sl.start, sl.stop)
+    wide, width = ws["eps"].base, ws["tiles"].shape[1]
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        s, bid, ask, th, v = (
+            [row[lo:hi] if row.base is wide else row[: hi - lo] for row in ws[key]]
+            for key in _PATH_KEYS
+        )
+        eps = ws["eps"][lo:hi]
+        for t in range(T + 1):
+            m, M, k = draws(t, lo, hi)
             # MarketModel checked s_init; a scalar times each lane gives the
             # products of a full row of it.
-            s_prev = float(model.s_init) if t == 0 else s[t - 1][sl]
+            s_prev = float(model.s_init) if t == 0 else s[t - 1]
             if t == 0 or t == T:
-                s[t][sl] = mid_execute(s_prev, m, M, k)
+                s[t][:] = mid_execute(s_prev, m, M, k)
             else:
-                bid_t = np.multiply(s_prev, m, out=_lanes(bid[t - 1], sl, draw))
-                ask_t = np.multiply(s_prev, M, out=_lanes(ask[t - 1], sl, draw))
+                bid_t = np.multiply(s_prev, m, out=bid[t - 1])
+                ask_t = np.multiply(s_prev, M, out=ask[t - 1])
                 _check_quotes(bid_t, ask_t)
-                pre = tuple(row[sl] for row in s[:t])
-                order = sstar(pre, t, th[t - 1][sl], s_prev, bid_t, ask_t)
-                s[t][sl] = _execute_vec(bid_t, ask_t, *order, straddle_to_ask)
-            prefix = tuple(row[sl] for row in s[: t + 1])
+                # one expression, so that the order's (S*, sign) pair is freed
+                # with its step: a name would hold it through the whole tile
+                s[t][:] = _execute_vec(
+                    bid_t,
+                    ask_t,
+                    *sstar(tuple(s[:t]), t, th[t - 1], s_prev, bid_t, ask_t),
+                    straddle_to_ask,
+                )
+            prefix = tuple(s[: t + 1])
             if t == 0:
-                v[0][sl] = value(prefix, 0)
+                v[0][:] = value(prefix, 0)
             else:
-                gain = th[t - 1][sl] * (prefix[-1] - s_prev)
-                v_t = np.add(v[t - 1][sl], gain, out=_lanes(v[t], sl, draw))
+                gain = th[t - 1] * (prefix[-1] - s_prev)
+                v_t = np.add(v[t - 1], gain, out=v[t])
             if t < T:
-                th[t][sl] = theta(prefix, t)
+                th[t][:] = theta(prefix, t)
             else:
-                np.divide(v_t - payoff(prefix), prefix[-1], out=eps[sl])
-    cols = {
-        key: [row if kept else None for row, kept in zip(c, ws["held"][key])]
-        for key, c in zip(_PATH_KEYS, (s, bid, ask, th, v))
+                np.divide(v_t - payoff(prefix), prefix[-1], out=eps)
+        if sink is not None:
+            rows = {
+                key: [r if h else None for r, h in zip(c, ws["held"][key])]
+                for key, c in zip(_PATH_KEYS, (s, bid, ask, th, v))
+            }
+            sink(_columns(rows, eps))
+    batch = {
+        key: [row[:n] if row.base is wide else None for row in ws[key]]
+        for key in _PATH_KEYS
     }
-    for key in ("bid", "ask"):
-        cols[key] = [None, *cols[key], None]
-    return dict(cols, eps=eps)
+    return _columns(batch, ws["eps"][:n])
 
 
 def _simulate_batch(
@@ -451,9 +486,16 @@ def _simulate_batch(
     crossings: dict,
     straddle_to_ask: bool,
     ws: dict,
+    sink: Optional[Callable[[dict], None]] = None,
 ):
-    """Vectorised protocol over n paths of a PWL claim; returns the batch
-    columns, views into the workspace ``ws``."""
+    """Vectorised protocol over n paths of a PWL claim; each finished tile
+    goes to ``sink`` (see `_protocol`).  Returns the batch columns, views
+    into the workspace ``ws``.
+
+    Step t's draws are the 3n doubles of the batch's stream from offset
+    3nt, so row i of tile [lo, hi) starts at offset 3nt + i n + lo: PCG64's
+    jump-ahead reaches it whatever order the tiles and steps run in.
+    """
     claim = (
         lambda prefix, t: pricing.value_fns[0](prefix[-1]),
         lambda prefix, t: pricing.strategy(t, model)(prefix[-1]),
@@ -461,13 +503,19 @@ def _simulate_batch(
         lambda prefix: pricing.payoff(prefix[-1]),
     )
     T = model.horizon
+    at = 0  # the stream's offset from the batch's start, in doubles
 
     def draws(t, lo, hi):
+        nonlocal at
+        start = 3 * n * t  # where step t's draws start
+        _advance(rng, start + lo - at)
         m, M, k = (row[: hi - lo] for row in ws["draw"])
         rows = (m, M, k if t in (0, T) else None)  # bid/ask steps skip their k draws
-        return draw_step(model.steps[t], rng, out=rows, lo=lo, lanes=n)
+        out = draw_step(model.steps[t], rng, out=rows, lo=lo, lanes=n)
+        at = start + (hi if hi < n else 3 * n)  # where draw_step leaves the stream
+        return out
 
-    return _protocol(model, n, draws, claim, straddle_to_ask, ws)
+    return _protocol(model, n, draws, claim, straddle_to_ask, ws, sink)
 
 
 def _build_crossings(model: MarketModel, pricing: PricingResult) -> dict:
@@ -638,14 +686,13 @@ class _Aggregator:
         )
 
 
-def _fold(model: MarketModel, label: float, n_paths: int, batches, sink):
+def _fold(model: MarketModel, label: float, n_paths: int, batches):
     """Check the run, then fold each batch of path columns into SimStats.
 
-    ``batches`` is a generator, so none of its set-up runs before the checks.
-    Each batch goes, in path order, to ``sink`` once aggregated.  Its columns
-    are views into the run's workspace, valid only during the call: the next
-    batch overwrites them.  Returns (SimStats, None): the pair is kept for
-    the ``simulation.collect`` hook of ``perfbench/tracer.py`` until ROADMAP
+    ``batches`` is a generator, so none of its set-up runs before the checks;
+    each batch's tiles have gone to the run's sink, if any, while it ran.
+    Returns (SimStats, None): the pair is kept for the
+    ``simulation.collect`` hook of ``perfbench/tracer.py`` until ROADMAP
     item 11 replaces those hooks.
     """
     if n_paths < 1:
@@ -654,8 +701,6 @@ def _fold(model: MarketModel, label: float, n_paths: int, batches, sink):
     agg = _Aggregator(model.s_init)
     for cols in batches:
         agg.add(cols)
-        if sink is not None:
-            sink(cols)
     return agg.result(label), None
 
 
@@ -675,18 +720,17 @@ def simulate_one(
     seeded by a child spawned from ``seed_seq`` as it starts (the children
     of one ``spawn(k)``, in order); the batch layout depends only on
     n_paths, so a given seed gives bit-identical results.  Every batch runs
-    in one workspace of batch rows of min(BATCH_SIZE, n_paths) lanes and 3
-    draw rows of min(TILE, BATCH_SIZE, n_paths).  ``sink``, if given, is
-    called with each batch's columns in path order once they are
-    aggregated; they are views into the workspace, valid only during the
-    call, so a sink that keeps them copies them.  A caller that writes them
-    out holds one batch, whatever n_paths.  A sink that reads only
-    S_0..S_2, V_0, V_1, theta_0, theta_1 and eps passes
-    ``whole_paths=False`` (see `_workspace`); its columns then hold None
-    for the entries a later step or tile overwrote.  Single-path
-    and sink columns share one format: in both engines the mid-step bid/ask
-    entries are None.  A pricing of another horizon than the model's is
-    refused before any draw.
+    in one workspace (see `_workspace`), tile by tile.  ``sink``, if given,
+    gets each finished tile's columns, tile after tile in path order, while
+    its batch runs; they are views into the workspace, valid only during
+    the call, so a sink that keeps them copies them.  A caller that writes
+    them out holds one batch of the statistics' rows and one tile of the
+    others, whatever n_paths.  A sink that reads only S_0..S_2, V_0, V_1,
+    theta_0, theta_1 and eps passes ``whole_paths=False``; its columns then
+    hold None for the entries a later step overwrote.  Single-path and sink
+    columns share one format: in both engines the mid-step bid/ask entries
+    are None.  A pricing of another horizon than the model's is refused
+    before any draw.
     """
     _require_horizon(pricing, model)
     batch_size = BATCH_SIZE
@@ -699,10 +743,10 @@ def simulate_one(
             nb = min(batch_size, n_paths - done)
             rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
             yield _simulate_batch(
-                model, pricing, nb, rng, crossings, straddle_to_ask, ws
+                model, pricing, nb, rng, crossings, straddle_to_ask, ws, sink
             )
 
-    return _fold(model, strike, n_paths, batches(), sink)
+    return _fold(model, strike, n_paths, batches())
 
 
 # ---------------------------------------------------------------------- #
@@ -843,10 +887,11 @@ def _functional_sstar(leaf, model: MarketModel, base, t: int, held, s_prev, bid,
 
 
 def _functional_batch(
-    model: MarketModel, payoff, n: int, rng, straddle_to_ask=True, ws=None
+    model: MarketModel, payoff, n: int, rng, straddle_to_ask=True, ws=None, sink=None
 ):
-    """Protocol for a path-dependent claim over n paths; returns the batch
-    columns, views into ``ws`` (a workspace of its own when None).
+    """Protocol for a path-dependent claim over n paths; each finished tile
+    goes to ``sink`` (see `_protocol`).  Returns the batch columns, views
+    into ``ws`` (a workspace of its own when None).
 
     Each path takes its 3 (T + 1) uniforms consecutively from ``rng`` in the
     order (m, spread, k) per step, and every lane repeats the per-path
@@ -874,7 +919,7 @@ def _functional_batch(
         partial(_functional_sstar, leaf, model),
         leaf,
     )
-    return _protocol(model, n, draws, claim, straddle_to_ask, ws)
+    return _protocol(model, n, draws, claim, straddle_to_ask, ws, sink)
 
 
 def run_path_functional(
@@ -887,12 +932,15 @@ def run_path_functional(
 
     The n=1 case of the engine behind simulate_functional, under the same
     payoff contract; successive calls on one generator give the paths of one
-    simulate_functional batch bit for bit.  Returns the path as the batch
+    simulate_functional batch bit for bit.  Returns the path as the
     columns a sink gets, each of one lane.
     """
     require_tree_depth(model.horizon)
     require_aip(model)
-    return _functional_batch(model, payoff, 1, rng, straddle_to_ask)
+    tiles = []
+    _functional_batch(model, payoff, 1, rng, straddle_to_ask, sink=tiles.append)
+    (path,) = tiles
+    return path
 
 
 def simulate_functional(
@@ -917,8 +965,8 @@ def simulate_functional(
     bisection.  Unlike simulate_one, all chunks share one generator made
     from ``seed_seq``: it feeds chunks of FUNCTIONAL_CHUNK paths in turn,
     each run as one vector batch in one reused workspace and aggregated as
-    one batch; ``sink`` gets each chunk's columns as in simulate_one, views
-    into the workspace valid only during the call.  A horizon above
+    one batch; ``sink`` gets each finished tile's columns as in
+    simulate_one, views into the workspace valid only during the call.  A horizon above
     TREE_DEPTH_CAP (2^horizon tree leaves per path) is refused before any draw.
     """
     require_tree_depth(model.horizon)
@@ -929,9 +977,11 @@ def simulate_functional(
         ws = _workspace(model.horizon, size, (size, model.horizon + 1, 3))
         for done in range(0, n_paths, FUNCTIONAL_CHUNK):
             nb = min(FUNCTIONAL_CHUNK, n_paths - done)
-            yield _functional_batch(model, payoff, nb, rng, straddle_to_ask, ws)
+            yield _functional_batch(
+                model, payoff, nb, rng, straddle_to_ask, ws, sink
+            )
 
-    return _fold(model, strike_label, n_paths, batches(), sink)
+    return _fold(model, strike_label, n_paths, batches())
 
 
 # ---------------------------------------------------------------------- #
@@ -960,10 +1010,11 @@ def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
 
     ``path_id`` is an integer and every other column is ``"%.17g" % v``,
     which round-trips every float64.  Rows are read straight from the
-    ``raw`` columns in chunks of DUMP_ROWS, with no copy of the whole
-    table, and each chunk's bytes are written as they are formatted.
-    ``raw`` may be one batch of a longer run: its paths get ids from
-    ``first_id`` on, and the header is written only for the batch that
+    ``raw`` columns in chunks of about DUMP_CELLS cells (1024 rows at T=2,
+    60 at T=40), with no copy of the whole table, and each chunk's bytes
+    are written as they are formatted.  ``raw`` may be one tile or batch of
+    a longer run, as the engines' sinks get them: its paths get ids from
+    ``first_id`` on, and the header is written only for the part that
     starts at 0.
     """
     # Imported here so that runs which never dump skip building its tables.
@@ -975,9 +1026,10 @@ def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
     n, width = raw["eps"].size, 1 + len(cols)
     if first_id == 0:
         fh.write((path_dump_header(horizon) + "\n").encode("ascii"))
-    block = np.empty((min(n, DUMP_ROWS), width))
-    for lo in range(0, n, DUMP_ROWS):
-        rows = block[: min(DUMP_ROWS, n - lo)]
+    chunk = max(1, DUMP_CELLS // width)
+    block = np.empty((min(n, chunk), width))
+    for lo in range(0, n, chunk):
+        rows = block[: min(chunk, n - lo)]
         hi = lo + len(rows)
         # Path ids are integers below 2^53, which "%.17g" prints as "%d".
         rows[:, 0] = np.arange(first_id + lo, first_id + hi)

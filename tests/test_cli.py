@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import shutil
 import tracemalloc
 import warnings
@@ -124,6 +125,34 @@ class TestParseConfig:
         text += "spr_lo = 0.0\nspr_hi = 0.4\n"
         with pytest.raises(ConfigError, match="inconsistent"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m_lo = -1\n", "need 0 < k_down <= k_up < inf, got (-1.0, 1.4)"),
+            ("spr_lo = 0.5\n", "need 0 <= spr_lo <= spr_hi"),
+            ("m_lo = 1.1\n", "need 0 < m_lo <= m_hi"),
+        ],
+        ids=["m_lo_negative", "spread_reversed", "m_range_reversed"],
+    )
+    def test_draw_ranges_refused_with_step_rule(self, text, message):
+        # the config applies StepSpec's rule, so it holds only ranges that
+        # build a model: a replace() is refused as a parse is
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+        key, value = text.strip().split(" = ")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(ExperimentConfig(), **{key: float(value)})
+
+    def test_arbitrage_model_parses_and_exits_two(self, tmp_path, capsys):
+        # a range that builds a model, but one that fails AIP at step 0
+        text = "m_lo = 1.05\nm_hi = 1.1\nstrikes = 100\nn_paths = 10\n"
+        f = tmp_path / "cfg.txt"
+        f.write_text(text)
+        assert main(["--config", str(f), "--out", str(tmp_path / "out")]) == EXIT_NO_ARBITRAGE
+        assert "step 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_roundtrip_defaults(self):
         cfg = ExperimentConfig()
@@ -435,7 +464,7 @@ class TestMain:
             ),
             ("hist_bins = 0\n", "hist_bins must be at least 1"),
             ("dump_paths = maybe\n", "line 1: bad value for 'dump_paths': not a boolean"),
-            # parsed, then refused when run_experiment builds the model
+            # refused by parse_config, with StepSpec's message
             ("m_lo = -1\n", "need 0 < k_down <= k_up < inf, got (-1.0, 1.4)"),
             ("spr_lo = 0.5\n", "need 0 <= spr_lo <= spr_hi"),
             ("m_lo = 1.1\n", "need 0 < m_lo <= m_hi"),
@@ -646,7 +675,7 @@ def _streamed_cfg(payoff, n_paths=None):
 
 
 class TestStreamedOutputs:
-    """The dump and the histogram series are written batch by batch while the
+    """The dump and the histogram series are written tile by tile while the
     simulation runs, with the bytes of the whole-run columns."""
 
     @pytest.mark.parametrize("claim", sorted(STREAMED_RUNS))
@@ -700,10 +729,11 @@ class TestStreamedOutputs:
         stats = [(tmp_path / d / "stats.csv").read_bytes() for d in runs]
         assert stats[0] == stats[1] == stats[2]
 
-    @pytest.mark.parametrize("horizon, rows", [(2, 8), (40, 14)])
+    @pytest.mark.parametrize("horizon, rows", [(2, 8), (40, 8)])
     def test_binned_run_holds_compact_rows(self, tmp_path, monkeypatch, horizon, rows):
-        """A run that bins but does not dump holds at most 14 batch rows
-        (8 at T=2) and 3 tile rows, whatever the horizon, not 5T+1."""
+        """A run that bins but does not dump holds 8 batch rows at any
+        horizon from T=2, the rows the statistics read, and at most 9 tile
+        rows, not 5T+1."""
         made, real = [], simulation._workspace
 
         def spy(*args, **kwargs):
@@ -715,16 +745,18 @@ class TestStreamedOutputs:
         assert run_experiment(parse_config(text), tmp_path) == EXIT_OK
         (ws,) = made
         assert ws["eps"].base.shape == (rows, 300) and ws["draw"].shape == (3, 300)
+        assert ws["tiles"].shape == ({2: 0, 40: 6}[horizon], 300)
 
     def test_memory_is_one_batch_whatever_n_paths(self, tmp_path):
         """Keeping every batch and joining them before writing peaked at 95 MB
         under tracemalloc on this run, and holding the four histogram series
         in memory 29.9 columns of BATCH_SIZE floats.  Streaming the dump
-        and spilling the series holds one batch's working set: the reused
-        workspace of 5T+1 columns of BATCH_SIZE floats and 3 draw rows of
-        TILE floats, the aggregation's temporaries and the dump's chunk,
-        with no column of the previous batch alive.  That measured 14.9
-        columns, the same at 6 batches; the bound is 18, whatever n_paths."""
+        tile by tile and spilling the series holds one batch's working set:
+        the reused workspace's 8 batch rows of BATCH_SIZE floats and its
+        tile rows, the aggregation's temporaries and the dump's chunk, with
+        no column of the previous batch alive.  That measured 12.6 columns
+        (11.7 at 6 batches; 15.7 when every entry held a batch row); the
+        bound is 15, whatever n_paths."""
         cfg = _streamed_cfg("call", n_paths=3 * BATCH_SIZE + 3)
         tracemalloc.start()
         try:
@@ -732,7 +764,7 @@ class TestStreamedOutputs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 18 * 8 * BATCH_SIZE
+        assert peak < 15 * 8 * BATCH_SIZE
 
     @pytest.mark.parametrize("claim", sorted(STREAMED_RUNS))
     def test_failure_in_second_batch_leaves_no_dump(
@@ -755,6 +787,28 @@ class TestStreamedOutputs:
         assert len(calls) == 2
         assert part_sizes[0] > 0  # the first batch was being written out
         assert list(tmp_path.iterdir()) == []  # nothing written, not even the config
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (  # 2^17 + 2^13 + 5 paths: a batch boundary, and tiles of 2^13 paths
+                "horizon = 3\nstrikes = 100\nn_paths = 139269\nseed = 29\n"
+                "dump_paths = true\nhistograms = true\n",
+                "7af2e4929ab255ec0e1c93d14b185fa63f402952fe999983b8ddfa05779449ca",
+            ),
+            (
+                "horizon = 1\nstrikes = 90, 110\nn_paths = 20000\nseed = 31\n"
+                "dump_paths = true\n",
+                "6314d3ff27b08e1c9dee74507a849be929f9072e3c75754c93e943200af248a7",
+            ),
+        ],
+        ids=["three-steps-dumped-and-binned", "one-step-dumped"],
+    )
+    def test_dumped_run_files_pinned(self, tmp_path, text, digest):
+        """Every file of a dumped run: the bytes of the step-major engine,
+        which held each entry in a batch row."""
+        assert run_experiment(parse_config(text), tmp_path) == EXIT_OK
+        assert _files_digest(tmp_path) == digest
 
     @pytest.mark.parametrize("out_exists", [True, False], ids=["existing_out", "new_out"])
     def test_failure_in_second_strike_removes_the_first(
@@ -817,10 +871,10 @@ class TestStreamedOutputs:
         assert capsys.readouterr().err == ""  # propagated, not reported as refused
 
 
-def _hist_digest(out) -> str:
-    """sha256 over the names and bytes of a run's histogram files."""
+def _files_digest(out, pattern: str = "*") -> str:
+    """sha256 over the names and bytes of a run's files matching ``pattern``."""
     h = hashlib.sha256()
-    for path in sorted(out.glob("hist_*")):
+    for path in sorted(out.glob(pattern)):
         h.update(path.name.encode() + b"\n" + path.read_bytes())
     return h.hexdigest()
 
@@ -887,7 +941,7 @@ class TestChunkedHistogram:
     def test_files_pinned(self, tmp_path, text, digest):
         """The bytes np.histogram wrote from whole in-memory series."""
         assert run_experiment(parse_config(text + "histograms = true\n"), tmp_path) == EXIT_OK
-        assert _hist_digest(tmp_path) == digest
+        assert _files_digest(tmp_path, "hist_*") == digest
         assert not list(tmp_path.glob("*.part"))
 
 

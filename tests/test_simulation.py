@@ -28,7 +28,7 @@ from superhedge.pricing import (
 )
 from superhedge.pwl import PwlFunction, call_payoff, put_payoff
 from superhedge.simulation import (
-    DUMP_ROWS,
+    DUMP_CELLS,
     OrderSignChange,
     RunningMoments,
     _build_crossings,
@@ -580,23 +580,31 @@ def test_sink_gets_none_mid_step_quotes(engine):
 
 
 @pytest.mark.parametrize(
-    "engine, batch, n",
+    "engine, batch, size, tile, n",
     [
         (
             lambda m: partial(simulate_one, m, backward_induce(call_payoff(100), m)),
             "BATCH_SIZE",
+            1000,
+            300,
             2500,
         ),
-        (lambda m: partial(simulate_functional, m, ASIAN), "FUNCTIONAL_CHUNK", 40),
+        (
+            lambda m: partial(simulate_functional, m, ASIAN),
+            "FUNCTIONAL_CHUNK",
+            16,
+            6,
+            40,
+        ),
     ],
     ids=["simulate_one", "simulate_functional"],
 )
-def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, n):
-    # a sink's columns are views into the workspace the next batch reuses:
-    # the collector must copy every batch, in path order, the short last one
-    # included
-    monkeypatch.setattr(simulation, batch, 1000 if batch == "BATCH_SIZE" else 16)
-    monkeypatch.setattr(simulation, "TILE", 300)
+def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, size, tile, n):
+    # a sink gets each finished tile, views into the workspace the next tile
+    # reuses: the collector must copy every tile, in path order, the short
+    # last tile of each batch and the short last batch included
+    monkeypatch.setattr(simulation, batch, size)
+    monkeypatch.setattr(simulation, "TILE", tile)
     model = uniform_bid_ask_model(horizon=3)
     keep, seen = Collector(), []
 
@@ -605,10 +613,11 @@ def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, n):
         seen.append(cols)
 
     engine(model)(100.0, n, np.random.SeedSequence(8), sink=sink)
-    size = getattr(simulation, batch)
     copies, raw = keep.batches, keep.columns()
-    assert [c["eps"].size for c in copies] == [size, size, n - 2 * size]
-    assert seen[0]["s"][0].base is seen[1]["s"][0].base  # one reused workspace
+    sizes = [size, size, n - 2 * size]
+    widths = [min(tile, nb - lo) for nb in sizes for lo in range(0, nb, tile)]
+    assert [c["eps"].size for c in copies] == widths
+    assert seen[0]["s"][0].base is seen[-1]["s"][0].base  # one reused workspace
     np.testing.assert_array_equal(raw["eps"], np.concatenate([c["eps"] for c in copies]))
     for key in PATH_KEYS:
         for t, whole in enumerate(raw[key]):
@@ -621,11 +630,12 @@ def test_collect_equals_copies_taken_in_sink(monkeypatch, engine, batch, n):
     if batch == "BATCH_SIZE":
         pricing = backward_induce(call_payoff(100), model)
         crossings = _build_crossings(model, pricing)
-        for c, child in zip(copies, np.random.SeedSequence(8).spawn(len(copies))):
-            nb, rng = c["eps"].size, np.random.Generator(np.random.PCG64(child))
+        ends = np.cumsum(sizes)
+        for nb, end, child in zip(sizes, ends, np.random.SeedSequence(8).spawn(3)):
+            rng = np.random.Generator(np.random.PCG64(child))
             ws = simulation._workspace(3, nb)
             want = _simulate_batch(model, pricing, nb, rng, crossings, True, ws)
-            assert want["eps"].tobytes() == c["eps"].tobytes()
+            assert want["eps"].tobytes() == raw["eps"][end - nb : end].tobytes()
     else:  # one generator feeds the chunks in turn: one chunk draws them all
         monkeypatch.setattr(simulation, batch, n)
         whole_run = collect(engine(model), 100.0, n, np.random.SeedSequence(8))[1]
@@ -700,6 +710,39 @@ class TestTiles:
         assert got[1] == want[1]
 
 
+    @pytest.mark.parametrize(
+        "engine, whole_paths, tile, n, widths",
+        [
+            ("european", True, None, 2 * 2**13 + 5, [2**13, 2**13, 5]),
+            ("european", False, None, 2**15 + 5, [2**15, 5]),
+            ("functional", True, 1000, 4096 + 5, [1000] * 4 + [96, 5]),
+        ],
+        ids=["european-whole-paths", "european-compact", "functional"],
+    )
+    def test_sink_gets_consecutive_tiles(self, monkeypatch, engine, whole_paths, tile, n, widths):
+        # each finished tile goes to the sink, in path order: joined, the
+        # tiles are the columns of a run whose one tile spans each batch
+        model = uniform_bid_ask_model(horizon=3)
+        if engine == "european":
+            pricing = backward_induce(call_payoff(100), model)
+            simulate = partial(simulate_one, model, pricing, whole_paths=whole_paths)
+        else:
+            simulate = partial(simulate_functional, model, ASIAN)
+        if tile is not None:
+            monkeypatch.setattr(simulation, "TILE", tile)
+        tiles = Collector()
+        simulate(100.0, n, np.random.SeedSequence(12), sink=tiles)
+        assert [t["eps"].size for t in tiles.batches] == widths
+        got = tiles.columns()
+        monkeypatch.setattr(simulation, "TILE", n)
+        monkeypatch.setattr(simulation, "_PATH_TILE", n)
+        _, want = collect(simulate, 100.0, n, np.random.SeedSequence(12))
+        assert got["eps"].tobytes() == want["eps"].tobytes()
+        for key in PATH_KEYS:
+            for g, w in zip(got[key], want[key], strict=True):
+                assert (g is None and w is None) or g.tobytes() == w.tobytes()
+
+
 # One convex payoff per claim kind for the layout tests.
 LAYOUT_PAYOFFS = {
     "call": call_payoff(100),
@@ -726,9 +769,11 @@ def _workspace_floats(ws: dict) -> int:
 
 
 class TestCompactWorkspace:
-    """A stats-only simulate_one runs in the compact row layout (at most 14
-    batch rows; bid_t, ask_t and V_T overwrite the draw rows); with a sink
-    that reads whole paths it keeps every step's row (5T+1).  Both layouts give the same
+    """The rows the statistics read (S_0..S_2, V_0..V_1, theta_0..theta_1
+    and eps) span the batch; every other entry lives in tile rows.  A
+    stats-only simulate_one cycles them in the compact layout (bid_t, ask_t
+    and V_T overwrite the draw rows); with a sink that reads whole paths
+    each entry keeps a tile row of its own.  Both layouts give the same
     floats on every entry they both hold."""
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
@@ -754,16 +799,26 @@ class TestCompactWorkspace:
         crossings = _build_crossings(model, pricing)
 
         def batch(compact):
-            ws = simulation._workspace(horizon, 23, compact=compact)
-            return _simulate_batch(model, pricing, 23, _batch_gen(3), crossings, True, ws)
+            ws, tiles = simulation._workspace(horizon, 23, compact=compact), Collector()
+            cols = _simulate_batch(model, pricing, 23, _batch_gen(3), crossings, True, ws, tiles)
+            return cols, tiles.batches
 
-        compact, full = batch(True), batch(False)
+        (compact, compact_tiles), (full, full_tiles) = batch(True), batch(False)
+        # the batch columns: the rows the statistics read, in both layouts
         assert compact["eps"].tobytes() == full["eps"].tobytes()
         for key in PATH_KEYS:
-            assert len(compact[key]) == len(full[key])
+            assert [c is None for c in compact[key]] == [f is None for f in full[key]]
             for c, f in zip(compact[key], full[key]):
                 assert c is None or c.tobytes() == f.tobytes()
-        held = {key: [c is not None for c in compact[key]] for key in PATH_KEYS}
+        # the tiles: the full layout holds every entry, the compact one some
+        assert [t["eps"].size for t in compact_tiles] == [5, 5, 5, 5, 3]
+        assert [t["eps"].size for t in full_tiles] == [5, 5, 5, 5, 3]
+        for ct, ft in zip(compact_tiles, full_tiles):
+            for key in PATH_KEYS:
+                assert len(ct[key]) == len(ft[key])
+                for c, f in zip(ct[key], ft[key]):
+                    assert c is None or c.tobytes() == f.tobytes()
+        held = {key: [c is not None for c in compact_tiles[0][key]] for key in PATH_KEYS}
         assert all(held["s"][: min(3, horizon + 1)]) and held["s"][-1]
         assert all(held["v"][: min(2, horizon)]) and all(held["theta"][: min(2, horizon)])
         # bid_t, ask_t and V_T, read only in their own step and tile,
@@ -771,13 +826,45 @@ class TestCompactWorkspace:
         assert not any(held["bid"] + held["ask"]) and not held["v"][-1]
 
     @pytest.mark.parametrize(
+        "compact, horizon, batch_rows, tile_rows",
+        [
+            (True, 1, 5, 0),  # V_1 in a draw row
+            (True, 2, 8, 0),  # bid_1, ask_1 and V_2 in draw rows
+            (True, 3, 8, 3),  # S_3, theta_2, V_2
+            (True, 40, 8, 6),  # two rows each for s, theta and v
+            (False, 1, 5, 1),  # V_1
+            (False, 2, 8, 3),  # bid_1, ask_1, V_2
+            (False, 3, 8, 8),  # S_3, bid_1..2, ask_1..2, theta_2, V_2..3
+            (False, 40, 8, 193),  # 5T+1 entries, 8 of them in batch rows
+        ],
+    )
+    def test_layout_row_counts(self, compact, horizon, batch_rows, tile_rows):
+        # 3 draw rows besides; the tiles are TILE lanes, or at most
+        # _PATH_TILE when every entry keeps a row of its own
+        lanes = 2**17
+        ws = simulation._workspace(horizon, lanes, compact=compact)
+        width = simulation.TILE if compact else simulation._PATH_TILE
+        assert ws["eps"].base.shape == (batch_rows, lanes)
+        assert ws["tiles"].shape == (tile_rows, width)
+        assert ws["draw"].shape == (3, width)
+        wide = {key: [r.base is ws["eps"].base for r in ws[key]] for key in PATH_KEYS}
+        aggregated = dict(s=min(3, horizon + 1), theta=min(2, horizon), v=min(2, horizon))
+        for key in PATH_KEYS:
+            n = aggregated.get(key, 0)
+            assert wide[key] == [True] * n + [False] * (len(wide[key]) - n)
+        owners = (ws["eps"].base, ws["tiles"], ws["draw"])
+        assert all(any(r.base is o for o in owners) for key in PATH_KEYS for r in ws[key])
+
+    @pytest.mark.parametrize(
         "sink, batch_rows, tile_rows",
-        [(None, 14, 3), (lambda cols: None, 5 * 60 + 1, 3)],
+        [(None, 8, 6 + 3), (lambda cols: None, 8, 5 * 60 - 7 + 3)],
         ids=["stats-only", "sink"],
     )
     def test_workspace_floats_bound(self, monkeypatch, sink, batch_rows, tile_rows):
-        # stats-only at T = 60: s, theta and v in 5, 4 and 4 batch rows, and
-        # eps; the draws in tile rows, which bid_t, ask_t and V_T overwrite
+        # at T = 60: S_0..S_2, V_0..V_1, theta_0..theta_1 and eps in batch
+        # rows; stats-only, s, theta and v cycle through two tile rows each,
+        # and bid_t, ask_t and V_T overwrite the draws' tile rows; with a
+        # sink, every other entry keeps a tile row of its own
         monkeypatch.setattr(simulation, "BATCH_SIZE", 64)
         monkeypatch.setattr(simulation, "TILE", 16)
         model = uniform_bid_ask_model(horizon=60)
@@ -1197,7 +1284,8 @@ class TestPathDump:
             "custom-pwl": PwlFunction([80, 100, 130], [10, 0, 15], -1, 1),
         }[claim]
         model = uniform_bid_ask_model(horizon=horizon)
-        n = DUMP_ROWS + 3  # the last chunk is partial
+        width = len(path_dump_header(horizon).split(","))
+        n = DUMP_CELLS // width + 3  # the last chunk is partial
         _, raw = collect(
             simulate_one,
             model,
