@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .pricing import (
+    _corner_values,
     AipViolationError,
     MarketModel,
     StepSpec,
@@ -38,6 +39,7 @@ from .pricing import (
 )
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
+    _SSTAR_BRACKET,
     BATCH_SIZE,
     SimStats,
     simulate_functional,
@@ -52,6 +54,7 @@ EXIT_INFINITE_PRICE = 3
 
 PAYOFF_TAGS = ("call", "put", "custom-pwl", "asian-call")
 STRATEGY_SAMPLES = 512  # grid points of each exported strategy table
+_PWL_CLAIMS = {"call": call_payoff, "put": put_payoff}  # by strike; else custom-pwl
 
 
 class ConfigError(ValueError):
@@ -109,13 +112,13 @@ class ExperimentConfig:
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
         # The largest price any layer forms, and a batch's sum of such prices.
-        k_up = self.m_hi + self.spr_hi
-        top = math.prod(itertools.repeat(k_up, self.horizon + 1), start=self.s_prev)
+        k_up, T = self.m_hi + self.spr_hi, self.horizon
+        top = math.prod(itertools.repeat(k_up, T + 1), start=self.s_prev)
         lanes = min(BATCH_SIZE, self.n_paths)
         if not math.isfinite(top * lanes):
             raise ConfigError(
-                f"s_prev = {self.s_prev!r} over horizon {self.horizon} overflows "
-                f"float64: prices reach s_prev * k_up^{self.horizon + 1} = {top!r}, "
+                f"s_prev = {self.s_prev!r} over horizon {T} overflows float64: "
+                f"prices reach s_prev * k_up^{T + 1} = {top!r}, "
                 f"and a batch sums {lanes} of them"
             )
         if self.payoff not in PAYOFF_TAGS:
@@ -147,6 +150,24 @@ class ExperimentConfig:
                 require_tree_depth(self.horizon)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            # An interior step's S* solve sums paths whose prices reach
+            # _SSTAR_BRACKET times s_prev * k_up^t, t = 1..T.
+            steps = (math.prod([k_up] * t, start=self.s_prev) for t in range(1, T + 1))
+            reach = (_SSTAR_BRACKET + 1) * sum(steps)
+            if T > 1 and not math.isfinite(reach):
+                raise ConfigError(
+                    f"s_prev = {self.s_prev!r} over horizon {T} overflows float64 "
+                    f"in the asian-call S* solve: its path sums reach {reach!r}"
+                )
+        else:  # a batch sums claim values, largest in |.| at a corner of [0, top]
+            make = _PWL_CLAIMS.get(self.payoff)
+            claims = [make(k) for k in self.strikes] if make else [self.custom_payoff()]
+            value = max(abs(v) for f in claims for v in _corner_values(f, 0.0, top))
+            if not math.isfinite(value * lanes):
+                raise ConfigError(
+                    f"the {self.payoff} claim overflows float64: its values reach "
+                    f"{value!r} on prices up to {top!r}, and a batch sums {lanes} of them"
+                )
 
     def custom_payoff(self) -> PwlFunction:
         """The ``custom-pwl`` payoff from the payoff_* keys."""
@@ -357,15 +378,11 @@ def _write_histogram(path: Path, spill: Path, bins: int, lo: float, hi: float):
 def _export_strategy_tables(out_dir, label, pricing, model, written: list):
     """Per-step sampled order mappings z -> theta_t(z); each file is added to
     ``written`` before it is opened."""
-    lo_mult = 1.0
-    hi_mult = 1.0
-    for t in range(model.horizon):
-        step = model.steps[t]
+    lo_mult = hi_mult = 1.0
+    for t, step in enumerate(model.steps[: model.horizon]):
         lo_mult *= step.k_down
         hi_mult *= step.k_up
-        lo = model.s_init * lo_mult
-        hi = model.s_init * hi_mult
-        grid = np.linspace(lo, hi, STRATEGY_SAMPLES)
+        grid = np.linspace(model.s_init * lo_mult, model.s_init * hi_mult, STRATEGY_SAMPLES)
         theta = pricing.strategy(t, model)(grid)
         path = out_dir / f"strategy_{label}_t{t}.csv"
         written.append(path)
@@ -395,7 +412,7 @@ def _simulate_strike(
     that bins but does not dump keeps the compact workspace; a run that
     neither dumps nor bins passes no sink.
     """
-    names = [f"S_{t}" for t in range(min(horizon, 2) + 1)] + ["eps_R"]
+    names = _hist_series(horizon)
     hists = [out_dir / f"hist_{label}_{name}.csv" for name in names] if cfg.histograms else []
     spills = [hist.with_suffix(".f64.part") for hist in hists]
     lo, hi = [math.inf] * len(hists), [-math.inf] * len(hists)
@@ -446,10 +463,15 @@ def _simulate_strike(
     return stats
 
 
+def _hist_series(horizon: int) -> list[str]:
+    """The series a strike bins: S_0..S_min(T,2) and eps_R."""
+    return [f"S_{t}" for t in range(min(horizon, 2) + 1)] + ["eps_R"]
+
+
 def _require_spill_space(cfg: ExperimentConfig, horizon: int, where: Path):
     """Refuse histograms whose series spill, 8 bytes per path each, cannot
     fit in the free space of the file system holding ``where``."""
-    need = 8 * (min(horizon, 2) + 2) * cfg.n_paths
+    need = 8 * len(_hist_series(horizon)) * cfg.n_paths
     free = shutil.disk_usage(where).free
     if need > free:
         raise ValueError(
@@ -486,11 +508,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     written: list[Path] = []
 
-    if cfg.payoff == "custom-pwl":
-        columns = [math.nan]
-    else:
-        columns = [float(k) for k in cfg.strikes]
-
+    columns = [math.nan] if cfg.payoff == "custom-pwl" else [float(k) for k in cfg.strikes]
     children = np.random.SeedSequence(cfg.seed).spawn(len(columns))
 
     stats_list: list[SimStats] = []
@@ -506,7 +524,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                 v0 = asian_tree_price(claim, model, model.s_init)
                 print(f"{label}: time-0 value at s0={model.s_init:g}: {v0:.6g}")
             else:
-                make = {"call": call_payoff, "put": put_payoff}.get(cfg.payoff)
+                make = _PWL_CLAIMS.get(cfg.payoff)
                 payoff = make(strike) if make else cfg.custom_payoff()
                 # the histogram series are rows the statistics read
                 engine = partial(simulate_one, whole_paths=cfg.dump_paths)

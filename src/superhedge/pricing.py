@@ -108,15 +108,9 @@ class StepSpec:
     def from_uniform(
         cls, m_lo: float, m_hi: float, spr_lo: float, spr_hi: float
     ) -> "StepSpec":
-        """Build a step whose essential bounds follow from the draw ranges."""
-        return cls(
-            k_down=m_lo,
-            k_up=m_hi + spr_hi,
-            m_lo=m_lo,
-            m_hi=m_hi,
-            spr_lo=spr_lo,
-            spr_hi=spr_hi,
-        )
+        """Build a step whose essential bounds follow from the draw ranges:
+        k_down = m_lo and k_up = m_hi + spr_hi."""
+        return cls(m_lo, m_hi + spr_hi, m_lo, m_hi, spr_lo, spr_hi)
 
     @property
     def has_distribution(self) -> bool:
@@ -352,21 +346,26 @@ def initial_premium(result: PricingResult, model: MarketModel) -> float:
     """Smallest constant premium dominating the time-0 value on its support.
 
     The time-0 value is revealed only with the first execution, so the
-    quoted premium must dominate it over the whole step-0 support interval.
-    g_0 is evaluated on plain floats, a piece lookup and one multiply-add
-    each: the bits of ``g0(x)``.
+    quoted premium must dominate it over the whole step-0 support interval,
+    so it is the largest of g_0's `_corner_values` there.
     """
-    g0 = result.value_fns[0]
     step = model.steps[0]
     lo, hi = step.k_down * model.s_init, step.k_up * model.s_init
     _check_scalar(hi, "evaluation point", nonnegative=True)
-    bps, slopes, icepts = (a.tolist() for a in g0._float_views())
+    return max(_corner_values(result.value_fns[0], lo, hi))
+
+
+def _corner_values(f: PwlFunction, lo: float, hi: float) -> list[float]:
+    """f at lo, at hi and at each breakpoint between, where a PWL f takes
+    its max and min on [lo, hi]: on plain floats, a piece lookup and one
+    multiply-add each, the bits of ``f(x)`` (or inf where it overflows)."""
+    bps, slopes, icepts = (a.tolist() for a in f._float_views())
 
     def value(x: float) -> float:
         i = bisect_left(bps, x)
         return slopes[i] * x + icepts[i]
 
-    return max(map(value, [lo, hi] + [b for b in bps if lo < b < hi]))
+    return [value(x) for x in [lo, hi] + [b for b in bps if lo < b < hi]]
 
 
 # ---------------------------------------------------------------------- #

@@ -24,8 +24,8 @@ chunks that share one generator, so their chunks must be drawn in order.
 Each run holds one workspace (`_workspace`), sized for its largest batch
 and reused by every batch.  A batch runs tile by tile, TILE lanes or fewer
 at a time: each tile runs steps 0..T on its lanes, drawing each step's
-(m, M, k) from where they lie in the batch's stream (PCG64 jumps ahead and
-back between rows), and then goes to the sink, if any.  So the draws, the
+(m, M, k) from where they lie in the batch's stream (see
+`_simulate_batch`), and then goes to the sink, if any.  So the draws, the
 chain's temporaries and every entry that only the sink reads stay
 tile-sized; only the rows the statistics read span the batch, which is
 aggregated after its last tile.  Every operation is elementwise, so tiling
@@ -52,6 +52,7 @@ _PATH_TILE = 1 << 13  # the most lanes per tile when every entry keeps a tile ro
 DUMP_CELLS = 12 << 10  # path-dump cells formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
+_SSTAR_BRACKET = 1e9  # a path-dependent S* is sought in s_prev * [1e-9, 1e9]
 
 
 # ---------------------------------------------------------------------- #
@@ -64,8 +65,7 @@ def draw_step(
     rng: np.random.Generator,
     size: int = 1,
     out=None,
-    lo: int = 0,
-    lanes: Optional[int] = None,
+    stride: Optional[int] = None,
 ):
     """Draw (m, M, k): interval edges m, M = m + spread, and mid position k.
 
@@ -75,43 +75,29 @@ def draw_step(
     U[a, b] is ``rng.random(out=row)`` mapped by ``*= b - a; += a``: the
     stream and the bits of ``rng.uniform(a, b, len(row))``.  A bid/ask step
     ignores k, so its caller may pass None as the k row of ``out``: the
-    stream then advances past the row's draws without making them, and the
-    stream layout stays the same for every protocol.
+    stream then skips the row's draws without making them, and the stream
+    layout stays the same for every protocol.
 
-    The rows may be one tile, the lanes [lo, lo + len) of a step of ``lanes``
-    draws per row (by default the whole step, lo = 0).  Row i then starts at
-    offset i * lanes + lo from where the step's stream starts, reached by
-    PCG64's jump-ahead, and the stream is left where the next tile starts, or
-    3 * lanes past the step's start after its last tile.  Tiles drawn in
-    order from lo = 0 give the bits of one whole-row draw and leave the
-    stream where it would.
+    Row i is read from ``i * stride`` doubles past where the stream stands
+    (by default ``stride`` is the row length, so the rows are consecutive),
+    and the stream is left ``3 * stride`` past its start: PCG64's jump-ahead
+    skips whatever the rows do not read.
     """
     if not step.has_distribution:
         raise ValueError("step has no draw distribution attached")
     m, M, k = np.empty((3, size)) if out is None else out
-    width = len(m)
-    lanes = width if lanes is None else lanes
+    stride = len(m) if stride is None else stride
     bounds = ((step.m_lo, step.m_hi), (step.spr_lo, step.spr_hi), (0, 1))
-    at = lo  # the stream's offset from the step's start, in doubles
-    for i, (row, (a, b)) in enumerate(zip((m, M, k), bounds)):
-        if row is None:
-            continue
-        _advance(rng, i * lanes + lo - at)
-        a, b = float(a), float(b)  # as uniform reads them, before b - a
-        rng.random(out=row)
-        row *= b - a
-        row += a
-        at = i * lanes + lo + width
-    _advance(rng, (lo + width if lo + width < lanes else 3 * lanes) - at)
+    for row, (a, b) in zip((m, M, k), bounds):
+        if row is not None:
+            a, b = float(a), float(b)  # as uniform reads them, before b - a
+            rng.random(out=row)
+            row *= b - a
+            row += a
+        if skip := stride - (0 if row is None else len(row)):
+            rng.bit_generator.advance(skip)
     M += m  # spread + m, the bits of m + spread
     return m, M, k
-
-
-def _advance(rng: np.random.Generator, doubles: int):
-    """Move the stream past ``doubles`` draws of random(), one 64-bit output
-    each, or back where it is negative: PCG64's period is 2^128."""
-    if doubles:
-        rng.bit_generator.advance(doubles % 2**128)
 
 
 def mid_execute(s_prev, m, M, k):
@@ -493,8 +479,10 @@ def _simulate_batch(
     into the workspace ``ws``.
 
     Step t's draws are the 3n doubles of the batch's stream from offset
-    3nt, so row i of tile [lo, hi) starts at offset 3nt + i n + lo: PCG64's
-    jump-ahead reaches it whatever order the tiles and steps run in.
+    3nt, one row of n each for m, spread and k, so row i of the tile
+    [lo, hi) starts 3nt + i n + lo doubles past the batch's start.  Each
+    tile-step seeks there from the batch's start state by PCG64's
+    jump-ahead, so the draws do not depend on the order tiles and steps run.
     """
     claim = (
         lambda prefix, t: pricing.value_fns[0](prefix[-1]),
@@ -503,17 +491,14 @@ def _simulate_batch(
         lambda prefix: pricing.payoff(prefix[-1]),
     )
     T = model.horizon
-    at = 0  # the stream's offset from the batch's start, in doubles
+    start = rng.bit_generator.state
 
     def draws(t, lo, hi):
-        nonlocal at
-        start = 3 * n * t  # where step t's draws start
-        _advance(rng, start + lo - at)
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(3 * n * t + lo)
         m, M, k = (row[: hi - lo] for row in ws["draw"])
         rows = (m, M, k if t in (0, T) else None)  # bid/ask steps skip their k draws
-        out = draw_step(model.steps[t], rng, out=rows, lo=lo, lanes=n)
-        at = start + (hi if hi < n else 3 * n)  # where draw_step leaves the stream
-        return out
+        return draw_step(model.steps[t], rng, out=rows, stride=n)
 
     return _protocol(model, n, draws, claim, straddle_to_ask, ws, sink)
 
@@ -560,10 +545,6 @@ class RunningMoments:
     @property
     def variance(self) -> float:
         return self.m2 / self.count if self.count else math.nan
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
 
 @dataclass(frozen=True)
@@ -678,7 +659,7 @@ class _Aggregator:
             min_v0_over_s0=lo["v0/s0"],
             max_v0_over_s0=hi["v0/s0"],
             mean_eps=m["eps"].mean,
-            std_eps=m["eps"].std,
+            std_eps=math.sqrt(m["eps"].variance),
             min_eps=lo["eps"],
             max_eps=hi["eps"],
             mean_theta0_frac=m["th0"].mean,
@@ -804,17 +785,17 @@ def _functional_sstar(leaf, model: MarketModel, base, t: int, held, s_prev, bid,
     until it fixes which of the quotes (bid, ask) executes.
 
     Same plateau conventions as OrderSignChange; sstar is NaN where the sign
-    is constant on [lo, hi] = [1e-9, 1e9] * s_prev.  The left end of the
-    zero set (first z with delta >= 0) and the right end (first z with
-    delta > 0) are bisected, one lane each.  A lane stops once its bracket
-    is narrower than ROOT_WIDTH_TOL relative to its midpoint, or once its
-    path is decided: S* formed from its lanes' low ends lies in the same
-    ``_region`` as S* formed from their high ends.  Each lane's last
+    is constant on [lo, hi] = [1 / B, B] * s_prev, B = _SSTAR_BRACKET.  The
+    left end of the zero set (first z with delta >= 0) and the right end
+    (first z with delta > 0) are bisected, one lane each.  A lane stops once
+    its bracket is narrower than ROOT_WIDTH_TOL relative to its midpoint, or
+    once its path is decided: S* formed from its lanes' low ends lies in the
+    same ``_region`` as S* formed from their high ends.  Each lane's last
     midpoint lies in all of its brackets, and the S* formula and the region
     are nondecreasing in it, so a decided path executes the quote of the
-    full bisection under either straddle convention; only the S* it
-    reports differs.  Paths whose brackets could overflow or reach 0 are
-    never decided early.
+    full bisection under either straddle convention; only the S* it reports
+    differs.  Paths whose brackets could overflow or reach 0 are never
+    decided early.
 
     While a lane's root lies below them, its midpoints are the same floats
     m_j = 0.5 (lo + m_{j-1}) from m_0 = hi.  The first OPENING_HALVINGS of
@@ -830,7 +811,7 @@ def _functional_sstar(leaf, model: MarketModel, base, t: int, held, s_prev, bid,
         pre = tuple(np.broadcast_to(p[paths], z.shape) for p in base)
         return _tree_theta(leaf, model, pre + (z,), t) - held[paths]
 
-    lo, hi = 1e-9 * s_prev, 1e9 * s_prev
+    lo, hi = (1 / _SSTAR_BRACKET) * s_prev, _SSTAR_BRACKET * s_prev
     f_lo, f_hi = delta(slice(None), np.stack((lo, hi)))
     sign = np.where(f_lo > 0.0, 1.0, np.where(f_hi < 0.0, -1.0, 0.0))
     no_root = (f_lo > 0.0) | (f_hi < 0.0) | ((f_lo == 0.0) & (f_hi == 0.0))

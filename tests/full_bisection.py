@@ -8,17 +8,17 @@ import math
 
 import numpy as np
 
-from superhedge.simulation import ROOT_WIDTH_TOL, _tree_theta
+from superhedge.simulation import _SSTAR_BRACKET, ROOT_WIDTH_TOL, _tree_theta
 
 
 def functional_sstar(leaf, model, base, t, held, s_prev):
     """Per-path (sstar, sign) of z -> theta_t(base + (z,)) - held.
 
     Same plateau conventions as OrderSignChange; sstar is NaN where the sign
-    is constant on [1e-9, 1e9] * s_prev.  The left end of the zero set (first
-    z with delta >= 0) and the right end (first z with delta > 0) are
-    bisected together, one lane each, and a lane stops once its bracket is
-    narrower than ROOT_WIDTH_TOL relative to its midpoint.
+    is constant on [1 / B, B] * s_prev, B = _SSTAR_BRACKET.  The left end of
+    the zero set (first z with delta >= 0) and the right end (first z with
+    delta > 0) are bisected together, one lane each, and a lane stops once
+    its bracket is narrower than ROOT_WIDTH_TOL relative to its midpoint.
     """
     n = held.size
 
@@ -26,7 +26,7 @@ def functional_sstar(leaf, model, base, t, held, s_prev):
         pre, th = tuple(p[lanes] for p in base), held[lanes]
         return lambda z: _tree_theta(leaf, model, pre + (z,), t) - th
 
-    lo, hi = 1e-9 * s_prev, 1e9 * s_prev
+    lo, hi = (1 / _SSTAR_BRACKET) * s_prev, _SSTAR_BRACKET * s_prev
     f = order(np.concatenate((np.arange(n), np.arange(n))))(np.concatenate((lo, hi)))
     f_lo, f_hi = f[:n], f[n:]
     sign = np.where(f_lo > 0.0, 1.0, np.where(f_hi < 0.0, -1.0, 0.0))

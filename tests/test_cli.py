@@ -551,6 +551,76 @@ class TestMain:
         else:
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the asian-call S* solve brackets each root within 1e9 times a
+            # price: at 1e299 its path sums overflow
+            (
+                "payoff = asian-call\nhorizon = 3\nstrikes = 100\nn_paths = 300\n"
+                "s_prev = 1e299\n",
+                "overflows float64 in the asian-call S* solve",
+            ),
+            # put values reach 1e305 and a batch sums 2^17 of them: this run
+            # used to write E(V0) = inf to stats.csv
+            (
+                "payoff = put\nstrikes = 1e305\nhorizon = 3\ns_prev = 1e300\n",
+                "the put claim overflows float64: its values reach 1e+305",
+            ),
+        ],
+        ids=["sstar_bracket", "claim_values"],
+    )
+    def test_overflowing_claims_refused_before_any_file(
+        self, tmp_path, capsys, text, message
+    ):
+        f = tmp_path / "cfg.txt"
+        f.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(f), "--out", str(out)]) == EXIT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, above",
+        [
+            (
+                "payoff = asian-call\nhorizon = 3\nstrikes = 100\nn_paths = 50\n"
+                "s_prev = 2e298\n",
+                ("2e298", "4e298"),
+            ),
+            (
+                "payoff = put\nstrikes = 1e305\nhorizon = 3\ns_prev = 1e300\n"
+                "n_paths = 50\n",
+                ("n_paths = 50", "n_paths = 1000000"),
+            ),
+            # a V-shaped claim on prices up to s_prev = 1e290, whose largest
+            # |value| lies at its kink, not at 0 or at s_prev
+            (
+                "payoff = custom-pwl\npayoff_breakpoints = 5e289, 1e290\n"
+                "payoff_values = -1e305, 0\npayoff_left_slope = -2e15\n"
+                "payoff_right_slope = 2e15\nm_hi = 1\nspr_hi = 0\ns_prev = 1e290\n"
+                "n_paths = 50\n",
+                ("n_paths = 50", "n_paths = 1000000"),
+            ),
+        ],
+        ids=["sstar_bracket", "claim_values", "kink_value"],
+    )
+    def test_largest_claims_below_the_rules_run_under_warnings_as_errors(
+        self, tmp_path, text, above
+    ):
+        # each config runs clean, and the same one past the rule is refused
+        f = tmp_path / "cfg.txt"
+        f.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(f), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "stats.csv").read_text().splitlines()]
+        assert all(math.isfinite(float(v)) for label, v in rows if label != "K")
+        with pytest.raises(ConfigError, match="overflows float64"):
+            parse_config(text.replace(*above))
+
     def test_out_of_memory_names_n_paths(self, tmp_path, capsys, monkeypatch):
         # the edges of 10^12 bins cannot be allocated: np.histogram's
         # np.linspace is patched to fail as the system's allocator would, at

@@ -122,19 +122,23 @@ class TestDrawStep:
     @pytest.mark.parametrize("n", [1, TILE - 1, TILE, 3 * TILE + 17])
     @pytest.mark.parametrize("t", [0, 1], ids=["mid", "bid-ask"])
     def test_tiles_equal_whole_row_draw(self, n, t):
-        # row i of tile [lo, hi) comes from offset i * n + lo of the step's
-        # stream; the bid/ask step skips its k row, tile by tile
+        # rows read n apart after a seek to lo are the slices [lo, hi) of a
+        # whole-row draw, and the stream is left 3n past lo; the bid/ask
+        # step skips its k row
         step = REF_MODEL.steps[t]
-        ref, rng = _gen(6), _gen(6)
-        want, got = np.empty((3, n)), np.empty((3, n))
-        draw_step(step, ref, out=(want[0], want[1], want[2] if t == 0 else None))
+        want = np.empty((3, n))
+        draw_step(step, _gen(6), out=(want[0], want[1], want[2] if t == 0 else None))
+        kept = slice(None) if t == 0 else slice(2)
         for lo in range(0, n, TILE):
             hi = min(lo + TILE, n)
-            rows = (got[0, lo:hi], got[1, lo:hi], got[2, lo:hi] if t == 0 else None)
-            draw_step(step, rng, out=rows, lo=lo, lanes=n)
-        kept = slice(None) if t == 0 else slice(2)
-        assert got[kept].tobytes() == want[kept].tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
+            rng, end = _gen(6), _gen(6)
+            rng.bit_generator.advance(lo)
+            end.bit_generator.advance(lo + 3 * n)
+            got = np.empty((3, hi - lo))
+            rows = (got[0], got[1], got[2] if t == 0 else None)
+            draw_step(step, rng, out=rows, stride=n)
+            assert got[kept].tobytes() == want[kept, lo:hi].tobytes()
+            assert rng.bit_generator.state == end.bit_generator.state
 
     def test_skipped_k_row_advances_the_stream(self):
         # bid/ask steps pass None for k: the stream moves on as if it were drawn
@@ -669,8 +673,9 @@ def _tiled_run(simulate, model, n, seed, tile, sizes):
 
 
 class TestTiles:
-    """Each step runs TILE lanes at a time; every operation is elementwise,
-    so any tile size gives the stats and dump bytes of one tile per batch."""
+    """Each tile runs steps 0..T on TILE lanes at a time; every operation is
+    elementwise, so any tile size gives the stats and dump bytes of one tile
+    per batch."""
 
     @settings(max_examples=30, deadline=None)
     @given(
