@@ -16,7 +16,9 @@ import itertools
 import math
 import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -55,6 +57,7 @@ EXIT_INFINITE_PRICE = 3
 PAYOFF_TAGS = ("call", "put", "custom-pwl", "asian-call")
 STRATEGY_SAMPLES = 512  # grid points of each exported strategy table
 _PWL_CLAIMS = {"call": call_payoff, "put": put_payoff}  # by strike; else custom-pwl
+_STAGE = ".superhedge-"  # name prefix of a run's staging directory
 
 
 class ConfigError(ValueError):
@@ -109,8 +112,8 @@ class ExperimentConfig:
             for i, label in enumerate(labels):
                 if label in labels[:i]:
                     raise ConfigError(f"strikes share the column label {label!r}")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be at least 1")
+        if not 1 <= self.n_paths < 2**63:  # numpy counts paths in int64
+            raise ConfigError("n_paths must be at least 1 and below 2^63")
         # The largest price any layer forms, and a batch's sum of such prices.
         k_up, T = self.m_hi + self.spr_hi, self.horizon
         top = math.prod(itertools.repeat(k_up, T + 1), start=self.s_prev)
@@ -159,15 +162,43 @@ class ExperimentConfig:
                     f"s_prev = {self.s_prev!r} over horizon {T} overflows float64 "
                     f"in the asian-call S* solve: its path sums reach {reach!r}"
                 )
-        else:  # a batch sums claim values, largest in |.| at a corner of [0, top]
+            value = top  # the payoff lies below the path's mean price
+        else:
             make = _PWL_CLAIMS.get(self.payoff)
             claims = [make(k) for k in self.strikes] if make else [self.custom_payoff()]
+            # Every exact number the run turns into a float: g_t's breakpoints
+            # reach the claim's largest over k_down^T (at k_up = 1 they stay, and
+            # a crossing table's cuts reach it over k_down); its slopes and
+            # intercepts, convex combinations of the claim's, lie between those
+            # of its end pieces; a crossing table adds k_up s - k_down s', c - c'.
+            kd, ku = Fraction(self.m_lo), Fraction(k_up)
+            for f in claims:
+                b, s = f.breakpoints[-1], (f.left_slope, f.right_slope)
+                c = abs(f.eval_exact(0)) + abs(f.values[-1] - s[1] * b)
+                reach = max(b / kd ** (T if ku > 1 else 1), (kd + ku) * max(map(abs, s)), c)
+                try:
+                    float(reach)
+                except OverflowError:
+                    digits = math.log10(reach.numerator) - math.log10(reach.denominator)
+                    raise ConfigError(
+                        f"the {self.payoff} claim overflows float64 in pricing over "
+                        f"horizon {T}: its value functions reach 10^{digits:.1f}"
+                    ) from None
             value = max(abs(v) for f in claims for v in _corner_values(f, 0.0, top))
-            if not math.isfinite(value * lanes):
-                raise ConfigError(
-                    f"the {self.payoff} claim overflows float64: its values reach "
-                    f"{value!r} on prices up to {top!r}, and a batch sums {lanes} of them"
-                )
+        # A batch sums claim values, largest in |.| at a corner of [0, top],
+        # and V_0/S_0 and eps_R = (V_T - f(S_T)) / S_T; the statistics square
+        # eps_R's deviations (an M2 merge forms delta^2 * count * n).  |V_0|
+        # and |f| reach value, and each gain theta_t (S_t+1 - S_t) twice that:
+        # theta_t is a chord slope of a value function on a support holding
+        # S_t+1.  So |eps_R|, and V_0/S_0, reach 2 (T + 1) value / bottom.
+        bottom = math.prod(itertools.repeat(self.m_lo, T + 1), start=self.s_prev)
+        eps = 2 * (T + 1) * value / bottom if bottom else math.inf
+        if not math.isfinite(value * lanes + eps * eps * self.n_paths * self.n_paths):
+            raise ConfigError(
+                f"the {self.payoff} claim overflows float64: its values reach {value!r} "
+                f"on prices from {bottom!r} to {top!r}, a batch sums {lanes} of them, "
+                f"and eps_R, up to {eps!r}, is squared over n_paths = {self.n_paths}"
+            )
 
     def custom_payoff(self) -> PwlFunction:
         """The ``custom-pwl`` payoff from the payoff_* keys."""
@@ -253,22 +284,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if set(bounds) != _BOUND_KEYS:
             raise ConfigError("k_down and k_up must be given together")
         if not saw_dist_keys:
-            fields["m_lo"] = bounds["k_down"]
-            fields["m_hi"] = bounds["k_up"]
-            fields["spr_lo"] = 0.0
-            fields["spr_hi"] = 0.0
+            fields.update(m_lo=bounds["k_down"], m_hi=bounds["k_up"], spr_lo=0.0, spr_hi=0.0)
     try:
         cfg = ExperimentConfig(**fields)
         if bounds and saw_dist_keys:
             # raises when the explicit bounds contradict the draw ranges
-            StepSpec(
-                k_down=bounds["k_down"],
-                k_up=bounds["k_up"],
-                m_lo=cfg.m_lo,
-                m_hi=cfg.m_hi,
-                spr_lo=cfg.spr_lo,
-                spr_hi=cfg.spr_hi,
-            )
+            kd, ku = bounds["k_down"], bounds["k_up"]
+            StepSpec(kd, ku, cfg.m_lo, cfg.m_hi, cfg.spr_lo, cfg.spr_hi)
         return cfg
     except ValueError as exc:  # ConfigError included: same type, same text
         raise ConfigError(str(exc)) from None
@@ -334,13 +356,6 @@ def _naming(path: Path):
         raise
 
 
-def _write_text(path: Path, text: str, written: list):
-    """Write ``text`` to ``path``, added to ``written`` before it is opened."""
-    written.append(path)
-    with _naming(path):
-        path.write_text(text, encoding="utf-8")
-
-
 def _histogram(chunks, bins: int, lo: float, hi: float):
     """np.histogram(series, bins) of a series given in chunks, whose min is
     ``lo`` and max ``hi``: (counts, edges).
@@ -375,9 +390,8 @@ def _write_histogram(path: Path, spill: Path, bins: int, lo: float, hi: float):
             fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
 
 
-def _export_strategy_tables(out_dir, label, pricing, model, written: list):
-    """Per-step sampled order mappings z -> theta_t(z); each file is added to
-    ``written`` before it is opened."""
+def _export_strategy_tables(out_dir, label, pricing, model):
+    """Per-step sampled order mappings z -> theta_t(z)."""
     lo_mult = hi_mult = 1.0
     for t, step in enumerate(model.steps[: model.horizon]):
         lo_mult *= step.k_down
@@ -385,7 +399,6 @@ def _export_strategy_tables(out_dir, label, pricing, model, written: list):
         grid = np.linspace(model.s_init * lo_mult, model.s_init * hi_mult, STRATEGY_SAMPLES)
         theta = pricing.strategy(t, model)(grid)
         path = out_dir / f"strategy_{label}_t{t}.csv"
-        written.append(path)
         with _naming(path), path.open("w", encoding="utf-8") as fh:
             fh.write("s,theta\n")
             for s_val, th in zip(grid, theta):
@@ -393,47 +406,42 @@ def _export_strategy_tables(out_dir, label, pricing, model, written: list):
 
 
 def _simulate_strike(
-    simulate, cfg: ExperimentConfig, out_dir: Path, label: str, horizon: int,
-    written: list,
+    simulate, cfg: ExperimentConfig, out_dir: Path, label: str, horizon: int
 ) -> SimStats:
     """Stats of ``simulate(sink=...)`` for one strike, writing its dump and
-    histograms; each file is added to ``written`` before it is opened.
+    histograms in ``out_dir``.
 
     The sink appends each finished tile to the path dump while the
     simulation runs, and each histogram series (S_0..S_min(T,2) and eps_R)
     to a spill file of its own, 8 bytes per path, keeping the series'
     running min and max.  So memory holds one batch of the statistics' rows
-    and one tile of the others, whatever n_paths.  The dump is written under
-    a temporary name and renamed when the strike succeeds: a failed run
-    leaves no partial dump.  Once the strike is done, a series whose range
-    cannot hold ``hist_bins`` finite-sized bins is refused before any is
-    binned; then each spill is binned chunk by chunk into its histogram and
-    deleted.  The histogram series are rows the statistics read, so a run
-    that bins but does not dump keeps the compact workspace; a run that
-    neither dumps nor bins passes no sink.
+    and one tile of the others, whatever n_paths.  Once the strike is done,
+    each spill is binned chunk by chunk into its histogram, or refused when
+    its range cannot hold ``hist_bins`` finite-sized bins, and deleted.  The
+    histogram series are rows the statistics read, so a run that bins but
+    does not dump keeps the compact workspace; a run that neither dumps nor
+    bins passes no sink.
     """
     names = _hist_series(horizon)
     hists = [out_dir / f"hist_{label}_{name}.csv" for name in names] if cfg.histograms else []
-    spills = [hist.with_suffix(".f64.part") for hist in hists]
+    spills = [hist.with_suffix(".f64") for hist in hists]
     lo, hi = [math.inf] * len(hists), [-math.inf] * len(hists)
     dump = out_dir / f"paths_{label}.csv"
-    part = dump.with_name(dump.name + ".part")
     done = 0
 
     with contextlib.ExitStack() as files:
 
         def create(path: Path):
-            written.append(path)
             files.enter_context(_naming(path))
             return files.enter_context(path.open("wb"))
 
-        fh = create(part) if cfg.dump_paths else None
+        fh = create(dump) if cfg.dump_paths else None
         outs = [create(spill) for spill in spills]
 
         def sink(cols):
             nonlocal done
             if fh is not None:
-                with _naming(part):
+                with _naming(dump):
                     write_path_dump(fh, cols, horizon, done)
             picks = cols["s"][: len(names) - 1] + [cols["eps"]]
             for j, (out, col) in enumerate(zip(outs, picks)):
@@ -445,20 +453,14 @@ def _simulate_strike(
             done += cols["eps"].size
 
         stats, _ = simulate(sink=sink if fh is not None or outs else None)
-    for j, hist in enumerate(hists):
+    for j, (hist, spill) in enumerate(zip(hists, spills)):
         try:
-            np.histogram_bin_edges((), cfg.hist_bins, range=(lo[j], hi[j]))
-        except ValueError:
+            _write_histogram(hist, spill, cfg.hist_bins, lo[j], hi[j])
+        except ValueError:  # np.histogram refuses the range before any binning
             raise ValueError(
                 f"{hist.name}: the range [{lo[j]!r}, {hi[j]!r}] cannot hold "
                 f"hist_bins = {cfg.hist_bins} finite-sized bins"
             ) from None
-    if cfg.dump_paths:
-        part.replace(dump)
-        written.append(dump)
-    for j, (hist, spill) in enumerate(zip(hists, spills)):
-        written.append(hist)
-        _write_histogram(hist, spill, cfg.hist_bins, lo[j], hi[j])
         spill.unlink()
     return stats
 
@@ -501,57 +503,55 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFINITE_PRICE if cfg.clamp_infinite_price else EXIT_NO_ARBITRAGE
 
+    # Every file is written in a staging directory in out_dir, or in the
+    # nearest of its parents that exists, and moves into out_dir once the
+    # whole run has succeeded; a run that stops leaves out_dir as it was.
     out_dir = Path(out_dir)
-    # The directories this run makes, deepest first, and the files it writes:
-    # a run that stops after it started, refused or interrupted, removes
-    # them all.
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    written: list[Path] = []
-
+    home = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     columns = [math.nan] if cfg.payoff == "custom-pwl" else [float(k) for k in cfg.strikes]
     children = np.random.SeedSequence(cfg.seed).spawn(len(columns))
 
     stats_list: list[SimStats] = []
     try:
         if cfg.histograms:  # one strike's series spill at a time
-            _require_spill_space(cfg, model.horizon, made[-1].parent if made else out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_text(out_dir / "effective_config.txt", render_config(cfg), written)
-        for strike, child in zip(columns, children):
-            label = _column_label(strike)
-            if cfg.payoff == "asian-call":
-                engine, claim = simulate_functional, asian_call_payoff(strike)
-                v0 = asian_tree_price(claim, model, model.s_init)
-                print(f"{label}: time-0 value at s0={model.s_init:g}: {v0:.6g}")
-            else:
-                make = _PWL_CLAIMS.get(cfg.payoff)
-                payoff = make(strike) if make else cfg.custom_payoff()
-                # the histogram series are rows the statistics read
-                engine = partial(simulate_one, whole_paths=cfg.dump_paths)
-                claim = backward_induce(payoff, model)
-                premium = initial_premium(claim, model)
-                print(f"{label}: initial premium P0 = {premium:.6g}")
-                if cfg.export_strategy:
-                    _export_strategy_tables(out_dir, label, claim, model, written)
-            simulate = partial(
-                engine, model, claim, strike, cfg.n_paths, child, cfg.straddle_to_ask
-            )
-            stats_list.append(
-                _simulate_strike(simulate, cfg, out_dir, label, model.horizon, written)
-            )
-        if cfg.write_stats:
-            text = format_stats_text(stats_list)
-            tables = {"stats.txt": text, "stats.csv": format_stats_csv(stats_list)}
-            for name, body in tables.items():
-                _write_text(out_dir / name, body, written)
-    except BaseException as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for d in made:
-            if d.is_dir():  # a failed mkdir may have made only some
-                d.rmdir()
-        if not isinstance(exc, (ValueError, MemoryError, OSError)):
-            raise  # an interrupt, or a warning promoted to an error
+            _require_spill_space(cfg, model.horizon, home)
+        with tempfile.TemporaryDirectory(prefix=_STAGE, dir=home) as staged:
+            stage = Path(staged)
+            for strike, child in zip(columns, children):
+                label = _column_label(strike)
+                if cfg.payoff == "asian-call":
+                    engine, claim = simulate_functional, asian_call_payoff(strike)
+                    v0 = asian_tree_price(claim, model, model.s_init)
+                    print(f"{label}: time-0 value at s0={model.s_init:g}: {v0:.6g}")
+                else:
+                    make = _PWL_CLAIMS.get(cfg.payoff)
+                    payoff = make(strike) if make else cfg.custom_payoff()
+                    # the histogram series are rows the statistics read
+                    engine = partial(simulate_one, whole_paths=cfg.dump_paths)
+                    claim = backward_induce(payoff, model)
+                    premium = initial_premium(claim, model)
+                    print(f"{label}: initial premium P0 = {premium:.6g}")
+                    if cfg.export_strategy:
+                        _export_strategy_tables(stage, label, claim, model)
+                simulate = partial(
+                    engine, model, claim, strike, cfg.n_paths, child, cfg.straddle_to_ask
+                )
+                stats_list.append(_simulate_strike(simulate, cfg, stage, label, model.horizon))
+            texts = {"effective_config.txt": render_config(cfg)}
+            if cfg.write_stats:
+                text = format_stats_text(stats_list)
+                texts.update({"stats.txt": text, "stats.csv": format_stats_csv(stats_list)})
+            for name, body in texts.items():
+                with _naming(stage / name):
+                    (stage / name).write_text(body, encoding="utf-8")
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for path in stage.iterdir():  # one rename each, on one file system
+                path.replace(out_dir / path.name)
+    except (ValueError, MemoryError, OSError) as exc:
+        named = Path(getattr(exc, "filename", None) or "")
+        for place in (named, named.parent):  # name a staged path as in out_dir
+            if place.parent == home and place.name.startswith(_STAGE):
+                exc.filename = str(out_dir / named.relative_to(place))
         if isinstance(exc, MemoryError):  # the inputs that size memory
             exc = MemoryError(
                 f"out of memory with n_paths = {cfg.n_paths}, "

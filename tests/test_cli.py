@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -87,6 +88,13 @@ class TestParseConfig:
     def test_zero_paths_fails_validation(self):
         with pytest.raises(ConfigError, match="n_paths"):
             parse_config("n_paths = 0\n")
+
+    def test_n_paths_range(self):
+        # numpy counts paths in int64, and the eps_R rule forms n_paths as a float
+        for n in (2**63, 10**400):
+            with pytest.raises(ConfigError, match=r"n_paths must be at least 1 and below 2\^63"):
+                parse_config(f"n_paths = {n}\n")
+        assert parse_config(f"n_paths = {2**63 - 1}\n").n_paths == 2**63 - 1
 
     def test_seed_out_of_range_rejected(self):
         for seed in (-1, 2**64):
@@ -541,7 +549,10 @@ class TestMain:
             ("s_prev = 1e304\nn_paths = 50\n", False),  # 1e304 * 1.4^3 * 50 is finite
             ("s_prev = 1e304\nn_paths = 1000000\n", True),  # a batch sums 2^17 prices
             ("horizon = 2200\n", True),  # 100 * 1.4^2201 is inf
-            ("horizon = 2200\nm_hi = 1\nspr_hi = 0\n", False),
+            # prices stay below 100, but go down to 100 * 0.7^2201: this run
+            # used to write sigma(eps_R) = inf
+            ("horizon = 2200\nm_hi = 1\nspr_hi = 0\n", True),
+            ("horizon = 2200\nm_lo = 0.999\nm_hi = 1\nspr_hi = 0\n", False),
         ],
     )
     def test_overflow_rule_reads_prices_and_batch_sums(self, text, refused):
@@ -567,8 +578,41 @@ class TestMain:
                 "payoff = put\nstrikes = 1e305\nhorizon = 3\ns_prev = 1e300\n",
                 "the put claim overflows float64: its values reach 1e+305",
             ),
+            # g_0's breakpoints reach K / 0.7^2 and 100 / 1e-400: these runs
+            # used to die converting them to floats
+            (
+                "strikes = 1e308\nhorizon = 2\nn_paths = 50\n",
+                "the call claim overflows float64 in pricing over horizon 2: "
+                "its value functions reach 10^308.3",
+            ),
+            (
+                "m_lo = 1e-200\nstrikes = 100\nhorizon = 2\nn_paths = 50\n",
+                "its value functions reach 10^402.0",
+            ),
+            # the last piece's intercept is -1e310
+            (
+                "payoff = custom-pwl\npayoff_breakpoints = 1e300\npayoff_values = 0\n"
+                "payoff_right_slope = 1e10\nn_paths = 50\n",
+                "the custom-pwl claim overflows float64 in pricing",
+            ),
+            # V_0/S_0 reaches 1e300 / 7e-11: this run used to write
+            # E(V0/S0) = inf to stats.csv
+            (
+                "payoff = put\nstrikes = 1e300\ns_prev = 1e-10\nhorizon = 2\nn_paths = 50\n",
+                "and eps_R, up to inf, is squared over n_paths = 50",
+            ),
+            # eps_R reaches 1e304: this run's np.var used to overflow
+            (
+                "payoff = custom-pwl\npayoff_breakpoints = 50\npayoff_values = -1e305\n"
+                "payoff_left_slope = -2e303\npayoff_right_slope = 2e303\nm_hi = 1\n"
+                "spr_hi = 0\nn_paths = 50\n",
+                "and eps_R, up to 1.749271137026239e+304, is squared over n_paths = 50",
+            ),
         ],
-        ids=["sstar_bracket", "claim_values"],
+        ids=[
+            "sstar_bracket", "claim_values", "breakpoint", "k_down", "intercept",
+            "v0_over_s0", "eps_square",
+        ],
     )
     def test_overflowing_claims_refused_before_any_file(
         self, tmp_path, capsys, text, message
@@ -603,8 +647,22 @@ class TestMain:
                 "n_paths = 50\n",
                 ("n_paths = 50", "n_paths = 1000000"),
             ),
+            # V_0/S_0 near 1e300 / 3e148; the bound on eps_R, squared over
+            # 50 paths, is just below float64's max
+            (
+                "payoff = put\nstrikes = 1e300\ns_prev = 1e149\nhorizon = 2\nn_paths = 50\n",
+                ("n_paths = 50", "n_paths = 100"),
+            ),
+            # a V-shaped claim on prices near 100, whose bound on eps_R,
+            # squared over 50 paths, is just below float64's max
+            (
+                "payoff = custom-pwl\npayoff_breakpoints = 50\npayoff_values = -1e153\n"
+                "payoff_left_slope = -2e151\npayoff_right_slope = 2e151\nm_hi = 1\n"
+                "spr_hi = 0\nn_paths = 50\n",
+                ("n_paths = 50", "n_paths = 100"),
+            ),
         ],
-        ids=["sstar_bracket", "claim_values", "kink_value"],
+        ids=["sstar_bracket", "claim_values", "kink_value", "v0_over_s0", "eps_square"],
     )
     def test_largest_claims_below_the_rules_run_under_warnings_as_errors(
         self, tmp_path, text, above
@@ -670,24 +728,53 @@ class TestMain:
             assert list(tmp_path.iterdir()) == []
         else:
             assert code == EXIT_OK
-            assert len(list(out.glob("hist_*.csv"))) == 8 and not list(out.glob("*.part"))
+            assert len(list(out.glob("hist_*.csv"))) == 8 and not list(out.glob("*.f64"))
+            assert list(tmp_path.iterdir()) == [tmp_path / "new"]  # no staging left
 
     def test_out_naming_a_file_refused(self, tmp_path, capsys):
+        # the staging directory cannot be made in a file: the error names --out
         out = tmp_path / "taken"
         out.write_text("kept")
         assert main(["--paths", "10", "--strikes", "100", "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err.splitlines() == [
-            f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'"
+            f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'"
         ]
         assert out.read_text() == "kept" and list(tmp_path.iterdir()) == [out]
 
+    def test_out_under_a_file_refused(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub"
+        assert main(["--paths", "10", "--strikes", "100", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'"
+        ]
+        assert taken.read_text() == "kept" and list(tmp_path.iterdir()) == [taken]
+
+    def test_unwritable_home_named_as_out(self, tmp_path, capsys, monkeypatch):
+        """A staging directory that cannot be made is named as --out, the
+        directory the run would have made there."""
+
+        def mkdtemp(suffix=None, prefix=None, dir=None):
+            path = os.path.join(dir, prefix + "x1y2z3")
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        out = tmp_path / "out"
+        assert main(["--paths", "10", "--strikes", "100", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{out}'"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
-        "full", ["paths_K100.csv.part", "hist_K100_S_1.f64.part"], ids=["dump", "spill"]
+        "full", ["paths_K100.csv", "hist_K100_S_1.f64"], ids=["dump", "spill"]
     )
     def test_full_disk_mid_write_refused(self, tmp_path, capsys, monkeypatch, full):
         """A write to a full disk in the second batch, to the dump or to a
-        spill, gives one error line naming the file, and removes every file
-        and directory the run made."""
+        spill, gives one error line naming the file by its place in --out,
+        and leaves nothing: --out is not made, and no staging directory is
+        left."""
         real = Path.open
 
         class FullDisk:
@@ -842,20 +929,19 @@ class TestStreamedOutputs:
     ):
         engine = STREAMED_RUNS[claim][1]
         original = getattr(simulation, engine)
-        part = tmp_path / "paths_K100.csv.part"
-        calls, part_sizes = [], []
+        calls, dumped = [], []
 
         def failing(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                part_sizes.append(part.stat().st_size)
+                dumped.extend(p.stat().st_size for p in tmp_path.rglob("paths_K100.csv"))
                 raise ValueError("injected failure in the second batch")
             return original(*args, **kwargs)
 
         monkeypatch.setattr(simulation, engine, failing)
         assert run_experiment(_streamed_cfg(claim), tmp_path) == EXIT_ERROR
         assert len(calls) == 2
-        assert part_sizes[0] > 0  # the first batch was being written out
+        assert dumped[0] > 0  # the first batch was being written out
         assert list(tmp_path.iterdir()) == []  # nothing written, not even the config
 
     @pytest.mark.parametrize(
@@ -884,9 +970,9 @@ class TestStreamedOutputs:
     def test_failure_in_second_strike_removes_the_first(
         self, tmp_path, capsys, monkeypatch, out_exists
     ):
-        """The first strike's dump, histograms and strategy tables, and the
-        echoed config, go when the second strike fails; so does --out if the
-        run made it.  A file the run did not write stays."""
+        """The first strike's dump, histograms and strategy tables, written
+        before the second strike fails, never reach --out, and --out is
+        not made if it did not exist.  A file already there stays."""
         out = tmp_path / "out" / "nested"
         if out_exists:
             out.mkdir(parents=True)
@@ -896,7 +982,7 @@ class TestStreamedOutputs:
         def failing(model, pricing, strike, *args, **kwargs):
             strikes.append(strike)
             if strike == 110.0:
-                seen.extend(p.name for p in out.iterdir())
+                seen.extend(p.name for p in tmp_path.rglob("*") if p.is_file())
                 raise ValueError("injected failure in the second strike")
             return real(model, pricing, strike, *args, **kwargs)
 
@@ -905,10 +991,11 @@ class TestStreamedOutputs:
         assert run_experiment(replace(cfg, export_strategy=True), out) == EXIT_ERROR
         assert capsys.readouterr().err.endswith("injected failure in the second strike\n")
         assert strikes == [90.0, 110.0]
-        wrote = {"effective_config.txt", "paths_K90.csv", "hist_K90_eps_R.csv"}
+        wrote = {"paths_K90.csv", "hist_K90_eps_R.csv"}
         assert wrote | {"strategy_K90_t1.csv", "strategy_K110_t0.csv"} <= set(seen)
         if out_exists:
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
+            assert (out / "notes.txt").read_text() == "kept"
         else:
             assert list(tmp_path.iterdir()) == []
 
@@ -917,14 +1004,14 @@ class TestStreamedOutputs:
         self, tmp_path, capsys, monkeypatch, stop
     ):
         """A run stopped in its second strike by a KeyboardInterrupt, or by a
-        RuntimeWarning promoted to an error, removes every file and directory
-        it made, as a refused run does, and lets the exception through."""
+        RuntimeWarning promoted to an error, leaves nothing, as a refused run
+        does, and lets the exception through."""
         out = tmp_path / "out" / "nested"
         real, seen = cli.simulate_one, []
 
         def stopping(model, pricing, strike, *args, **kwargs):
             if strike == 110.0:
-                seen.extend(p.name for p in out.iterdir())
+                seen.extend(p.name for p in tmp_path.rglob("*") if p.is_file())
                 if stop == "interrupt":
                     raise KeyboardInterrupt
                 warnings.warn("overflow encountered in square", RuntimeWarning)
@@ -936,9 +1023,92 @@ class TestStreamedOutputs:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(KeyboardInterrupt if stop == "interrupt" else RuntimeWarning):
                 run_experiment(cfg, out)
-        assert {"effective_config.txt", "paths_K90.csv", "hist_K90_eps_R.csv"} <= set(seen)
+        assert {"paths_K90.csv", "hist_K90_eps_R.csv"} <= set(seen)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().err == ""  # propagated, not reported as refused
+
+
+class TestStagedOutputs:
+    """A run writes its files in a staging directory and publishes them to
+    --out only once it has succeeded."""
+
+    FIRST = "horizon = 2\nstrikes = 90, 110\nn_paths = 500\nseed = 3\n"
+
+    def _first_run(self, out):
+        """A finished run into ``out``: its files' bytes, by name."""
+        cfg = parse_config(self.FIRST + "dump_paths = true\nhistograms = true\n")
+        assert run_experiment(replace(cfg, export_strategy=True), out) == EXIT_OK
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_finished_run_publishes_only_its_files(self, tmp_path):
+        files = self._first_run(tmp_path / "out")
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        assert len(files) == 3 + 2 * (1 + 4 + 2)  # config, stats; dump, hists, strategies
+        assert all(name.endswith((".csv", ".txt")) for name in files)
+
+    @pytest.mark.parametrize(
+        "stop", ["narrow", "second_strike", "full_disk", "memory", "interrupt", "warning"]
+    )
+    def test_stopped_rerun_keeps_the_earlier_files(self, tmp_path, capsys, monkeypatch, stop):
+        """A rerun into the same --out that stops, refused, out of memory or
+        disk, interrupted or by a promoted warning, leaves every file of the
+        earlier run byte for byte, adds none, and leaves no staging directory.
+        Each rerun writes files the earlier run wrote before it stops."""
+        out = tmp_path / "out"
+        before = self._first_run(out)
+        capsys.readouterr()
+        cfg = replace(parse_config(self.FIRST + "dump_paths = true\n"), seed=4)
+        raised, real = {"interrupt": KeyboardInterrupt, "warning": RuntimeWarning}, cli.simulate_one
+
+        def stopping(model, pricing, strike, *args, **kwargs):
+            if strike == 110.0:
+                assert {"paths_K90.csv"} <= {p.name for p in tmp_path.rglob("*")}
+                if stop == "memory":
+                    raise MemoryError
+                if stop == "second_strike":
+                    raise ValueError("injected failure in the second strike")
+                if stop == "interrupt":
+                    raise KeyboardInterrupt
+                warnings.warn("overflow encountered in square", RuntimeWarning)
+            return real(model, pricing, strike, *args, **kwargs)
+
+        if stop == "narrow":  # refused after the simulation: S_0 spans 1.1e-13
+            cfg = parse_config(
+                "k_down = 1\nk_up = 1.000000000000001\nstrikes = 100\nn_paths = 100\n"
+                "histograms = true\ndump_paths = true\nexport_strategy = true\n"
+            )
+        elif stop == "full_disk":  # the second strike's dump finds the disk full
+            real_open = Path.open
+
+            def open_(path, *args, **kwargs):
+                if path.name == "paths_K110.csv":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return real_open(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "open", open_)
+        else:
+            monkeypatch.setattr(cli, "simulate_one", stopping)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if stop in raised:
+                with pytest.raises(raised[stop]):
+                    run_experiment(cfg, out)
+            else:
+                assert run_experiment(cfg, out) == EXIT_ERROR
+        monkeypatch.undo()
+        err = capsys.readouterr().err.splitlines()
+        expected = {
+            "narrow": "error: hist_K100_S_0.csv: the range",
+            "second_strike": "error: injected failure in the second strike",
+            "full_disk": f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+            f"'{out / 'paths_K110.csv'}'",
+            "memory": "error: out of memory with n_paths = 500",
+        }
+        assert [line[: len(expected[stop])] for line in err] == (
+            [expected[stop]] if stop in expected else []
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert list(tmp_path.iterdir()) == [out]
 
 
 def _files_digest(out, pattern: str = "*") -> str:
@@ -1012,7 +1182,7 @@ class TestChunkedHistogram:
         """The bytes np.histogram wrote from whole in-memory series."""
         assert run_experiment(parse_config(text + "histograms = true\n"), tmp_path) == EXIT_OK
         assert _files_digest(tmp_path, "hist_*") == digest
-        assert not list(tmp_path.glob("*.part"))
+        assert {p.suffix for p in tmp_path.iterdir()} == {".csv", ".txt"}  # no spill
 
 
 class TestFormatting:
