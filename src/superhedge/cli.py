@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import math
 import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -26,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .pricing import (
-    _corner_values,
     AipViolationError,
     MarketModel,
     StepSpec,
@@ -35,15 +32,14 @@ from .pricing import (
     backward_induce,
     initial_premium,
     require_aip,
-    require_convex,
     require_tree_depth,
     uniform_bid_ask_model,
 )
 from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
-    _SSTAR_BRACKET,
     BATCH_SIZE,
     SimStats,
+    require_float64,
     simulate_functional,
     simulate_one,
     write_path_dump,
@@ -56,7 +52,7 @@ EXIT_INFINITE_PRICE = 3
 
 PAYOFF_TAGS = ("call", "put", "custom-pwl", "asian-call")
 STRATEGY_SAMPLES = 512  # grid points of each exported strategy table
-_PWL_CLAIMS = {"call": call_payoff, "put": put_payoff}  # by strike; else custom-pwl
+_STRIKE_CLAIMS = {"call": call_payoff, "put": put_payoff, "asian-call": asian_call_payoff}
 _STAGE = ".superhedge-"  # name prefix of a run's staging directory
 
 
@@ -97,12 +93,6 @@ class ExperimentConfig:
                     raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not self.s_prev > 0:
             raise ConfigError("s_prev must be positive")
-        try:  # the draw ranges must build a step, as build_model builds each
-            StepSpec.from_uniform(self.m_lo, self.m_hi, self.spr_lo, self.spr_hi)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
         if not self.strikes:
             raise ConfigError("strikes must be nonempty")
         if any(k <= 0 for k in self.strikes):
@@ -112,18 +102,6 @@ class ExperimentConfig:
             for i, label in enumerate(labels):
                 if label in labels[:i]:
                     raise ConfigError(f"strikes share the column label {label!r}")
-        if not 1 <= self.n_paths < 2**63:  # numpy counts paths in int64
-            raise ConfigError("n_paths must be at least 1 and below 2^63")
-        # The largest price any layer forms, and a batch's sum of such prices.
-        k_up, T = self.m_hi + self.spr_hi, self.horizon
-        top = math.prod(itertools.repeat(k_up, T + 1), start=self.s_prev)
-        lanes = min(BATCH_SIZE, self.n_paths)
-        if not math.isfinite(top * lanes):
-            raise ConfigError(
-                f"s_prev = {self.s_prev!r} over horizon {T} overflows float64: "
-                f"prices reach s_prev * k_up^{T + 1} = {top!r}, "
-                f"and a batch sums {lanes} of them"
-            )
         if self.payoff not in PAYOFF_TAGS:
             raise ConfigError(
                 f"payoff must be one of {', '.join(PAYOFF_TAGS)}, got {self.payoff!r}"
@@ -135,10 +113,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     "payoff_breakpoints and payoff_values must have equal length"
                 )
-            try:
-                require_convex(self.custom_payoff())
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         if self.export_strategy and self.payoff == "asian-call":
             raise ConfigError(
                 "export_strategy needs a piecewise-linear payoff; "
@@ -148,66 +122,20 @@ class ExperimentConfig:
             raise ConfigError("hist_bins must be at least 1")
         if not 0 <= self.seed < 2**64:  # the root of every spawned stream
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if self.payoff == "asian-call":  # its tree walks have 2^horizon leaves
-            try:
+        try:  # build_model refuses draw ranges and horizons that build no model
+            if self.payoff == "asian-call":  # its tree walks have 2^horizon leaves
                 require_tree_depth(self.horizon)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            # An interior step's S* solve sums paths whose prices reach
-            # _SSTAR_BRACKET times s_prev * k_up^t, t = 1..T.
-            steps = (math.prod([k_up] * t, start=self.s_prev) for t in range(1, T + 1))
-            reach = (_SSTAR_BRACKET + 1) * sum(steps)
-            if T > 1 and not math.isfinite(reach):
-                raise ConfigError(
-                    f"s_prev = {self.s_prev!r} over horizon {T} overflows float64 "
-                    f"in the asian-call S* solve: its path sums reach {reach!r}"
-                )
-            value = top  # the payoff lies below the path's mean price
-        else:
-            make = _PWL_CLAIMS.get(self.payoff)
-            claims = [make(k) for k in self.strikes] if make else [self.custom_payoff()]
-            # Every exact number the run turns into a float: g_t's breakpoints
-            # reach the claim's largest over k_down^T (at k_up = 1 they stay, and
-            # a crossing table's cuts reach it over k_down); its slopes and
-            # intercepts, convex combinations of the claim's, lie between those
-            # of its end pieces; a crossing table adds k_up s - k_down s', c - c'.
-            kd, ku = Fraction(self.m_lo), Fraction(k_up)
-            for f in claims:
-                b, s = f.breakpoints[-1], (f.left_slope, f.right_slope)
-                c = abs(f.eval_exact(0)) + abs(f.values[-1] - s[1] * b)
-                reach = max(b / kd ** (T if ku > 1 else 1), (kd + ku) * max(map(abs, s)), c)
-                try:
-                    float(reach)
-                except OverflowError:
-                    digits = math.log10(reach.numerator) - math.log10(reach.denominator)
-                    raise ConfigError(
-                        f"the {self.payoff} claim overflows float64 in pricing over "
-                        f"horizon {T}: its value functions reach 10^{digits:.1f}"
-                    ) from None
-            value = max(abs(v) for f in claims for v in _corner_values(f, 0.0, top))
-        # A batch sums claim values, largest in |.| at a corner of [0, top],
-        # and V_0/S_0 and eps_R = (V_T - f(S_T)) / S_T; the statistics square
-        # eps_R's deviations (an M2 merge forms delta^2 * count * n).  |V_0|
-        # and |f| reach value, and each gain theta_t (S_t+1 - S_t) twice that:
-        # theta_t is a chord slope of a value function on a support holding
-        # S_t+1.  So |eps_R|, and V_0/S_0, reach 2 (T + 1) value / bottom.
-        bottom = math.prod(itertools.repeat(self.m_lo, T + 1), start=self.s_prev)
-        eps = 2 * (T + 1) * value / bottom if bottom else math.inf
-        if not math.isfinite(value * lanes + eps * eps * self.n_paths * self.n_paths):
-            raise ConfigError(
-                f"the {self.payoff} claim overflows float64: its values reach {value!r} "
-                f"on prices from {bottom!r} to {top!r}, a batch sums {lanes} of them, "
-                f"and eps_R, up to {eps!r}, is squared over n_paths = {self.n_paths}"
-            )
+            claims = [f for _, f in self._claims()]
+            require_float64(self.build_model(), claims, self.n_paths, self.payoff)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
-    def custom_payoff(self) -> PwlFunction:
-        """The ``custom-pwl`` payoff from the payoff_* keys."""
-        return PwlFunction(
-            self.payoff_breakpoints,
-            self.payoff_values,
-            self.payoff_left_slope,
-            self.payoff_right_slope,
-        )
+    def _claims(self) -> list:
+        """(strike, claim) of each column: one per strike, or custom-pwl's one."""
+        if self.payoff != "custom-pwl":
+            return [(float(k), _STRIKE_CLAIMS[self.payoff](float(k))) for k in self.strikes]
+        pwl = (self.payoff_breakpoints, self.payoff_values)
+        return [(math.nan, PwlFunction(*pwl, self.payoff_left_slope, self.payoff_right_slope))]
 
     def build_model(self) -> MarketModel:
         m, spr = (self.m_lo, self.m_hi), (self.spr_lo, self.spr_hi)
@@ -508,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     # whole run has succeeded; a run that stops leaves out_dir as it was.
     out_dir = Path(out_dir)
     home = next(d for d in (out_dir, *out_dir.parents) if d.exists())
-    columns = [math.nan] if cfg.payoff == "custom-pwl" else [float(k) for k in cfg.strikes]
+    columns = cfg._claims()
     children = np.random.SeedSequence(cfg.seed).spawn(len(columns))
 
     stats_list: list[SimStats] = []
@@ -517,18 +445,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
             _require_spill_space(cfg, model.horizon, home)
         with tempfile.TemporaryDirectory(prefix=_STAGE, dir=home) as staged:
             stage = Path(staged)
-            for strike, child in zip(columns, children):
+            for (strike, claim), child in zip(columns, children):
                 label = _column_label(strike)
                 if cfg.payoff == "asian-call":
-                    engine, claim = simulate_functional, asian_call_payoff(strike)
+                    engine = simulate_functional
                     v0 = asian_tree_price(claim, model, model.s_init)
                     print(f"{label}: time-0 value at s0={model.s_init:g}: {v0:.6g}")
                 else:
-                    make = _PWL_CLAIMS.get(cfg.payoff)
-                    payoff = make(strike) if make else cfg.custom_payoff()
                     # the histogram series are rows the statistics read
                     engine = partial(simulate_one, whole_paths=cfg.dump_paths)
-                    claim = backward_induce(payoff, model)
+                    claim = backward_induce(claim, model)
                     premium = initial_premium(claim, model)
                     print(f"{label}: initial premium P0 = {premium:.6g}")
                     if cfg.export_strategy:

@@ -352,7 +352,12 @@ def initial_premium(result: PricingResult, model: MarketModel) -> float:
     step = model.steps[0]
     lo, hi = step.k_down * model.s_init, step.k_up * model.s_init
     _check_scalar(hi, "evaluation point", nonnegative=True)
-    return max(_corner_values(result.value_fns[0], lo, hi))
+    try:
+        return max(_corner_values(result.value_fns[0], lo, hi))
+    except OverflowError:  # g_0 holds a number no float holds: name it
+        from .simulation import require_float64
+        require_float64(model, [result.payoff])
+        raise
 
 
 def _corner_values(f: PwlFunction, lo: float, hi: float) -> list[float]:

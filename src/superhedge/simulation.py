@@ -35,15 +35,15 @@ leaves every float unchanged.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .pricing import MarketModel, PricingResult, StepSpec, _require_horizon
-from .pricing import _tree_value, require_aip, require_tree_depth
+from .pricing import MarketModel, PricingResult, StepSpec, _corner_values, _require_horizon
+from .pricing import _tree_value, require_aip, require_convex, require_tree_depth
 from .pwl import PwlFunction, _check_array, _scaled_pieces, piece_index
 
 BATCH_SIZE = 1 << 17
@@ -53,6 +53,75 @@ DUMP_CELLS = 12 << 10  # path-dump cells formatted and written at a time
 _PATH_KEYS = ("s", "bid", "ask", "theta", "v")
 ROOT_WIDTH_TOL = 1e-12
 _SSTAR_BRACKET = 1e9  # a path-dependent S* is sought in s_prev * [1e-9, 1e9]
+
+
+def require_float64(model: MarketModel, claims, n_paths: int = 1, name=None):
+    """Refuse (ValueError) a run of ``claims`` that could overflow float64.
+
+    PWL claims run in batches of BATCH_SIZE, callables on paths in chunks of
+    FUNCTIONAL_CHUNK; ``name`` names them.  A batch sums prices up to top =
+    s_init prod(k_up) over ``model.steps``, claim values up to value, V_0/S_0
+    and eps_R, and the statistics square eps_R's deviations over n_paths.
+    Each gain theta_t (S_t+1 - S_t), a chord's rise in its support, is at
+    most 2 value: eps_R and V_0/S_0 reach 2 (T + 1) value / s_init prod(k_down).
+    """
+    european = all(isinstance(f, PwlFunction) for f in claims)
+    name = name or ("piecewise-linear" if european else "path-dependent")
+    if not 1 <= n_paths < 2**63:  # numpy counts paths in int64
+        raise ValueError("n_paths must be at least 1 and below 2^63")
+    T, s_init = model.horizon, float(model.s_init)
+    lanes = min(BATCH_SIZE if european else FUNCTIONAL_CHUNK, n_paths)
+    top = math.prod((step.k_up for step in model.steps), start=s_init)
+    bottom = math.prod((step.k_down for step in model.steps), start=s_init)
+    if not math.isfinite(top * lanes):
+        raise ValueError(
+            f"s_prev = {s_init!r} over horizon {T} overflows float64: prices reach "
+            f"s_prev * k_up^{T + 1} = {top!r}, and a batch sums {lanes} of them"
+        )
+    if european:
+        # The exact numbers a run makes floats: g_t's breakpoints reach the
+        # claim's over k_down at each later step with k_up > 1, and a crossing
+        # table's cuts g_t's over k_down, which adds a factor only where
+        # k_up <= 1; g_t's slopes and intercepts lie between the claim's end
+        # pieces', and a crossing table's k_up s - k_down s' and c - c' within
+        # (k_up + k_down) |s| and |c_0| + |c_n|.
+        steps = Counter(model.steps[1:])  # each distinct step, with its count
+        shrink = math.prod(st.exact[0] ** n for st, n in steps.items() if st.k_up > 1)
+        shrink *= min((st.exact[0] for st in steps if st.k_up <= 1), default=1)
+        spread = max(st.exact[0] + st.exact[1] for st in steps)
+        for f in claims:
+            require_convex(f)  # as the bounds above assume
+            b, s = f.breakpoints[-1], (f.left_slope, f.right_slope)
+            c = abs(f.eval_exact(0)) + abs(f.values[-1] - s[1] * b)
+            reach = max(b / shrink, spread * max(map(abs, s)), c)
+            if reach >= 2**1024 - 2**970:  # rounds past the largest float
+                digits = math.log10(reach.numerator) - math.log10(reach.denominator)
+                raise ValueError(
+                    f"the {name} claim overflows float64 in pricing over horizon "
+                    f"{T}: its value functions reach 10^{digits:.1f}"
+                )
+        value = max(abs(v) for f in claims for v in _corner_values(f, 0.0, top))
+    else:
+        ends = [(s_init, s_init)] + [(step.k_up, step.k_down) for step in model.steps]
+        with np.errstate(all="ignore"):  # the all-k_up and all-k_down paths, as lanes
+            paths = tuple(np.cumprod(ends, axis=0)[1:])
+        # Each interior step's S* solve sums paths up to _SSTAR_BRACKET times its top
+        reach = (_SSTAR_BRACKET + 1) * sum(float(prices[0]) for prices in paths[:-1])
+        if T > 1 and not math.isfinite(reach):
+            raise ValueError(
+                f"s_prev = {s_init!r} over horizon {T} overflows float64 "
+                f"in the {name} S* solve: its path sums reach {reach!r}"
+            )
+        # A callable's |value|: top (an asian call's bound) or on the two paths
+        with np.errstate(all="ignore"):
+            value = float(max(top, *(abs(_payoff_values(f, paths)).max() for f in claims)))
+    eps = 2 * (T + 1) * value / bottom if bottom else math.inf
+    if not math.isfinite(value * lanes + eps * eps * n_paths * n_paths):
+        raise ValueError(
+            f"the {name} claim overflows float64: its values reach {value!r} "
+            f"on prices from {bottom!r} to {top!r}, a batch sums {lanes} of them, "
+            f"and eps_R, up to {eps!r}, is squared over n_paths = {n_paths}"
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -667,7 +736,7 @@ class _Aggregator:
         )
 
 
-def _fold(model: MarketModel, label: float, n_paths: int, batches):
+def _fold(model: MarketModel, label: float, claim, n_paths: int, batches):
     """Check the run, then fold each batch of path columns into SimStats.
 
     ``batches`` is a generator, so none of its set-up runs before the checks;
@@ -676,8 +745,7 @@ def _fold(model: MarketModel, label: float, n_paths: int, batches):
     ``simulation.collect`` hook of ``perfbench/tracer.py`` until ROADMAP
     item 11 replaces those hooks.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    require_float64(model, [claim], n_paths)
     require_aip(model)
     agg = _Aggregator(model.s_init)
     for cols in batches:
@@ -710,24 +778,23 @@ def simulate_one(
     theta_0, theta_1 and eps passes ``whole_paths=False``; its columns then
     hold None for the entries a later step overwrote.  Single-path and sink
     columns share one format: in both engines the mid-step bid/ask entries
-    are None.  A pricing of another horizon than the model's is refused
-    before any draw.
+    are None.  A pricing of another horizon than the model's, and a run
+    that `require_float64` refuses, are refused before any draw.
     """
     _require_horizon(pricing, model)
-    batch_size = BATCH_SIZE
 
     def batches():
         crossings = _build_crossings(model, pricing)
         compact = sink is None or not whole_paths
-        ws = _workspace(model.horizon, min(batch_size, n_paths), compact=compact)
-        for done in range(0, n_paths, batch_size):
-            nb = min(batch_size, n_paths - done)
+        ws = _workspace(model.horizon, min(BATCH_SIZE, n_paths), compact=compact)
+        for done in range(0, n_paths, BATCH_SIZE):
+            nb = min(BATCH_SIZE, n_paths - done)
             rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
             yield _simulate_batch(
                 model, pricing, nb, rng, crossings, straddle_to_ask, ws, sink
             )
 
-    return _fold(model, strike, n_paths, batches())
+    return _fold(model, strike, pricing.payoff, n_paths, batches())
 
 
 # ---------------------------------------------------------------------- #
@@ -958,11 +1025,9 @@ def simulate_functional(
         ws = _workspace(model.horizon, size, (size, model.horizon + 1, 3))
         for done in range(0, n_paths, FUNCTIONAL_CHUNK):
             nb = min(FUNCTIONAL_CHUNK, n_paths - done)
-            yield _functional_batch(
-                model, payoff, nb, rng, straddle_to_ask, ws, sink
-            )
+            yield _functional_batch(model, payoff, nb, rng, straddle_to_ask, ws, sink)
 
-    return _fold(model, strike_label, n_paths, batches())
+    return _fold(model, strike_label, payoff, n_paths, batches())
 
 
 # ---------------------------------------------------------------------- #
