@@ -19,6 +19,7 @@ one-step value is minus infinity.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -391,12 +392,20 @@ def asian_tree_price(
     multiplier tree rooted at the executed first price s0, giving the time-0
     value; the simulation engine for path-dependent claims runs the same walk.
     The tree has 2^horizon leaves, so horizons above the fixed cap
-    TREE_DEPTH_CAP are refused.
+    TREE_DEPTH_CAP are refused.  A price that overflows float64 is refused
+    (ValueError), with the `require_float64` rule that the model rooted at
+    s0 breaks when the payoff also takes arrays.
     """
     _check_scalar(s0, "s0")
     require_tree_depth(model.horizon)
     require_aip(model)
-    return float(_tree_value(payoff, model, (float(s0),), 0))
+    price = float(_tree_value(payoff, model, (float(s0),), 0))
+    if not math.isfinite(price):  # only a failed price pays for the bound
+        from .simulation import require_float64
+        with contextlib.suppress(TypeError):
+            require_float64(MarketModel(float(s0), model.horizon, model.steps), [payoff])
+        raise ValueError(f"the path-dependent price at s0 = {s0!r} overflows float64")
+    return price
 
 
 def require_tree_depth(horizon: int):

@@ -35,8 +35,8 @@ leaves every float unchanged.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -616,55 +616,49 @@ class RunningMoments:
         return self.m2 / self.count if self.count else math.nan
 
 
+# The rows of the result table after K, in output order: (label, series,
+# statistic).  A series is one per-path quantity that `_Aggregator.add`
+# folds; "mean/s_prev" is the series' mean over s_prev, not a mean of ratios.
+ROWS = (
+    ("E(S0)", "s0", "mean"),
+    ("E(S1)", "s1", "mean"),
+    ("E(S2)", "s2", "mean"),
+    ("E(V0)", "v0", "mean"),
+    ("max V0", "v0", "max"),
+    ("E(V0/S-1)", "v0", "mean/s_prev"),
+    ("E(V0/S0)", "v0/s0", "mean"),
+    ("min(V0/S0)", "v0/s0", "min"),
+    ("max(V0/S0)", "v0/s0", "max"),
+    ("E(eps_R)", "eps", "mean"),
+    ("sigma(eps_R)", "eps", "std"),
+    ("min eps_R", "eps", "min"),
+    ("max eps_R", "eps", "max"),
+    ("E(theta0*S0/V0)", "th0", "mean"),
+    ("E(theta1*S1/V1)", "th1", "mean"),
+)
+
+
 @dataclass(frozen=True)
 class SimStats:
-    """Aggregate per-strike statistics (the rows of the result table).
+    """Aggregate per-strike statistics (the columns of the result table).
 
-    Every field but ``n_paths`` is one row, in ROW_LABELS order.  The
-    position-fraction means E(theta_t S_t / V_t) run over paths with
+    ``values`` maps each label of ROWS to its row, read as ``stats[label]``.
+    The position-fraction means E(theta_t S_t / V_t) run over paths with
     V_t != 0; on paths where the portfolio is worth exactly zero the holding
     is zero too and the fraction is undefined.
     """
 
     strike: float
     n_paths: int
-    mean_s0: float
-    mean_s1: float
-    mean_s2: float
-    mean_v0: float
-    max_v0: float
-    mean_v0_over_sprev: float
-    mean_v0_over_s0: float
-    min_v0_over_s0: float
-    max_v0_over_s0: float
-    mean_eps: float
-    std_eps: float
-    min_eps: float
-    max_eps: float
-    mean_theta0_frac: float
-    mean_theta1_frac: float
+    values: dict[str, float]
 
-    ROW_LABELS = (
-        "K",
-        "E(S0)",
-        "E(S1)",
-        "E(S2)",
-        "E(V0)",
-        "max V0",
-        "E(V0/S-1)",
-        "E(V0/S0)",
-        "min(V0/S0)",
-        "max(V0/S0)",
-        "E(eps_R)",
-        "sigma(eps_R)",
-        "min eps_R",
-        "max eps_R",
-        "E(theta0*S0/V0)",
-        "E(theta1*S1/V1)",
-    )
+    ROW_LABELS = ("K", *(label for label, _, _ in ROWS))
+
+    def __getitem__(self, label: str) -> float:
+        return self.values[label]
 
     def row_values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "n_paths")
+        return (self.strike, *(self.values[label] for label, _, _ in ROWS))
 
 
 def _theta_frac(theta: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -679,19 +673,18 @@ def _theta_frac(theta: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Aggregator:
     """Fold batches of path columns into SimStats.
 
-    One RunningMoments per named per-batch series, merged in batch order;
-    only eps, whose std is reported, keeps an M2.  The series in EXTREMA
-    also keep their running min and max.  A series that saw no path (S2 and
-    theta1 at T=1, a theta fraction where every V_t is 0) has a NaN mean.
+    One RunningMoments per series of ROWS, merged in batch order; only a
+    series with a "std" row keeps an M2, and only one with a "min" or "max"
+    row its running min or max.  A series that saw no path (S2 and theta1
+    at T=1, a theta fraction where every V_t is 0) has a NaN mean.
     """
-
-    EXTREMA = ("v0", "v0/s0", "eps")
 
     def __init__(self, s_prev: float):
         self.s_prev = s_prev
-        self.moments = defaultdict(partial(RunningMoments, m2=None), eps=RunningMoments())
-        self.lo = dict.fromkeys(self.EXTREMA, math.inf)
-        self.hi = dict.fromkeys(self.EXTREMA, -math.inf)
+        m2 = {key: 0.0 for _, key, how in ROWS if how == "std"}
+        self.moments = {key: RunningMoments(m2=m2.get(key)) for _, key, _ in ROWS}
+        self.lo = {key: math.inf for _, key, how in ROWS if how == "min"}
+        self.hi = {key: -math.inf for _, key, how in ROWS if how == "max"}
 
     def add(self, cols: dict):
         """Fold one batch; each derived series is folded, and freed, before
@@ -709,31 +702,18 @@ class _Aggregator:
 
     def _fold(self, key: str, x: np.ndarray):
         self.moments[key].add_batch(x)
-        if key in self.EXTREMA:
+        if key in self.lo:
             self.lo[key] = min(self.lo[key], float(np.min(x)))
+        if key in self.hi:
             self.hi[key] = max(self.hi[key], float(np.max(x)))
 
     def result(self, strike: float) -> SimStats:
-        m, lo, hi = self.moments, self.lo, self.hi
-        return SimStats(
-            strike=strike,
-            n_paths=m["s0"].count,
-            mean_s0=m["s0"].mean,
-            mean_s1=m["s1"].mean,
-            mean_s2=m["s2"].mean,
-            mean_v0=m["v0"].mean,
-            max_v0=hi["v0"],
-            mean_v0_over_sprev=m["v0"].mean / self.s_prev,
-            mean_v0_over_s0=m["v0/s0"].mean,
-            min_v0_over_s0=lo["v0/s0"],
-            max_v0_over_s0=hi["v0/s0"],
-            mean_eps=m["eps"].mean,
-            std_eps=math.sqrt(m["eps"].variance),
-            min_eps=lo["eps"],
-            max_eps=hi["eps"],
-            mean_theta0_frac=m["th0"].mean,
-            mean_theta1_frac=m["th1"].mean,
-        )
+        m, s_prev = self.moments, self.s_prev
+        stat = dict(mean=lambda key: m[key].mean, min=self.lo.get, max=self.hi.get)
+        stat["std"] = lambda key: math.sqrt(m[key].variance)
+        stat["mean/s_prev"] = lambda key: m[key].mean / s_prev
+        values = {label: stat[how](series) for label, series, how in ROWS}
+        return SimStats(strike, m["s0"].count, values)
 
 
 def _fold(model: MarketModel, label: float, claim, n_paths: int, batches):

@@ -9,6 +9,7 @@ which is piecewise quadratic, over the interval's width.  The same holds
 for g_0^2, whose antiderivative is piecewise cubic.  What is left, a
 smooth-but-for-kinks function of (m, spr), takes a Gauss-Legendre product
 rule (Davis & Rabinowitz, Methods of Numerical Integration, ch. 2 and 5).
+E(S_0) needs no quadrature: `s0_moments` gives its moments in closed form.
 """
 
 import numpy as np
@@ -64,3 +65,20 @@ def v0_moments(g0: PwlFunction, model: MarketModel, nodes: int = 400):
         float(np.sum(weights * (one_hi - one_lo) / (hi - lo))),
         float(np.sum(weights * (two_hi - two_lo) / (hi - lo))),
     )
+
+
+def s0_moments(model: MarketModel):
+    """(E[S_0], E[S_0^2]) in closed form: S_0 = s (m + k spr) with m, k and
+    spr independent uniforms, whose moments are (a + b) / 2 and
+    (a^2 + a b + b^2) / 3 on [a, b]."""
+    step, s = model.steps[0], float(model.s_init)
+
+    def moments(a, b):
+        a, b = float(a), float(b)
+        return (a + b) / 2, (a * a + a * b + b * b) / 3
+
+    m1, m2 = moments(step.m_lo, step.m_hi)
+    k1, k2 = moments(0, 1)
+    d1, d2 = moments(step.spr_lo, step.spr_hi)
+    # E(m + k spr)^2 = E m^2 + 2 E m E k E spr + E k^2 E spr^2
+    return s * (m1 + k1 * d1), s * s * (m2 + 2 * m1 * k1 * d1 + k2 * d2)

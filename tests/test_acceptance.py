@@ -63,18 +63,18 @@ def test_criterion_1_table_reproduction(table_run):
     failures = []
     for st in stats:
         k = int(st.strike)
-        if abs(st.mean_s0 - TABLE_MEAN_S0[k]) > 0.2:
-            failures.append(f"K={k}: E(S0)={st.mean_s0:.4f}")
-        if abs(st.mean_v0 - TABLE_MEAN_V0[k]) > 0.01 * TABLE_MEAN_V0[k]:
-            failures.append(f"K={k}: E(V0)={st.mean_v0:.4f}")
-        if abs(st.mean_eps - TABLE_MEAN_EPS[k]) > 0.005:
-            failures.append(f"K={k}: E(eps)={st.mean_eps:.5f}")
-        if abs(st.std_eps - TABLE_STD_EPS[k]) > 0.005:
-            failures.append(f"K={k}: sigma(eps)={st.std_eps:.5f}")
-        if st.max_eps > 0.20:
-            failures.append(f"K={k}: max eps={st.max_eps:.5f}")
-        if not 0.0 <= st.min_eps <= 1e-4:
-            failures.append(f"K={k}: min eps={st.min_eps:.3e}")
+        if abs(st["E(S0)"] - TABLE_MEAN_S0[k]) > 0.2:
+            failures.append(f"K={k}: E(S0)={st['E(S0)']:.4f}")
+        if abs(st["E(V0)"] - TABLE_MEAN_V0[k]) > 0.01 * TABLE_MEAN_V0[k]:
+            failures.append(f"K={k}: E(V0)={st['E(V0)']:.4f}")
+        if abs(st["E(eps_R)"] - TABLE_MEAN_EPS[k]) > 0.005:
+            failures.append(f"K={k}: E(eps)={st['E(eps_R)']:.5f}")
+        if abs(st["sigma(eps_R)"] - TABLE_STD_EPS[k]) > 0.005:
+            failures.append(f"K={k}: sigma(eps)={st['sigma(eps_R)']:.5f}")
+        if st["max eps_R"] > 0.20:
+            failures.append(f"K={k}: max eps={st['max eps_R']:.5f}")
+        if not 0.0 <= st["min eps_R"] <= 1e-4:
+            failures.append(f"K={k}: min eps={st['min eps_R']:.3e}")
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s")
     report(

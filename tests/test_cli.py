@@ -1187,25 +1187,9 @@ class TestChunkedHistogram:
 
 class TestFormatting:
     def test_csv_full_precision(self):
-        stats = SimStats(
-            strike=100.0,
-            n_paths=1,
-            mean_s0=1 / 3,
-            mean_s1=math.nan,
-            mean_s2=0.0,
-            mean_v0=0.0,
-            max_v0=0.0,
-            mean_v0_over_sprev=0.0,
-            mean_v0_over_s0=0.0,
-            min_v0_over_s0=0.0,
-            max_v0_over_s0=0.0,
-            mean_eps=0.0,
-            std_eps=0.0,
-            min_eps=0.0,
-            max_eps=0.0,
-            mean_theta0_frac=0.0,
-            mean_theta1_frac=0.0,
-        )
+        values = dict.fromkeys(SimStats.ROW_LABELS[1:], 0.0)
+        values.update({"E(S0)": 1 / 3, "E(S1)": math.nan})
+        stats = SimStats(strike=100.0, n_paths=1, values=values)
         out = format_stats_csv([stats])
         assert "0.3333333333333333" in out
         assert out.count("\n") == 16

@@ -12,6 +12,7 @@ from superhedge.pricing import (
     MarketModel,
     StepSpec,
     asian_call_payoff,
+    asian_tree_price,
     backward_induce,
     initial_premium,
     uniform_bid_ask_model,
@@ -63,6 +64,26 @@ def test_simulate_functional_refuses_sstar_path_sums_and_claim_values():
         simulate_functional(model, _asian_put(1e305), 1e305, 5000, _seed())
 
 
+@pytest.mark.parametrize(
+    "s_init, s0", [(1e308, 1e308), (100.0, 1e308)], ids=["huge_model", "huge_s0"]
+)
+def test_asian_tree_price_refuses_a_price_past_float64(s_init, s0):
+    # the tree's prices reach s0 * 1.4^2: both used to return inf, silently
+    model = uniform_bid_ask_model(s_init, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="over horizon 2 overflows float64"):
+            asian_tree_price(asian_call_payoff(100.0), model, s0)
+
+
+def test_asian_tree_price_refuses_what_no_bound_names():
+    # a payoff of floats only: the bound cannot call it on arrays, so the
+    # price itself is named
+    payoff = lambda path: max(path[-1] * 1e306 - 1.0, 0.0)  # noqa: E731
+    with pytest.raises(ValueError, match="price at s0 = 100.0 overflows float64"):
+        asian_tree_price(payoff, uniform_bid_ask_model(), 100.0)
+
+
 @pytest.mark.parametrize("n_paths", [0, 2**63])
 @pytest.mark.parametrize("engine", ["european", "path-dependent"])
 def test_engines_refuse_n_paths_out_of_range_before_any_batch(monkeypatch, engine, n_paths):
@@ -104,7 +125,7 @@ def test_bound_reads_each_step_of_a_heterogeneous_model():
         warnings.simplefilter("error")
         stats, _ = simulate_one(HETEROGENEOUS, pricing, 100.0, n_paths, _seed())
     assert all(math.isfinite(v) for v in stats.row_values())
-    assert stats.min_eps >= 0.0
+    assert stats["min eps_R"] >= 0.0
     with pytest.raises(ValueError, match="a batch sums 200 of them"):
         require_float64(HETEROGENEOUS, [claim], 200)
 

@@ -4,6 +4,7 @@ The paper's table pins E(V0) to three digits, a window of ~26 standard
 errors at 10^6 paths.  The oracle (tests/quadrature.py) integrates
 g_0(S_0) over step 0's draws with no Monte-Carlo noise, and its second
 moment gives the run's standard error, so each run must land within five.
+The same runs' E(S0) is checked against its closed form (tests/quadrature.py).
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from quadrature import v0_moments
+from quadrature import s0_moments, v0_moments
 from superhedge.cli import ExperimentConfig
 from superhedge.pricing import backward_induce, uniform_bid_ask_model
 from superhedge.pwl import call_payoff
@@ -38,8 +39,12 @@ def test_table_run_mean_v0_within_five_standard_errors(horizon):
     for strike, child in zip(TABLE.strikes, children):
         pricing = backward_induce(call_payoff(strike), model)
         stats, _ = simulate_one(model, pricing, strike, TABLE.n_paths, child)
-        mean, second = v0_moments(pricing.value_fns[0], model)
-        se = math.sqrt((second - mean * mean) / TABLE.n_paths)
-        if not abs(stats.mean_v0 - mean) <= 5 * se:
-            misses.append(f"K={strike:g}: {stats.mean_v0} vs {mean} +- {5 * se}")
+        oracles = {
+            "E(V0)": v0_moments(pricing.value_fns[0], model),
+            "E(S0)": s0_moments(model),
+        }
+        for label, (mean, second) in oracles.items():
+            se = math.sqrt((second - mean * mean) / TABLE.n_paths)
+            if not abs(stats[label] - mean) <= 5 * se:
+                misses.append(f"K={strike:g}: {label} {stats[label]} vs {mean} +- {5 * se}")
     assert not misses, "; ".join(misses)

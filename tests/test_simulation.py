@@ -936,11 +936,11 @@ class TestSimulate:
         crossings = _build_crossings(REF_MODEL, pricing)
         ws = simulation._workspace(REF_MODEL.horizon, 1)
         cols = _simulate_batch(REF_MODEL, pricing, 1, _batch_gen(7), crossings, True, ws)
-        assert stats.mean_s0 == cols["s"][0][0]
-        assert stats.mean_s1 == cols["s"][1][0]
-        assert stats.mean_v0 == cols["v"][0][0]
-        assert stats.mean_eps == cols["eps"][0]
-        assert stats.min_eps == stats.max_eps == cols["eps"][0]
+        assert stats["E(S0)"] == cols["s"][0][0]
+        assert stats["E(S1)"] == cols["s"][1][0]
+        assert stats["E(V0)"] == cols["v"][0][0]
+        assert stats["E(eps_R)"] == cols["eps"][0]
+        assert stats["min eps_R"] == stats["max eps_R"] == cols["eps"][0]
 
     def test_determinism(self):
         # one strike per child of the root seed, as the CLI runs them
@@ -956,7 +956,7 @@ class TestSimulate:
     def test_different_seeds_differ(self):
         a, _ = simulate_one(REF_MODEL, _pricing(), 100.0, 5_000, np.random.SeedSequence(5))
         b, _ = simulate_one(REF_MODEL, _pricing(), 100.0, 5_000, np.random.SeedSequence(6))
-        assert a.mean_eps != b.mean_eps
+        assert a["E(eps_R)"] != b["E(eps_R)"]
 
     def test_batch_split_invariance(self, monkeypatch):
         # same seed, different batch sizes: the per-batch substreams differ,
@@ -972,7 +972,7 @@ class TestSimulate:
             REF_MODEL, _pricing(), 100.0, 100_000, np.random.SeedSequence(17)
         )
         assert stats.n_paths == 100_000
-        assert stats.mean_s0 / REF_MODEL.s_init == pytest.approx(0.95, abs=2e-3)
+        assert stats["E(S0)"] / REF_MODEL.s_init == pytest.approx(0.95, abs=2e-3)
 
     def test_pathwise_super_hedge_and_support(self):
         stats, raw = collect(
@@ -983,7 +983,7 @@ class TestSimulate:
             100_000,
             np.random.SeedSequence(23),
         )
-        assert stats.min_eps >= -1e-9
+        assert stats["min eps_R"] >= -1e-9
         s = raw["s"]
         assert np.all(s[1] / s[0] >= 0.7 - 1e-12)
         assert np.all(s[1] / s[0] <= 1.4 + 1e-12)
@@ -1043,7 +1043,7 @@ class TestFunctionalEngine:
             1500,
             np.random.SeedSequence(37),
         )
-        assert stats.min_eps >= -1e-9
+        assert stats["min eps_R"] >= -1e-9
         v, s, theta = raw["v"], raw["s"], raw["theta"]
         recon = v[1] + theta[1] * (s[2] - s[1])
         assert np.max(np.abs(v[2] - recon)) <= 1e-12
@@ -1118,7 +1118,7 @@ class TestFunctionalEngine:
             np.random.SeedSequence(59),
         )
         assert stats.n_paths == 4100
-        assert stats.min_eps >= 0.0
+        assert stats["min eps_R"] >= 0.0
 
     def test_scalar_payoff_broadcast(self):
         stats, raw = collect(
@@ -1126,7 +1126,7 @@ class TestFunctionalEngine:
             REF_MODEL, lambda path: 0.0, 0.0, 20, np.random.SeedSequence(61),
         )
         assert raw["eps"].shape == (20,)
-        assert np.all(raw["v"][0] == 0.0) and stats.max_eps == 0.0
+        assert np.all(raw["v"][0] == 0.0) and stats["max eps_R"] == 0.0
 
     @pytest.mark.parametrize(
         "payoff",
