@@ -327,11 +327,11 @@ def backward_induce(payoff: PwlFunction, model: MarketModel) -> PricingResult:
     fns: list[Optional[PwlFunction]] = [None] * (T + 1)
     fns[T] = payoff
     for t in range(T, 0, -1):
-        kd, ku, lam = model.steps[t].exact
-        g_t = fns[t]
-        if kd == ku:  # AIP forces kd == ku == 1: g_{t-1}(x) = g_t(x)
+        step, g_t = model.steps[t], fns[t]
+        if step.k_down == step.k_up:  # AIP forces both to 1: g_{t-1}(x) = g_t(x)
             fns[t - 1] = g_t
         else:
+            kd, ku, lam = step.exact
             fns[t - 1] = convex_combine(g_t, g_t, lam, kd, ku)
     lambdas = tuple(_chord_weight(s) for s in model.steps)
     return PricingResult(value_fns=tuple(fns), lambdas=lambdas)
@@ -364,8 +364,9 @@ def initial_premium(result: PricingResult, model: MarketModel) -> float:
 def _corner_values(f: PwlFunction, lo: float, hi: float) -> list[float]:
     """f at lo, at hi and at each breakpoint between, where a PWL f takes
     its max and min on [lo, hi]: on plain floats, a piece lookup and one
-    multiply-add each, the bits of ``f(x)`` (or inf where it overflows)."""
-    bps, slopes, icepts = (a.tolist() for a in f._float_views())
+    multiply-add each, the bits of ``f(x)`` (or inf where it overflows).
+    The floats are f's `_float_lists`, so no float array is built."""
+    bps, slopes, icepts = f._float_lists()
 
     def value(x: float) -> float:
         i = bisect_left(bps, x)

@@ -251,17 +251,21 @@ class PwlFunction:
     # float views, built from the integer lists on first use
     # ------------------------------------------------------------------ #
 
+    def _float_lists(self) -> tuple[list[float], list[float], list[float]]:
+        """(breakpoints, piece slopes, piece intercepts) as lists of Python
+        floats, built afresh on each call."""
+        lists = ((self._bn, self._bd), (self._sn, self._sd), (self._cn, self._cd))
+        # Int true division is correctly rounded: n / d is float(Fraction(n, d)).
+        return tuple([n / den for n in nums] for nums, den in lists)
+
     def _float_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(breakpoints, piece slopes, piece intercepts) as float arrays,
-        shared by every caller and therefore read-only."""
+        """`_float_lists` as float arrays, built once and shared by every
+        caller, and therefore read-only."""
         if self._floats is None:
-            lists = ((self._bn, self._bd), (self._sn, self._sd), (self._cn, self._cd))
-            views = []
-            for nums, den in lists:
-                # Int true division is correctly rounded: n / d is float(Fraction(n, d)).
-                views.append(np.array([n / den for n in nums]))
-                views[-1].flags.writeable = False
-            self._floats = tuple(views)
+            views = tuple(np.array(floats) for floats in self._float_lists())
+            for view in views:
+                view.flags.writeable = False
+            self._floats = views
         return self._floats
 
     # ------------------------------------------------------------------ #
@@ -408,7 +412,7 @@ def scale_compose(f: PwlFunction, k: Scalar) -> PwlFunction:
 def _ratio(k: Scalar, what: str) -> tuple[int, int]:
     """(p, q) with k = p/q exactly, for k > 0."""
     kq = _frac(k)
-    if kq <= 0:
+    if kq.numerator <= 0:  # a Fraction's denominator is positive
         raise ValueError(f"{what} must be positive, got {k}")
     return kq.numerator, kq.denominator
 
@@ -441,9 +445,9 @@ def convex_combine(
     `_scaled_pieces` with weights ln and ld - ln, over ld.
     """
     lq = _frac(lam)
-    if not 0 <= lq <= 1:
-        raise ValueError(f"weight must lie in [0, 1], got {lam}")
     ln, ld = lq.numerator, lq.denominator
+    if not 0 <= ln <= ld:  # lam in [0, 1], as ld > 0
+        raise ValueError(f"weight must lie in [0, 1], got {lam}")
     (xs, bd), (slopes, sd), (icepts, cd) = _scaled_pieces(f, kf, ln, g, kg, ld - ln)
     xs, slopes, icepts = _drop_collinear(xs, slopes, icepts)
     return PwlFunction._from_ints(

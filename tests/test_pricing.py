@@ -335,26 +335,40 @@ class TestBackwardInduce:
                 assert np.all(vals >= payoff(xs) - 1e-9)  # price above claim
 
     def test_price_call_builds_no_float_view_past_g0(self):
-        # pricing reads the floats of g_0 only; g_1..g_T keep just their
-        # integer lists until a simulation evaluates them
+        # pricing reads g_0 as float lists and builds no float array; every
+        # g_t keeps just its integer lists until a simulation evaluates it
         model = uniform_bid_ask_model(horizon=40)
         res = backward_induce(call_payoff(100), model)
         initial_premium(res, model)
         assert [g._floats for g in res.value_fns[1:]] == [None] * 40
-        assert res.value_fns[0]._floats is not None
+        assert res.value_fns[0]._floats is None
 
     @pytest.mark.parametrize(
         "payoff",
         [call_payoff(100), put_payoff(90), PwlFunction([80, 95, 110, 130], [15, 5, 3, 10], -1, 2)],
         ids=["call", "put", "four_kinks"],
     )
-    @pytest.mark.parametrize("s_init", [100.0, 70.0, 137.5])
-    def test_initial_premium_has_the_bits_of_g0(self, payoff, s_init):
-        steps = (StepSpec(0.7, 1.4), StepSpec(0.8, 1.2), StepSpec(1, 1), StepSpec(0.9, 1.1))
-        model = MarketModel(s_init=s_init, horizon=3, steps=steps)
+    @pytest.mark.parametrize(
+        "s_init, steps",
+        [
+            pytest.param(s_init, steps, id=f"{s_init}{name}")
+            for name, steps in {
+                # a heterogeneous model with a degenerate step; its cases are
+                # named by s_init alone
+                "": (StepSpec(0.7, 1.4), StepSpec(0.8, 1.2), StepSpec(1, 1), StepSpec(0.9, 1.1)),
+                # the call's g_0 has 41 breakpoints over a 2060-bit denominator
+                "-default_T40": uniform_bid_ask_model(horizon=40).steps,
+                # the step-0 support is the one point s_init
+                "-degenerate_step0": (StepSpec(1, 1), StepSpec(0.8, 1.2), StepSpec(0.9, 1.1)),
+            }.items()
+            for s_init in (100.0, 70.0, 137.5)
+        ],
+    )
+    def test_initial_premium_has_the_bits_of_g0(self, payoff, s_init, steps):
+        model = MarketModel(s_init=s_init, horizon=len(steps) - 1, steps=steps)
         res = backward_induce(payoff, model)
         g0 = res.value_fns[0]
-        lo, hi = 0.7 * s_init, 1.4 * s_init
+        lo, hi = steps[0].k_down * s_init, steps[0].k_up * s_init
         xs = [lo, hi] + [b for b in g0._float_views()[0].tolist() if lo < b < hi]
         assert initial_premium(res, model).hex() == max(g0(x) for x in xs).hex()
 

@@ -370,10 +370,24 @@ class TestConvexCombine:
         assert h(100.0) == pytest.approx((4 / 7) * 0.0 + (3 / 7) * 40.0, abs=1e-12)
 
     def test_weight_out_of_range(self):
-        with pytest.raises(ValueError):
-            convex_combine(call_payoff(100), call_payoff(50), 1.5)
-        with pytest.raises(ValueError):
-            convex_combine(call_payoff(100), call_payoff(50), -0.1)
+        f = call_payoff(100)
+        for lam in (1.5, -0.1, Fraction(-1, 3), Fraction(4, 3)):
+            with pytest.raises(ValueError, match=r"weight must lie in \[0, 1\]"):
+                convex_combine(f, call_payoff(50), lam)
+
+    @pytest.mark.parametrize("lam", [0, 1])
+    def test_end_weights_give_one_scaled_function(self, lam):
+        f, g = call_payoff(100), PwlFunction([80, 95, 110], [15, 5, 10], -1, 2)
+        kf, kg = Fraction(7, 10), Fraction(7, 5)
+        want = scale_compose(f, kf) if lam == 1 else scale_compose(g, kg)
+        assert convex_combine(f, g, lam, kf, kg) == want
+
+    @pytest.mark.parametrize("k", [0, -1, Fraction(-2, 3)])
+    def test_nonpositive_scale_factor_refused(self, k):
+        f = call_payoff(100)
+        for kf, kg in ((k, 1), (1, k)):
+            with pytest.raises(ValueError, match="scale factor must be positive"):
+                convex_combine(f, f, Fraction(1, 2), kf, kg)
 
     def test_consistency_property(self):
         # combine(scale(f,a), scale(f,b), lam)(x) == lam f(ax) + (1-lam) f(bx)
