@@ -1034,17 +1034,19 @@ def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
     """Write one comma-separated record per path, header row first, as
     ASCII bytes to the binary file ``fh``.
 
-    ``path_id`` is an integer and every other column is ``"%.17g" % v``,
-    which round-trips every float64.  Rows are read straight from the
-    ``raw`` columns in chunks of about DUMP_CELLS cells (1024 rows at T=2,
-    60 at T=40), with no copy of the whole table, and each chunk's bytes
-    are written as they are formatted.  ``raw`` may be one tile or batch of
-    a longer run, as the engines' sinks get them: its paths get ids from
-    ``first_id`` on, and the header is written only for the part that
-    starts at 0.
+    ``path_id`` is ``"%d"`` of an integer below 2^63, formatted on integers
+    alone, and every other column is ``"%.17g" % v``, which round-trips
+    every float64.  Rows are read straight from the ``raw`` columns in
+    chunks of about DUMP_CELLS cells (1024 rows at T=2, 60 at T=40), with
+    no copy of the whole table.  ``floatfmt`` lays each chunk out as cells
+    of CELL bytes, NUL-padded, each ending in its delimiter, and one
+    ``bytes.translate`` drops the NUL bytes before the chunk is written.
+    ``raw`` may be one tile or batch of a longer run, as the engines' sinks
+    get them: its paths get ids from ``first_id`` on, and the header is
+    written only for the part that starts at 0.
     """
     # Imported here so that runs which never dump skip building its tables.
-    from .floatfmt import CELL, g17_cells
+    from .floatfmt import _csv_rows
 
     cols = [
         raw[key] if t is None else raw[key][t] for _, key, t in _dump_columns(horizon)
@@ -1053,15 +1055,9 @@ def write_path_dump(fh, raw: dict, horizon: int, first_id: int = 0):
     if first_id == 0:
         fh.write((path_dump_header(horizon) + "\n").encode("ascii"))
     chunk = max(1, DUMP_CELLS // width)
-    block = np.empty((min(n, chunk), width))
+    block = np.empty((min(n, chunk), width - 1))
     for lo in range(0, n, chunk):
         rows = block[: min(chunk, n - lo)]
-        hi = lo + len(rows)
-        # Path ids are integers below 2^53, which "%.17g" prints as "%d".
-        rows[:, 0] = np.arange(first_id + lo, first_id + hi)
-        for j, col in enumerate(cols, 1):
-            rows[:, j] = col[lo:hi]
-        cells = g17_cells(rows).reshape(len(rows), width, CELL)
-        cells[:, :, -1] = ord(",")
-        cells[:, -1, -1] = ord("\n")
-        fh.write(cells[cells != 0])
+        for j, col in enumerate(cols):
+            rows[:, j] = col[lo : lo + len(rows)]
+        fh.write(_csv_rows(rows, first_id + lo))

@@ -1244,17 +1244,33 @@ class TestRunningMoments:
         assert mean_only.count == both.count and mean_only.m2 is None
 
 
+# The raw key of each dump header prefix
+_DUMP_KEYS = {"S": "s", "bid": "bid", "ask": "ask", "theta": "theta", "V": "v"}
+
+
 def _dump_oracle_columns(raw: dict, horizon: int) -> list[np.ndarray]:
     """The raw column behind each dump header name after path_id."""
-    keys = {"S": "s", "bid": "bid", "ask": "ask", "theta": "theta", "V": "v"}
     cols = []
     for name in path_dump_header(horizon).split(",")[1:]:
         if name == "eps_r":
             cols.append(raw["eps"])
         else:
             key, t = name.rsplit("_", 1)
-            cols.append(raw[keys[key]][int(t)])
+            cols.append(raw[_DUMP_KEYS[key]][int(t)])
     return cols
+
+
+def _raw_from_rows(values: np.ndarray, horizon: int) -> dict:
+    """A raw dict whose dump columns after path_id are the columns of values."""
+    raw = {key: [None] * (horizon + 1) for key in _DUMP_KEYS.values()}
+    for j, name in enumerate(path_dump_header(horizon).split(",")[1:]):
+        col = np.ascontiguousarray(values[:, j])
+        if name == "eps_r":
+            raw["eps"] = col
+        else:
+            key, t = name.rsplit("_", 1)
+            raw[_DUMP_KEYS[key]][int(t)] = col
+    return raw
 
 
 class TestPathDump:
@@ -1311,6 +1327,62 @@ class TestPathDump:
             fmt=["%d"] + ["%.17g"] * len(cols),
             delimiter=",",
         )
-        assert dump == oracle.getvalue()
+        # Lists of lines: a failure names the first line that differs, where
+        # a diff of the two texts takes minutes.
+        assert dump.split("\n") == oracle.getvalue().split("\n")
         if claim == "put":  # negative holdings print their sign
             assert np.any(raw["theta"][0] < 0) and ",-" in dump
+
+    def test_edge_values_equal_savetxt_oracle(self):
+        """Values the path engines rarely write, in every column: e-notation
+        (1e-6 < |v| < 1e-4), a 24-byte "%.17g" string, NaN, +-inf, -0.0, 0.0
+        and 1.0, each next to ordinary values, over a partial last chunk."""
+        horizon = 2
+        width = len(path_dump_header(horizon).split(","))
+        n = DUMP_CELLS // width + 3
+        rng = np.random.default_rng(61)
+        edges = np.array(
+            [-1.2345678901234567e-100, math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0]
+        )
+        e_notation = rng.uniform(1e-6, 1e-4, 64) * rng.choice([-1.0, 1.0], 64)
+        pool = np.concatenate(
+            [edges, e_notation, [1.0000000000000001e-05, 9.9999999999999991e-05]]
+        )
+        values = rng.normal(100.0, 30.0, (n, width - 1))
+        picked = rng.random(values.shape) < 0.3
+        values[picked] = rng.choice(pool, picked.sum())
+        raw = _raw_from_rows(values, horizon)
+        buf = io.BytesIO()
+        write_path_dump(buf, raw, horizon)
+        oracle = io.StringIO()
+        oracle.write(path_dump_header(horizon) + "\n")
+        np.savetxt(
+            oracle,
+            np.column_stack([np.arange(n)] + _dump_oracle_columns(raw, horizon)),
+            fmt=["%d"] + ["%.17g"] * (width - 1),
+            delimiter=",",
+        )
+        dump = buf.getvalue().decode("ascii")
+        assert dump.split("\n") == oracle.getvalue().split("\n")
+        for text in ("e-05", "e-06", ",-1.2345678901234567e-100", "nan", "-inf", ",-0,"):
+            assert text in dump
+
+    @pytest.mark.parametrize(
+        "first_id", [2**53 - 5, 10**18 - 1030, 2**62 - 1030, 2**63 - 1030]
+    )
+    def test_path_ids_past_2_53_print_exactly(self, first_id):
+        """Every id below 2^63 prints as "%d": no float rounds it.  The rows
+        span two chunks, and the ids cross 2^53, 10^18 (one digit more) or
+        2^62 at the chunk boundary."""
+        horizon = 2
+        width = len(path_dump_header(horizon).split(","))
+        n = DUMP_CELLS // width + 3
+        values = np.random.default_rng(67).uniform(0.0, 200.0, (n, width - 1))
+        raw = _raw_from_rows(values, horizon)
+        buf = io.BytesIO()
+        write_path_dump(buf, raw, horizon, first_id=first_id)
+        expected = "".join(
+            "%d,%s\n" % (first_id + i, ",".join("%.17g" % v for v in row))
+            for i, row in enumerate(values.tolist())
+        )
+        assert buf.getvalue().decode("ascii").split("\n") == expected.split("\n")
