@@ -39,9 +39,11 @@ from .pwl import PwlFunction, call_payoff, put_payoff
 from .simulation import (
     BATCH_SIZE,
     SimStats,
+    pool_size,
     require_float64,
     simulate_functional,
     simulate_one,
+    simulate_pooled,
     write_path_dump,
 )
 
@@ -422,7 +424,15 @@ def _column_label(strike: float) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Run pricing + simulation per strike, write artifacts, return exit code."""
+    """Run pricing + simulation per strike, write artifacts, return exit code.
+
+    A large enough stats-only piecewise-linear run simulates its (strike,
+    batch) units in a pool of forked worker processes, one per usable CPU
+    (see `simulation.pool_size`), and writes the same bytes as a run in
+    this process.  A dump or histograms take the tiles in path order, and
+    the path-dependent engine's chunks share one generator, so those runs
+    stay in this process.
+    """
     try:
         model = cfg.build_model()
         require_aip(model)
@@ -438,6 +448,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     home = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     columns = cfg._claims()
     children = np.random.SeedSequence(cfg.seed).spawn(len(columns))
+    serial = cfg.payoff == "asian-call" or cfg.dump_paths or cfg.histograms
+    workers = 1 if serial else pool_size(len(columns), cfg.n_paths)
+    pooled = []  # (strike, pricing, seed) of each column a pool simulates
 
     stats_list: list[SimStats] = []
     try:
@@ -459,10 +472,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                     print(f"{label}: initial premium P0 = {premium:.6g}")
                     if cfg.export_strategy:
                         _export_strategy_tables(stage, label, claim, model)
+                if workers > 1:  # every strike is priced before the pool forks
+                    pooled.append((strike, claim, child))
+                    continue
                 simulate = partial(
                     engine, model, claim, strike, cfg.n_paths, child, cfg.straddle_to_ask
                 )
                 stats_list.append(_simulate_strike(simulate, cfg, stage, label, model.horizon))
+            if pooled:
+                stats_list = simulate_pooled(
+                    model, pooled, cfg.n_paths, cfg.straddle_to_ask, workers
+                )
             texts = {"effective_config.txt": render_config(cfg)}
             if cfg.write_stats:
                 text = format_stats_text(stats_list)

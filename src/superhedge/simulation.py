@@ -17,9 +17,12 @@ the reference result table.
 
 Everything is vectorised over paths and reproducible bit for bit from one
 root seed.  European (PWL) claims run in fixed-size batches, each with its
-own seed spawned from the root, so batches could be drawn and aggregated in
-any order (Chan et al. moment merging).  Path-dependent claims run in
-chunks that share one generator, so their chunks must be drawn in order.
+own seed spawned from the root, so batches can be computed in any order and
+in any process; each is reduced to a summary of its series, and summaries
+are merged in batch order (Chan et al. moment merging), which keeps the
+bytes.  `simulate_pooled` runs the batches of stats-only runs in worker
+processes this way.  Path-dependent claims run in chunks that share one
+generator, so their chunks must be drawn in order.
 
 Each run holds one workspace (`_workspace`), sized for its largest batch
 and reused by every batch.  A batch runs tile by tile, TILE lanes or fewer
@@ -35,6 +38,8 @@ leaves every float unchanged.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -670,42 +675,71 @@ def _theta_frac(theta: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (theta[nonzero] * s[nonzero]) / v[nonzero]
 
 
+# The statistics that ROWS reads of each series, by series in ROWS order.
+_READS = {key: {how for _, k, how in ROWS if k == key} for _, key, _ in ROWS}
+
+
 class _Aggregator:
     """Fold batches of path columns into SimStats.
 
-    One RunningMoments per series of ROWS, merged in batch order; only a
-    series with a "std" row keeps an M2, and only one with a "min" or "max"
-    row its running min or max.  A series that saw no path (S2 and theta1
-    at T=1, a theta fraction where every V_t is 0) has a NaN mean.
+    `summary` reduces one batch to (size, mean, M2, min, max) per series of
+    ROWS, and `merge` folds summaries in batch order into one
+    RunningMoments per series and its running min and max; `add` is the
+    two in turn.  Only a series with a "std" row keeps an M2, and only one
+    with a "min" or "max" row its min or max (None in a summary).  A series
+    that saw no path (S2 and theta1 at T=1, a theta fraction where every V_t
+    is 0) has a NaN mean.
     """
 
     def __init__(self, s_prev: float):
         self.s_prev = s_prev
-        m2 = {key: 0.0 for _, key, how in ROWS if how == "std"}
-        self.moments = {key: RunningMoments(m2=m2.get(key)) for _, key, _ in ROWS}
-        self.lo = {key: math.inf for _, key, how in ROWS if how == "min"}
-        self.hi = {key: -math.inf for _, key, how in ROWS if how == "max"}
+        self.moments = {
+            key: RunningMoments(m2=0.0 if "std" in how else None)
+            for key, how in _READS.items()
+        }
+        self.lo = {key: math.inf for key, how in _READS.items() if "min" in how}
+        self.hi = {key: -math.inf for key, how in _READS.items() if "max" in how}
 
     def add(self, cols: dict):
-        """Fold one batch; each derived series is folded, and freed, before
-        the next is formed."""
-        s, v, theta = cols["s"], cols["v"], cols["theta"]
-        self._fold("s0", s[0])
-        self._fold("s1", s[1])
-        self._fold("v0", v[0])
-        self._fold("v0/s0", v[0] / s[0])
-        self._fold("eps", cols["eps"])
-        self._fold("th0", _theta_frac(theta[0], s[0], v[0]))
-        if len(s) > 2:
-            self._fold("s2", s[2])
-            self._fold("th1", _theta_frac(theta[1], s[1], v[1]))
+        """Fold one batch: merge its summary."""
+        self.merge(self.summary(cols))
 
-    def _fold(self, key: str, x: np.ndarray):
-        self.moments[key].add_batch(x)
-        if key in self.lo:
-            self.lo[key] = min(self.lo[key], float(np.min(x)))
-        if key in self.hi:
-            self.hi[key] = max(self.hi[key], float(np.max(x)))
+    @staticmethod
+    def summary(cols: dict) -> dict:
+        """One batch's (size, mean, M2, min, max) of each series, floats; a
+        pure function of the columns, so any process may form it.  Each
+        derived series is reduced, and freed, before the next is formed."""
+        s, v, theta = cols["s"], cols["v"], cols["theta"]
+        out = {}
+
+        def reduce(key: str, x: np.ndarray):
+            how = _READS[key]
+            m = RunningMoments(m2=0.0 if "std" in how else None)
+            m.add_batch(x)
+            lo = float(np.min(x)) if "min" in how else None
+            hi = float(np.max(x)) if "max" in how else None
+            out[key] = (m.count, m.mean, m.m2, lo, hi)
+
+        reduce("s0", s[0])
+        reduce("s1", s[1])
+        reduce("v0", v[0])
+        reduce("v0/s0", v[0] / s[0])
+        reduce("eps", cols["eps"])
+        reduce("th0", _theta_frac(theta[0], s[0], v[0]))
+        if len(s) > 2:
+            reduce("s2", s[2])
+            reduce("th1", _theta_frac(theta[1], s[1], v[1]))
+        return out
+
+    def merge(self, summary: dict):
+        """Fold one batch's summary, after those of the batches before it."""
+        for key, (n, mean, m2, lo, hi) in summary.items():
+            if n:
+                self.moments[key].merge(n, mean, m2)
+            if key in self.lo:
+                self.lo[key] = min(self.lo[key], lo)
+            if key in self.hi:
+                self.hi[key] = max(self.hi[key], hi)
 
     def result(self, strike: float) -> SimStats:
         m, s_prev = self.moments, self.s_prev
@@ -714,6 +748,13 @@ class _Aggregator:
         stat["mean/s_prev"] = lambda key: m[key].mean / s_prev
         values = {label: stat[how](series) for label, series, how in ROWS}
         return SimStats(strike, m["s0"].count, values)
+
+
+def _require_run(model: MarketModel, claim, n_paths: int):
+    """Refuse, before any draw, a run that `require_float64` or
+    `require_aip` refuses."""
+    require_float64(model, [claim], n_paths)
+    require_aip(model)
 
 
 def _fold(model: MarketModel, label: float, claim, n_paths: int, batches):
@@ -725,8 +766,7 @@ def _fold(model: MarketModel, label: float, claim, n_paths: int, batches):
     ``simulation.collect`` hook of ``perfbench/tracer.py`` until ROADMAP
     item 11 replaces those hooks.
     """
-    require_float64(model, [claim], n_paths)
-    require_aip(model)
+    _require_run(model, claim, n_paths)
     agg = _Aggregator(model.s_init)
     for cols in batches:
         agg.add(cols)
@@ -767,14 +807,143 @@ def simulate_one(
         crossings = _build_crossings(model, pricing)
         compact = sink is None or not whole_paths
         ws = _workspace(model.horizon, min(BATCH_SIZE, n_paths), compact=compact)
-        for done in range(0, n_paths, BATCH_SIZE):
-            nb = min(BATCH_SIZE, n_paths - done)
-            rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
+        for nb, rng in _batches(n_paths, seed_seq):
             yield _simulate_batch(
                 model, pricing, nb, rng, crossings, straddle_to_ask, ws, sink
             )
 
     return _fold(model, strike, pricing.payoff, n_paths, batches())
+
+
+def _batches(n_paths: int, seed_seq: np.random.SeedSequence):
+    """(paths, generator) of each batch of a European run, in order:
+    BATCH_SIZE paths (read when called) but the last, each drawn from a
+    child spawned from ``seed_seq`` as it starts, so the children of one
+    ``spawn(k)``."""
+    for done in range(0, n_paths, BATCH_SIZE):
+        seed = seed_seq.spawn(1)[0]
+        yield min(BATCH_SIZE, n_paths - done), np.random.Generator(np.random.PCG64(seed))
+
+
+def pool_size(strikes: int, n_paths: int) -> int:
+    """How many forked worker processes `simulate_pooled` should run a
+    stats-only run of n_paths per strike on; 1: simulate it in this process.
+
+    A run is pooled from 4 BATCH_SIZE paths over all its strikes, where
+    starting and joining a pool (~25 ms) costs less than it saves, with one
+    worker per CPU of the process's affinity mask and no more than its
+    (strike, batch) units.  It needs the "fork" start method, by which the
+    workers inherit the run's pricing instead of unpickling it, and Python
+    below 3.12, whose fork warns in a process that runs threads (numpy's
+    BLAS starts some at import).
+    """
+    if strikes * n_paths < 4 * BATCH_SIZE or sys.version_info >= (3, 12):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cpus, strikes * -(-n_paths // BATCH_SIZE))
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+# A pool worker's run, which `_start_worker` keeps in each worker process:
+# the model, (pricing, crossing tables) per strike, straddle_to_ask, and the
+# worker's compact workspace.
+_worker_run: list = []
+
+
+def _start_worker(model: MarketModel, strikes: list, straddle_to_ask: bool, lanes: int):
+    """Pool initializer: keep the run, which the worker inherited at its
+    fork, with a compact workspace of ``lanes``.  An interrupt is the
+    parent's to handle: it cancels the pool's pending units.  A worker
+    whose parent is gone, killed before it could join the pool, exits."""
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+    ws = _workspace(model.horizon, lanes, compact=True)
+    _worker_run[:] = [model, strikes, straddle_to_ask, ws]
+
+
+def _exit_with_parent(parent: int):
+    """Exit this process once its parent is no longer ``parent``: an
+    orphaned worker would otherwise wait for units forever."""
+    import time
+
+    while os.getppid() == parent:
+        time.sleep(0.1)
+    os._exit(1)
+
+
+def _batch_summary(j: int, n: int, rng: np.random.Generator) -> dict:
+    """One unit of `simulate_pooled`, run in a pool worker: the summary of
+    a stats-only batch of strike j, n paths drawn from ``rng``."""
+    model, strikes, straddle_to_ask, ws = _worker_run
+    pricing, crossings = strikes[j]
+    cols = _simulate_batch(model, pricing, n, rng, crossings, straddle_to_ask, ws)
+    return _Aggregator.summary(cols)
+
+
+def simulate_pooled(
+    model: MarketModel,
+    strikes: list,
+    n_paths: int,
+    straddle_to_ask: bool,
+    workers: int,
+) -> list[SimStats]:
+    """simulate_one's SimStats, stats only, for each (strike, pricing,
+    seed_seq) of ``strikes``, from a pool of ``workers`` forked processes
+    (see `pool_size`).
+
+    The parent runs simulate_one's checks and builds every strike's
+    crossing tables; the workers, forked after, inherit them unpickled,
+    and each holds one compact workspace.  Each (strike, batch) unit, the
+    batch simulate_one would draw from the same generator, runs in a
+    worker and comes back as its `_Aggregator.summary`, and the parent
+    merges the summaries in (strike, batch) order.  So the statistics are
+    simulate_one's, bit for bit, at any worker count.  At most 2 × ``workers``
+    units are in flight.  The pool is joined, its pending units cancelled,
+    before this returns or raises: an exception raised in a worker is
+    raised here, and a worker that dies raises ChildProcessError.
+    """
+    import multiprocessing
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    for _, pricing, _ in strikes:
+        _require_horizon(pricing, model)
+        _require_run(model, pricing.payoff, n_paths)
+    jobs = [(pricing, _build_crossings(model, pricing)) for _, pricing, _ in strikes]
+    aggs = [_Aggregator(model.s_init) for _ in strikes]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(model, jobs, straddle_to_ask, min(BATCH_SIZE, n_paths)),
+    )
+    try:
+        flight = deque()
+        for j, (_, _, seed_seq) in enumerate(strikes):
+            for n, rng in _batches(n_paths, seed_seq):
+                flight.append((j, pool.submit(_batch_summary, j, n, rng)))
+                if len(flight) == 2 * workers:
+                    j_done, summary = flight.popleft()
+                    aggs[j_done].merge(summary.result())
+        for j, summary in flight:
+            aggs[j].merge(summary.result())
+    except BrokenProcessPool:
+        raise ChildProcessError(
+            "a worker process died (killed, or out of memory?); "
+            "under `taskset -c 0` the run simulates in one process"
+        ) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [agg.result(strike) for agg, (strike, _, _) in zip(aggs, strikes)]
 
 
 # ---------------------------------------------------------------------- #
